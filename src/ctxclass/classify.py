@@ -13,7 +13,8 @@ from typing import Sequence
 import numpy as np
 import scipy.linalg
 
-from .data import MISSING, Dataset, FeatureSchema
+from .data import Dataset, FeatureSchema
+from .preprocess import _nearest_rows, _require_numeric
 
 PIVOT_TOL = 1e-10
 
@@ -30,26 +31,12 @@ def similarity(x: Sequence[float], y: Sequence[float]) -> float:
     return float(len(x) - sum(abs(a - b) for a, b in zip(x, y)))
 
 
-def _feature_matrix(dataset: Dataset) -> np.ndarray:
-    idx = dataset.schema.primary_indices
-    rows = []
-    for row in dataset.rows:
-        vec = []
-        for i in idx:
-            cell = row[i]
-            if cell is MISSING:
-                raise ValueError("classifier input contains MISSING cells; impute first")
-            if isinstance(cell, str):
-                raise ValueError("classifier input contains symbols; encode_numeric first")
-            vec.append(float(cell))
-        rows.append(vec)
-    return np.asarray(rows, dtype=float)
-
-
-def _query_vector(schema: FeatureSchema, row: Sequence) -> np.ndarray:
-    return np.asarray(
-        [float(row[i]) for i in schema.primary_indices], dtype=float
-    )
+def _query_matrix(schema: FeatureSchema, query) -> np.ndarray:
+    """A single query as a one-row feature matrix: either a full row of the
+    schema or a bare vector of primary-feature values."""
+    if isinstance(query, (tuple, list)) and len(query) == len(schema):
+        return _require_numeric(Dataset(schema, (tuple(query),)), schema.primary_indices)
+    return np.asarray(query, dtype=float).reshape(1, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -71,25 +58,22 @@ class NearestNeighborModel:
 def nn_fit(train: Dataset) -> NearestNeighborModel:
     if train.n_rows == 0:
         raise ValueError("empty training set")
-    return NearestNeighborModel(train.schema, _feature_matrix(train), train.class_labels())
+    x = _require_numeric(train, train.schema.primary_indices)
+    return NearestNeighborModel(train.schema, x, train.class_labels())
+
+
+def _nn_labels(model: NearestNeighborModel, queries: np.ndarray) -> tuple[str, ...]:
+    return tuple(model.labels[i] for i in _nearest_rows(queries, model.features))
 
 
 def nn_predict(model: NearestNeighborModel, query) -> str:
     """Class of the L1-nearest stored row; earliest row wins ties."""
-    if isinstance(query, (tuple, list)) and len(query) == len(model.schema):
-        vec = _query_vector(model.schema, query)
-    else:
-        vec = np.asarray(query, dtype=float)
-    dists = np.abs(model.features - vec).sum(axis=1)
-    return model.labels[int(dists.argmin())]
+    return _nn_labels(model, _query_matrix(model.schema, query))[0]
 
 
 def nn_predict_dataset(model: NearestNeighborModel, dataset: Dataset) -> tuple[str, ...]:
     """Vectorized prediction for every row of a dataset."""
-    q = _feature_matrix(dataset)
-    dists = np.abs(q[:, None, :] - model.features[None, :, :]).sum(axis=2)
-    nearest = dists.argmin(axis=1)  # argmin returns the first minimum
-    return tuple(model.labels[i] for i in nearest)
+    return _nn_labels(model, _require_numeric(dataset, dataset.schema.primary_indices))
 
 
 # ---------------------------------------------------------------------------
@@ -109,11 +93,6 @@ class ClassEquation:
     intercept: float
     coefs: tuple[float, ...]
     dropped: tuple[int, ...] = ()
-
-    def evaluate(self, vec: np.ndarray) -> float:
-        return self.intercept + float(
-            sum(c * vec[i] for c, i in zip(self.coefs, self.selected))
-        )
 
 
 @dataclass(frozen=True)
@@ -139,10 +118,21 @@ def _lstsq_rss(design: np.ndarray, y: np.ndarray) -> float:
     return float(r @ r)
 
 
+def _fit_selected(x: np.ndarray, y: np.ndarray,
+                  selected: tuple) -> tuple[float, tuple, tuple, tuple]:
+    """Final least-squares fit of y on an intercept plus the selected columns;
+    every other column is reported as dropped."""
+    design = np.hstack([np.ones((len(x), 1)), x[:, selected]])
+    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+    intercept = float(coef[0])
+    coefs = tuple(float(c) for c in coef[1:])
+    dropped = tuple(sorted(set(range(x.shape[1])) - set(selected)))
+    return intercept, selected, coefs, dropped
+
+
 def _fit_full(x: np.ndarray, y: np.ndarray) -> tuple[float, tuple, tuple, tuple]:
     """Least squares on all features via pivoted QR; near-singular columns
     (pivot below PIVOT_TOL of the leading pivot) are dropped."""
-    n, d = x.shape
     # center the columns first: the intercept is always in the basis, so any
     # column collinear with it (or with the others) must pivot out here
     centered = x - x.mean(axis=0)
@@ -150,12 +140,7 @@ def _fit_full(x: np.ndarray, y: np.ndarray) -> tuple[float, tuple, tuple, tuple]
     diag = np.abs(np.diag(np.atleast_2d(r)))
     lead = diag[0] if diag.size else 0.0
     selected = tuple(sorted(piv[j] for j in range(len(diag)) if diag[j] > PIVOT_TOL * lead))
-    design = np.hstack([np.ones((n, 1)), x[:, selected]])
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    intercept = float(coef[0])
-    coefs = tuple(float(c) for c in coef[1:])
-    dropped = tuple(sorted(set(range(d)) - set(selected)))
-    return intercept, selected, coefs, dropped
+    return _fit_selected(x, y, selected)
 
 
 def _fit_forward(
@@ -196,12 +181,7 @@ def _fit_forward(
             break
         selected.append(j)
         rss = new_rss
-    design = np.hstack([ones, x[:, selected]])
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    intercept = float(coef[0])
-    coefs = tuple(float(c) for c in coef[1:])
-    dropped = tuple(sorted(set(range(d)) - set(selected)))
-    return intercept, tuple(selected), coefs, dropped
+    return _fit_selected(x, y, tuple(selected))
 
 
 def mlr_fit(train: Dataset, selection: SelectionParams | None = None) -> LinearDiscriminantModel:
@@ -209,7 +189,7 @@ def mlr_fit(train: Dataset, selection: SelectionParams | None = None) -> LinearD
     if train.n_rows == 0:
         raise ValueError("empty training set")
     selection = selection or SelectionParams()
-    x = _feature_matrix(train)
+    x = _require_numeric(train, train.schema.primary_indices)
     labels = train.class_labels()
     classes = train.schema.class_feature.alphabet
     equations = []
@@ -223,26 +203,20 @@ def mlr_fit(train: Dataset, selection: SelectionParams | None = None) -> LinearD
     return LinearDiscriminantModel(train.schema, tuple(equations))
 
 
-def mlr_predict(model: LinearDiscriminantModel, query) -> str:
-    """Class whose equation yields the largest value; lowest class index wins ties."""
-    if isinstance(query, (tuple, list)) and len(query) == len(model.schema):
-        vec = _query_vector(model.schema, query)
-    else:
-        vec = np.asarray(query, dtype=float)
-    best_label, best_y = None, None
-    for eq in model.equations:  # alphabet order, first max kept
-        yval = eq.evaluate(vec)
-        if best_y is None or yval > best_y:
-            best_label, best_y = eq.label, yval
-    return best_label
-
-
-def mlr_predict_dataset(model: LinearDiscriminantModel, dataset: Dataset) -> tuple[str, ...]:
-    q = _feature_matrix(dataset)
-    scores = np.empty((q.shape[0], len(model.equations)))
+def _mlr_labels(model: LinearDiscriminantModel, queries: np.ndarray) -> tuple[str, ...]:
+    scores = np.empty((queries.shape[0], len(model.equations)))
     for k, eq in enumerate(model.equations):
         scores[:, k] = eq.intercept
         for c, i in zip(eq.coefs, eq.selected):
-            scores[:, k] += c * q[:, i]
+            scores[:, k] += c * queries[:, i]
     winners = scores.argmax(axis=1)  # first maximum = lowest class index
     return tuple(model.equations[int(w)].label for w in winners)
+
+
+def mlr_predict(model: LinearDiscriminantModel, query) -> str:
+    """Class whose equation yields the largest value; lowest class index wins ties."""
+    return _mlr_labels(model, _query_matrix(model.schema, query))[0]
+
+
+def mlr_predict_dataset(model: LinearDiscriminantModel, dataset: Dataset) -> tuple[str, ...]:
+    return _mlr_labels(model, _require_numeric(dataset, dataset.schema.primary_indices))

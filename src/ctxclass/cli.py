@@ -46,6 +46,13 @@ def _default_path(filename: str) -> Path | None:
     return p if p.exists() else None
 
 
+def _bin_count(text: str) -> int:
+    k = int(text)
+    if k < 2:
+        raise argparse.ArgumentTypeError(f"need at least 2 bins, got {k}")
+    return k
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="ctxclass", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -56,7 +63,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--spec", help="JSON joint-distribution file (exact probabilities)")
     p.add_argument("--eps", type=float, default=None,
                    help="comparison tolerance (default: 1e-9 for --spec, 0.03 for --data)")
-    p.add_argument("--bins", type=int, default=None,
+    p.add_argument("--bins", type=_bin_count, default=None,
                    help="equal-frequency bin count for continuous features")
     p.add_argument("--json", dest="json_out", help="also write the verdict as JSON")
 
@@ -105,7 +112,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--mode", default="zscore",
                    choices=[m for m in preprocess.NORMALIZE_MODES if m not in ("off", "baseline")])
     p.add_argument("--context", help="context feature for --mode contextual")
-    p.add_argument("--bins", type=int, default=None,
+    p.add_argument("--bins", type=_bin_count, default=None,
                    help="equal-frequency bins for a continuous context feature")
     p.add_argument("--out", required=True)
     return parser
@@ -138,9 +145,9 @@ def _cmd_taxonomy(args) -> int:
                 f"taxonomy: continuous features {continuous} need --bins to discretize\n"
             )
             return EXIT_PRECONDITION
-        if continuous:
-            ds = _discretize(ds, args.bins)
         try:
+            if continuous:
+                ds = _discretize(ds, args.bins)
             dist = taxonomy.estimate_distribution(ds)
         except ValueError as exc:
             sys.stderr.write(f"taxonomy: {exc}\n")
@@ -155,16 +162,12 @@ def _cmd_taxonomy(args) -> int:
 
 def _discretize(ds: data.Dataset, k: int) -> data.Dataset:
     """Equal-frequency-bin every continuous feature so the taxonomy tests apply."""
-    from dataclasses import replace as _replace
-
     schema = ds.schema
     new_feats = []
     binned: dict[int, tuple[float, ...]] = {}
     for i, f in enumerate(schema):
         if f.kind == "continuous":
-            values = [float(c) for c in ds.column(i) if c is not data.MISSING]
-            boundaries = preprocess.equal_freq_bins(values, k)
-            binned[i] = boundaries
+            binned[i] = preprocess.column_bins(ds, i, k)
             new_feats.append(
                 data.Feature(f.name, f.role, "discrete", tuple(f"b{j}" for j in range(k)))
             )
@@ -309,15 +312,20 @@ def _cmd_normalize(args) -> int:
         if not args.context:
             sys.stderr.write("normalize: --mode contextual requires --context\n")
             return EXIT_USAGE
+        if args.context not in ds.schema.names:
+            sys.stderr.write(f"normalize: no feature named {args.context!r}\n")
+            return EXIT_USAGE
         boundaries = None
-        feat = ds.schema.features[ds.schema.index_of(args.context)]
-        if feat.kind == "continuous":
+        ctx_idx = ds.schema.index_of(args.context)
+        if ds.schema.features[ctx_idx].kind == "continuous":
             if args.bins is None:
                 sys.stderr.write("normalize: continuous context requires --bins\n")
                 return EXIT_PRECONDITION
-            values = [float(c) for c in ds.column(ds.schema.index_of(args.context))
-                      if c is not data.MISSING]
-            boundaries = preprocess.equal_freq_bins(values, args.bins)
+            try:
+                boundaries = preprocess.column_bins(ds, ctx_idx, args.bins)
+            except ValueError as exc:
+                sys.stderr.write(f"normalize: {exc}\n")
+                return EXIT_PRECONDITION
         context = preprocess.ContextKey(args.context, boundaries)
     try:
         config = preprocess.PipelineConfig(

@@ -151,9 +151,6 @@ class Dataset:
     def subset(self, indices: Sequence[int]) -> "Dataset":
         return Dataset(self.schema, tuple(self.rows[i] for i in indices))
 
-    def with_rows(self, rows: Iterable[Sequence]) -> "Dataset":
-        return Dataset.build(self.schema, rows)
-
     def missing_count(self) -> int:
         return sum(1 for r in self.rows for c in r if c is MISSING)
 

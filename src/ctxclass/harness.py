@@ -21,8 +21,8 @@ from .classify import (
     nn_fit,
     nn_predict_dataset,
 )
-from .data import MISSING, Dataset, split_random
-from .preprocess import ContextKey, PipelineConfig, equal_freq_bins, run_pipeline
+from .data import Dataset, split_random
+from .preprocess import ContextKey, PipelineConfig, column_bins, run_pipeline
 
 CLASSIFIERS = ("nn", "mlr")
 
@@ -170,9 +170,7 @@ def run_hepatitis_grid(
     age_idx = dataset.schema.index_of("age")
     for s, split_seed in enumerate(split_seeds):
         train, test = split_random(dataset, n_train, split_seed)
-        ages = [float(c) for c in train.column(age_idx) if c is not MISSING]
-        boundaries = equal_freq_bins(ages, age_bins)
-        context = ContextKey("age", boundaries)
+        context = ContextKey("age", column_bins(train, age_idx, age_bins))
         for combo in STRATEGY_COMBOS:
             config = _combo_config(combo, context, "age", "train", impute=True)
             tr, te = run_pipeline(config, train, test)

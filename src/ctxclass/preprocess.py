@@ -5,13 +5,14 @@ by a deviation floors it at SIGMA_FLOOR: boolean features inside a pure
 context group legitimately have zero spread.
 
 Fit/apply are strictly separated: fit_* functions read only their fit set
-and return an immutable model; apply_* functions are pure per observation.
+and return an immutable model.  apply_* functions read the primary columns as
+one matrix, transform it elementwise (context models give per-row mean and
+deviation matrices via ``row_stats``) and write it back; rows stay independent.
 """
 
 from __future__ import annotations
 
 import bisect
-import math
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
@@ -28,21 +29,50 @@ from .data import (
 
 SIGMA_FLOOR = 1e-12
 
+_NN_BLOCK_ROWS = 64  # queries per block of the L1 nearest-neighbour distance tensor
+
 
 def _require_numeric(dataset: Dataset, indices: Sequence[int]) -> np.ndarray:
-    cols = []
-    for i in indices:
+    """The listed columns as an n_rows x len(indices) float matrix; a MISSING
+    or symbolic cell is an error that names its feature."""
+    m = np.empty((dataset.n_rows, len(indices)))
+    for j, i in enumerate(indices):
         col = dataset.column(i)
-        if any(c is MISSING for c in col):
-            raise ValueError(
-                f"feature {dataset.schema.features[i].name!r} has MISSING cells; impute first"
-            )
-        if any(isinstance(c, str) for c in col):
-            raise ValueError(
-                f"feature {dataset.schema.features[i].name!r} is symbolic; encode_numeric first"
-            )
-        cols.append([float(c) for c in col])
-    return np.array(cols, dtype=float).T if cols else np.empty((dataset.n_rows, 0))
+        kinds = set(map(type, col))
+        problem = ("has MISSING cells; impute first" if type(MISSING) in kinds
+                   else "is symbolic; encode_numeric first" if str in kinds else None)
+        if problem:
+            raise ValueError(f"feature {dataset.schema.features[i].name!r} {problem}")
+        m[:, j] = col
+    return m
+
+
+def _write_columns(dataset: Dataset, indices: Sequence[int], values: np.ndarray) -> Dataset:
+    """The dataset with the listed columns replaced by the columns of values,
+    as Python floats; the schema is unchanged, so Dataset.build is skipped."""
+    if not dataset.rows:
+        return dataset
+    cols = list(zip(*dataset.rows))
+    for i, col in zip(indices, values.T.tolist()):
+        cols[i] = col
+    return Dataset(dataset.schema, tuple(zip(*cols)))
+
+
+def _nearest_rows(queries: np.ndarray, reference: np.ndarray,
+                  leave_one_out: bool = False) -> np.ndarray:
+    """Index of the L1-nearest reference row for every query row, walking
+    the queries in blocks; the earliest reference row wins ties.  With
+    leave_one_out the queries are the reference rows and none matches itself
+    (a lone row, with nothing else to match, gets 0)."""
+    nearest = np.empty(len(queries), dtype=np.intp)
+    for start in range(0, len(queries), _NN_BLOCK_ROWS):
+        block = queries[start:start + _NN_BLOCK_ROWS]
+        dists = np.abs(block[:, None, :] - reference).sum(axis=2)
+        if leave_one_out:
+            rows = np.arange(len(block))
+            dists[rows, start + rows] = np.inf
+        nearest[start:start + len(block)] = dists.argmin(axis=1)  # first minimum
+    return nearest
 
 
 def encode_value(feature: Feature, cell) -> float:
@@ -81,21 +111,6 @@ def encode_numeric(dataset: Dataset) -> Dataset:
     return Dataset.build(schema, rows)
 
 
-def _transform_primary(dataset: Dataset, indices: Sequence[int], fn) -> Dataset:
-    """Apply fn(slot, value) to the listed cells of every row; slot is the
-    position of the feature inside ``indices``."""
-    pos = {feat_idx: slot for slot, feat_idx in enumerate(indices)}
-    rows = []
-    for row in dataset.rows:
-        rows.append(
-            tuple(
-                fn(pos[i], float(cell), row) if i in pos else cell
-                for i, cell in enumerate(row)
-            )
-        )
-    return Dataset(dataset.schema, tuple(rows))
-
-
 # ---------------------------------------------------------------------------
 # Context-free normalizers
 
@@ -105,21 +120,21 @@ class MinMaxModel:
     lo: tuple[float, ...]
     hi: tuple[float, ...]
 
-    def value(self, slot: int, x: float) -> float:
-        lo, hi = self.lo[slot], self.hi[slot]
-        if hi == lo:
-            return 0.5  # a constant feature carries no information either way
-        return (x - lo) / (hi - lo)
-
 
 def fit_minmax(train: Dataset) -> MinMaxModel:
+    if train.n_rows == 0:
+        raise ValueError("cannot fit min-max on an empty set")
     idx = train.schema.primary_indices
     m = _require_numeric(train, idx)
     return MinMaxModel(idx, tuple(m.min(axis=0)), tuple(m.max(axis=0)))
 
 
 def apply_minmax(model: MinMaxModel, dataset: Dataset) -> Dataset:
-    return _transform_primary(dataset, model.indices, lambda s, x, _row: model.value(s, x))
+    x = _require_numeric(dataset, model.indices)
+    lo, hi = np.asarray(model.lo), np.asarray(model.hi)
+    constant = hi == lo  # a constant feature carries no information either way
+    scaled = (x - lo) / np.where(constant, 1.0, hi - lo)
+    return _write_columns(dataset, model.indices, np.where(constant, 0.5, scaled))
 
 
 @dataclass(frozen=True)
@@ -127,9 +142,6 @@ class ZScoreModel:
     indices: tuple[int, ...]
     mu: tuple[float, ...]
     sigma: tuple[float, ...]
-
-    def value(self, slot: int, x: float) -> float:
-        return (x - self.mu[slot]) / max(self.sigma[slot], SIGMA_FLOOR)
 
 
 def fit_zscore(fit_set: Dataset) -> ZScoreModel:
@@ -143,19 +155,15 @@ def fit_zscore(fit_set: Dataset) -> ZScoreModel:
 
 
 def apply_zscore(model: ZScoreModel, dataset: Dataset) -> Dataset:
-    return _transform_primary(dataset, model.indices, lambda s, x, _row: model.value(s, x))
+    x = _require_numeric(dataset, model.indices)
+    z = (x - np.asarray(model.mu)) / np.maximum(model.sigma, SIGMA_FLOOR)
+    return _write_columns(dataset, model.indices, z)
 
 
 @dataclass(frozen=True)
 class PercentileModel:
     indices: tuple[int, ...]
     sorted_values: tuple[tuple[float, ...], ...]
-
-    def value(self, slot: int, x: float) -> float:
-        vals = self.sorted_values[slot]
-        below = bisect.bisect_left(vals, x)
-        equal = bisect.bisect_right(vals, x) - below
-        return (below + 0.5 * equal) / len(vals)
 
 
 def fit_percentile(train: Dataset) -> PercentileModel:
@@ -167,7 +175,14 @@ def fit_percentile(train: Dataset) -> PercentileModel:
 
 
 def apply_percentile(model: PercentileModel, dataset: Dataset) -> Dataset:
-    return _transform_primary(dataset, model.indices, lambda s, x, _row: model.value(s, x))
+    """Mid-rank of each value among the fitted values: (below + equal/2) / n."""
+    x = _require_numeric(dataset, model.indices)
+    ranks = np.empty_like(x)
+    for j, vals in enumerate(model.sorted_values):
+        below = np.searchsorted(vals, x[:, j], side="left")
+        equal = np.searchsorted(vals, x[:, j], side="right") - below
+        ranks[:, j] = (below + 0.5 * equal) / len(vals)
+    return _write_columns(dataset, model.indices, ranks)
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +224,11 @@ def bin_index(boundaries: Sequence[float], x: float) -> int:
     return bisect.bisect_right(boundaries, float(x))
 
 
+def column_bins(dataset: Dataset, index: int, k: int) -> tuple[float, ...]:
+    """equal_freq_bins over the non-MISSING values of one continuous column."""
+    return equal_freq_bins([float(c) for c in dataset.column(index) if c is not MISSING], k)
+
+
 # ---------------------------------------------------------------------------
 # Contextual normalization
 
@@ -246,9 +266,15 @@ class GroupContextModel:
     groups: Mapping[object, tuple[tuple[float, ...], tuple[float, ...]]] = field(hash=False)
     fallback: tuple[tuple[float, ...], tuple[float, ...]] = None
 
-    def stats_for(self, schema: FeatureSchema, row: Sequence):
-        g = self.key.group_of(schema, row)
-        return self.groups.get(g, self.fallback)
+    def row_stats(self, dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
+        """Per-row mean and deviation matrices (n_rows x features) of the
+        context group of each row of dataset."""
+        stats = np.array(
+            [self.groups.get(self.key.group_of(dataset.schema, row), self.fallback)
+             for row in dataset.rows],
+            dtype=float,
+        ).reshape(dataset.n_rows, 2, len(self.indices))
+        return stats[:, 0], stats[:, 1]
 
 
 def fit_contextual(train: Dataset, key: ContextKey) -> GroupContextModel:
@@ -288,17 +314,21 @@ class RegressionContextModel:
     baseline_values: tuple[tuple[float, ...], ...] | None  # nn: matching feature rows
     resid_sigma: tuple[float, ...] = ()
 
-    def stats_for(self, schema: FeatureSchema, row: Sequence):
-        ctx = [float(row[schema.index_of(n)]) for n in self.context_features]
+    def row_stats(self, dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
+        """Per-row mean and deviation matrices (n_rows x features) at the
+        context of each row of dataset."""
+        schema = dataset.schema
+        ctx = _require_numeric(dataset, [schema.index_of(n) for n in self.context_features])
         if self.kind == "linear":
-            mu = tuple(
-                c[0] + sum(a * x for a, x in zip(c[1:], ctx)) for c in self.coefs
-            )
+            coefs = np.asarray(self.coefs)  # features x (intercept + contexts)
+            # intercept + left-to-right sum of the context terms, not a dot
+            # product, so every value rounds as the one-row formula does
+            mu = coefs[:, 0] + sum(coefs[:, k + 1] * ctx[:, [k]] for k in range(ctx.shape[1]))
         else:
-            bc = np.asarray(self.baseline_context)
-            dists = np.abs(bc - np.asarray(ctx)).sum(axis=1)
-            mu = self.baseline_values[int(dists.argmin())]
-        return mu, self.resid_sigma
+            mu = np.asarray(self.baseline_values)[
+                _nearest_rows(ctx, np.asarray(self.baseline_context))
+            ]
+        return mu, np.broadcast_to(self.resid_sigma, mu.shape)
 
 
 def fit_contextual_model(
@@ -345,12 +375,7 @@ def fit_contextual_model(
         )
 
     # nearest-neighbor regressor; leave-one-out residuals
-    resid = np.zeros_like(feats)
-    if n > 1:
-        for r in range(n):
-            d = np.abs(ctx - ctx[r]).sum(axis=1)
-            d[r] = np.inf
-            resid[r] = feats[r] - feats[int(d.argmin())]
+    resid = feats - feats[_nearest_rows(ctx, ctx, leave_one_out=True)]
     sigma = resid.std(axis=0)
     return RegressionContextModel(
         indices=idx,
@@ -366,13 +391,9 @@ def fit_contextual_model(
 def apply_contextual(model, dataset: Dataset) -> Dataset:
     """Standardize every primary feature by its context statistics:
     (x - mu(context)) / max(sigma(context), floor)."""
-    schema = dataset.schema
-
-    def fn(slot, x, row):
-        mu, sigma = model.stats_for(schema, row)
-        return (x - mu[slot]) / max(sigma[slot], SIGMA_FLOOR)
-
-    return _transform_primary(dataset, model.indices, fn)
+    x = _require_numeric(dataset, model.indices)
+    mu, sigma = model.row_stats(dataset)
+    return _write_columns(dataset, model.indices, (x - mu) / np.maximum(sigma, SIGMA_FLOOR))
 
 
 # ---------------------------------------------------------------------------
@@ -416,9 +437,8 @@ def compute_weights(train: Dataset, key: ContextKey) -> WeightVector:
 
 
 def apply_weights(weights: WeightVector, dataset: Dataset) -> Dataset:
-    return _transform_primary(
-        dataset, weights.indices, lambda s, x, _row: weights.weights[s] * x
-    )
+    x = _require_numeric(dataset, weights.indices)
+    return _write_columns(dataset, weights.indices, np.asarray(weights.weights) * x)
 
 
 # ---------------------------------------------------------------------------

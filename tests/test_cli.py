@@ -29,6 +29,22 @@ def small_table(tmp_path):
     return dp, sp
 
 
+@pytest.fixture()
+def continuous_context_table(tmp_path):
+    """20 rows whose continuous context takes only 3 distinct values."""
+    schema = (
+        '[{"name": "cls", "role": "class", "kind": "discrete", "alphabet": ["a", "b"]},\n'
+        ' {"name": "x", "role": "primary", "kind": "continuous"},\n'
+        ' {"name": "c", "role": "contextual", "kind": "continuous"}]'
+    )
+    sp = tmp_path / "c.schema.json"
+    sp.write_text(schema)
+    dp = tmp_path / "c.csv"
+    rows = [f"{'a' if i % 2 else 'b'},{i / 10},{float(i % 3)}" for i in range(20)]
+    dp.write_text("\n".join(rows) + "\n")
+    return dp, sp
+
+
 class TestTaxonomyCommand:
     def test_spec_verdict(self, spec_file, capsys):
         assert cli.main(["taxonomy", "--spec", str(spec_file)]) == 0
@@ -64,6 +80,18 @@ class TestTaxonomyCommand:
         code = cli.main(["taxonomy", "--data", str(dp), "--schema", str(sp), "--bins", "2"])
         assert code == 0
         assert "x" in capsys.readouterr().out
+
+    def test_one_bin_is_usage_error(self, small_table, capsys):
+        dp, sp = small_table
+        code = cli.main(["taxonomy", "--data", str(dp), "--schema", str(sp), "--bins", "1"])
+        assert code == 1
+        assert "--bins" in capsys.readouterr().err
+
+    def test_more_bins_than_values_is_precondition(self, small_table, capsys):
+        dp, sp = small_table
+        code = cli.main(["taxonomy", "--data", str(dp), "--schema", str(sp), "--bins", "500"])
+        assert code == 3
+        assert "distinct values" in capsys.readouterr().err
 
 
 class TestRunGrid:
@@ -129,6 +157,24 @@ class TestCompareNormalizers:
         dp, _ = small_table
         assert cli.main(["compare-normalizers", "--train", str(dp)]) == 1
 
+    def test_missing_test_context_is_runtime_error(self, tmp_path, capsys):
+        base = tmp_path / "pair"
+        assert cli.main(["synth", "--train-rows", "30", "--test-rows", "30",
+                         "--out", str(base)]) == 0
+        test_csv = base.with_suffix(".test.csv")
+        lines = test_csv.read_text().splitlines()
+        lines[3] = "?," + lines[3].split(",", 1)[1]  # the context column comes first
+        test_csv.write_text("\n".join(lines) + "\n")
+        code = cli.main(
+            ["compare-normalizers",
+             "--train", str(base.with_suffix(".train.csv")),
+             "--train-schema", str(base.with_suffix(".train.schema.json")),
+             "--test", str(test_csv),
+             "--test-schema", str(base.with_suffix(".test.schema.json"))]
+        )
+        assert code == 4
+        assert "'condition' has MISSING cells" in capsys.readouterr().err
+
 
 class TestImpute:
     def test_fills_cells(self, tmp_path, small_table, capsys):
@@ -177,6 +223,40 @@ class TestNormalize:
                          "--mode", "contextual", "--context", "g", "--out", str(out)])
         assert code == 0
         assert out.exists()
+
+    def test_unknown_context_is_usage_error(self, tmp_path, small_table, capsys):
+        dp, sp = small_table
+        code = cli.main(["normalize", "--data", str(dp), "--schema", str(sp),
+                         "--mode", "contextual", "--context", "nosuch",
+                         "--out", str(tmp_path / "o.csv")])
+        assert code == 1
+        assert "nosuch" in capsys.readouterr().err
+
+    def test_one_bin_is_usage_error(self, tmp_path, continuous_context_table, capsys):
+        dp, sp = continuous_context_table
+        code = cli.main(["normalize", "--data", str(dp), "--schema", str(sp),
+                         "--mode", "contextual", "--context", "c", "--bins", "1",
+                         "--out", str(tmp_path / "o.csv")])
+        assert code == 1
+        assert "--bins" in capsys.readouterr().err
+
+    def test_more_bins_than_values_is_precondition(self, tmp_path, continuous_context_table,
+                                                   capsys):
+        dp, sp = continuous_context_table
+        code = cli.main(["normalize", "--data", str(dp), "--schema", str(sp),
+                         "--mode", "contextual", "--context", "c", "--bins", "4",
+                         "--out", str(tmp_path / "o.csv")])
+        assert code == 3
+        assert "distinct values" in capsys.readouterr().err
+
+    def test_binned_continuous_context(self, tmp_path, continuous_context_table):
+        dp, sp = continuous_context_table
+        out = tmp_path / "norm.csv"
+        code = cli.main(["normalize", "--data", str(dp), "--schema", str(sp),
+                         "--mode", "contextual", "--context", "c", "--bins", "3",
+                         "--out", str(out)])
+        assert code == 0
+        assert data.load_table(out, sp).n_rows == 20
 
 
 class TestParser:

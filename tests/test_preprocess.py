@@ -50,6 +50,18 @@ def numeric_dataset(columns, labels, context=None):
     return Dataset.build(schema, rows)
 
 
+def apply_to_value(apply, model, x):
+    """What apply(model, ...) maps x to, as the only cell of the first
+    primary feature of a one-row dataset."""
+    sch = FeatureSchema(
+        (
+            Feature("x0", FeatureRole.PRIMARY, "continuous"),
+            Feature("cls", FeatureRole.CLASS, "discrete", ("a",)),
+        )
+    )
+    return apply(model, Dataset.build(sch, [(x, "a")])).rows[0][0]
+
+
 class TestMinMax:
     def test_endpoints(self):
         ds = numeric_dataset([[1.0, 3.0, 5.0]], ["a", "b", "a"])
@@ -77,42 +89,53 @@ class TestMinMax:
         out = apply_minmax(fit_minmax(ds), ds)
         assert all(0.0 <= v <= 1.0 for v in out.column(0))
 
+    def test_empty_set(self):
+        sch = FeatureSchema(
+            (
+                Feature("x", FeatureRole.PRIMARY, "continuous"),
+                Feature("cls", FeatureRole.CLASS, "discrete", ("a",)),
+            )
+        )
+        with pytest.raises(ValueError, match="empty set"):
+            fit_minmax(Dataset.build(sch, []))
+
 
 class TestZScore:
     def test_mean_and_one_sigma(self):
         ds = numeric_dataset([[1.0, 2.0, 3.0]], ["a", "b", "a"])
         model = fit_zscore(ds)
-        assert model.value(0, 2.0) == pytest.approx(0.0)
+        assert apply_to_value(apply_zscore, model, 2.0) == pytest.approx(0.0)
         sigma = math.sqrt(2.0 / 3.0)  # population deviation of {1,2,3}
-        assert model.value(0, 2.0 + sigma) == pytest.approx(1.0)
-        assert model.value(0, 3.0) == pytest.approx(1.2247, abs=1e-4)
+        assert apply_to_value(apply_zscore, model, 2.0 + sigma) == pytest.approx(1.0)
+        assert apply_to_value(apply_zscore, model, 3.0) == pytest.approx(1.2247, abs=1e-4)
 
     def test_zero_sigma_floored(self):
         ds = numeric_dataset([[5.0, 5.0]], ["a", "b"])
         model = fit_zscore(ds)
-        assert model.value(0, 6.0) == pytest.approx(1.0 / preprocess.SIGMA_FLOOR)
+        floored = 1.0 / preprocess.SIGMA_FLOOR
+        assert apply_to_value(apply_zscore, model, 6.0) == pytest.approx(floored)
 
 
 class TestPercentile:
     def test_below_all(self):
         ds = numeric_dataset([[10.0, 20.0, 30.0]], ["a", "b", "a"])
-        assert fit_percentile(ds).value(0, 5.0) == 0.0
+        assert apply_to_value(apply_percentile, fit_percentile(ds), 5.0) == 0.0
 
     def test_median_of_odd_set(self):
         ds = numeric_dataset([[10.0, 20.0, 30.0]], ["a", "b", "a"])
-        assert fit_percentile(ds).value(0, 20.0) == pytest.approx(0.5)
+        assert apply_to_value(apply_percentile, fit_percentile(ds), 20.0) == pytest.approx(0.5)
 
     def test_decile(self):
         vals = [float(v) for v in range(10, 101, 10)]
         ds = numeric_dataset([vals], ["a", "b"] * 5)
-        assert fit_percentile(ds).value(0, 15.0) == pytest.approx(0.1)
+        assert apply_to_value(apply_percentile, fit_percentile(ds), 15.0) == pytest.approx(0.1)
 
     def test_always_in_unit_interval(self):
         rng = random.Random(1)
         ds = numeric_dataset([[rng.gauss(0, 5) for _ in range(40)]], ["a", "b"] * 20)
         model = fit_percentile(ds)
         for x in [-1e9, -3.3, 0.0, 2.2, 1e9]:
-            assert 0.0 <= model.value(0, x) <= 1.0
+            assert 0.0 <= apply_to_value(apply_percentile, model, x) <= 1.0
 
 
 class TestEqualFreqBins:
@@ -136,6 +159,59 @@ class TestEqualFreqBins:
         b = equal_freq_bins([float(v) for v in range(1, 11)], 2)
         assert bin_index(b, -100.0) == 0
         assert bin_index(b, 100.0) == 1
+
+
+def quarter_grid(rng, n, d):
+    """n x d values on a grid of quarters, so every L1 sum is exact and
+    equal distances really tie."""
+    return np.array([[rng.randrange(-8, 9) / 4 for _ in range(d)] for _ in range(n)])
+
+
+def brute_nearest(queries, reference, leave_one_out=False):
+    """First index of the smallest L1 distance, by explicit loops."""
+    out = []
+    for qi, q in enumerate(queries):
+        best = None
+        for ri, r in enumerate(reference):
+            if leave_one_out and ri == qi:
+                continue
+            d = sum(abs(a - b) for a, b in zip(q, r))
+            if best is None or d < best[0]:
+                best = (d, ri)
+        out.append(best[1] if best else 0)
+    return out
+
+
+class TestNearestRows:
+    @pytest.mark.parametrize("n_queries", [1, 3, 4, 5, 11, 12, 13])
+    def test_blocks_match_brute_force(self, monkeypatch, n_queries):
+        monkeypatch.setattr(preprocess, "_NN_BLOCK_ROWS", 4)
+        rng = random.Random(n_queries)
+        reference = quarter_grid(rng, 9, 3)
+        queries = quarter_grid(rng, n_queries, 3)
+        got = preprocess._nearest_rows(queries, reference)
+        assert got.tolist() == brute_nearest(queries, reference)
+
+    def test_exact_ties_pick_earliest_row(self, monkeypatch):
+        monkeypatch.setattr(preprocess, "_NN_BLOCK_ROWS", 2)
+        reference = np.array([[3.0, 0.0], [0.0, 0.0], [2.0, 0.0], [1.0, 1.0], [1.0, -1.0]])
+        queries = np.array([[1.0, 0.0]] * 5)  # rows 1-4 all lie at distance 1
+        assert preprocess._nearest_rows(queries, reference).tolist() == [1] * 5
+        assert brute_nearest(queries, reference) == [1] * 5
+
+    def test_leave_one_out_never_matches_itself(self, monkeypatch):
+        monkeypatch.setattr(preprocess, "_NN_BLOCK_ROWS", 3)
+        rng = random.Random(9)
+        rows = quarter_grid(rng, 10, 2)
+        rows[7] = rows[4]  # an exact duplicate: the two must match each other
+        got = preprocess._nearest_rows(rows, rows, leave_one_out=True).tolist()
+        assert all(g != i for i, g in enumerate(got))
+        assert got == brute_nearest(rows, rows, leave_one_out=True)
+        assert np.abs(rows[got[7]] - rows[7]).sum() == 0.0
+
+    def test_leave_one_out_single_row(self):
+        rows = np.array([[1.5, 2.0]])
+        assert preprocess._nearest_rows(rows, rows, leave_one_out=True).tolist() == [0]
 
 
 class TestContextualGroups:
@@ -213,16 +289,16 @@ class TestContextualModel:
     def test_exact_linear_fit(self):
         ds = self._baseline(2.0, 0.0)
         model = fit_contextual_model(ds, ["c"], "linear")
-        mu, sigma = model.stats_for(ds.schema, (4.0, 0.0, "h"))
-        assert mu[0] == pytest.approx(8.0, abs=1e-9)
-        assert sigma[0] <= 1e-9
+        mu, sigma = model.row_stats(Dataset.build(ds.schema, [(4.0, 0.0, "h")]))
+        assert mu[0, 0] == pytest.approx(8.0, abs=1e-9)
+        assert sigma[0, 0] <= 1e-9
 
     def test_nn_regressor_returns_matching_row(self):
         ds = self._baseline(1.5, 0.3)
         model = fit_contextual_model(ds, ["c"], "nn")
         c0, x0 = ds.rows[7][0], ds.rows[7][1]
-        mu, _ = model.stats_for(ds.schema, (c0, 0.0, "h"))
-        assert mu[0] == pytest.approx(x0)
+        mu, _ = model.row_stats(Dataset.build(ds.schema, [(c0, 0.0, "h")]))
+        assert mu[0, 0] == pytest.approx(x0)
 
     def test_noisy_linear_residual_sigma_matches_normal_equations(self):
         ds = self._baseline(3.0, 0.7, n=200)
@@ -234,6 +310,28 @@ class TestContextualModel:
         beta = np.linalg.solve(design.T @ design, design.T @ x)
         resid = x - design @ beta
         assert model.resid_sigma[0] == pytest.approx(resid.std(), abs=1e-9)
+
+    def test_linear_row_stats_round_as_the_scalar_formula(self):
+        rng = random.Random(10)
+        sch = FeatureSchema(
+            (
+                Feature("c1", FeatureRole.CONTEXTUAL, "continuous"),
+                Feature("c2", FeatureRole.CONTEXTUAL, "continuous"),
+                Feature("x", FeatureRole.PRIMARY, "continuous"),
+                Feature("y", FeatureRole.PRIMARY, "continuous"),
+                Feature("cls", FeatureRole.CLASS, "discrete", ("h",)),
+            )
+        )
+        rows = [
+            (a, b, 0.3 * a - 1.7 * b + rng.gauss(0, 0.1), 2.1 * b + rng.gauss(0, 0.1), "h")
+            for a, b in ((rng.uniform(0, 9), rng.uniform(-4, 4)) for _ in range(40))
+        ]
+        ds = Dataset.build(sch, rows)
+        model = fit_contextual_model(ds, ["c1", "c2"], "linear")
+        mu, _ = model.row_stats(ds)
+        for r, row in enumerate(ds.rows):
+            for j, c in enumerate(model.coefs):
+                assert mu[r, j] == c[0] + sum(a * x for a, x in zip(c[1:], row[:2]))
 
     def test_degenerate_design_falls_back(self):
         rng = random.Random(6)
@@ -247,9 +345,9 @@ class TestContextualModel:
         ds = Dataset.build(sch, [(1.0, rng.random(), "h") for _ in range(10)])
         with pytest.warns(UserWarning):
             model = fit_contextual_model(ds, ["c"], "linear")
-        mu, sigma = model.stats_for(ds.schema, (9.0, 0.0, "h"))
+        mu, sigma = model.row_stats(Dataset.build(ds.schema, [(9.0, 0.0, "h")]))
         vals = [r[1] for r in ds.rows]
-        assert mu[0] == pytest.approx(sum(vals) / len(vals))
+        assert mu[0, 0] == pytest.approx(sum(vals) / len(vals))
 
 
 class TestWeights:
