@@ -331,7 +331,7 @@ def _cmd_normalize(args) -> int:
         config = preprocess.PipelineConfig(
             normalize=args.mode, context=context, impute=ds.missing_count() > 0
         )
-        out, _ = preprocess.run_pipeline(config, ds, ds)
+        out, _ = preprocess.run_pipeline(config, ds, ds.subset([]))
     except ValueError as exc:
         sys.stderr.write(f"normalize: {exc}\n")
         return EXIT_RUNTIME

@@ -1,8 +1,10 @@
 """Experiment orchestration: strategy grids, accuracy accounting, reports.
 
 The strategy grid is the 2^3 cube of (contextual normalization, contextual
-expansion, contextual weighting).  Percentages are reported as half-up
-rounded integers, with exact correct counts kept alongside.
+expansion, contextual weighting).  ``run_strategy_grid`` runs each pipeline
+stage once per distinct prefix of the combos, which gives the same pairs as
+one full pipeline per combo.  Percentages are reported as half-up rounded
+integers, with exact correct counts kept alongside.
 """
 
 from __future__ import annotations
@@ -96,24 +98,6 @@ def evaluate(classifier: str, train: Dataset, test: Dataset) -> int:
     return sum(1 for p, t in zip(preds, truth) if p == t)
 
 
-def _combo_config(
-    combo: tuple[bool, bool, bool],
-    context: ContextKey,
-    expand_feature: str | None,
-    contextual_fit: str,
-    impute: bool,
-) -> PipelineConfig:
-    normalize, expand, weight = combo
-    return PipelineConfig(
-        normalize="contextual" if normalize else "off",
-        expand=(expand_feature,) if expand and expand_feature else (),
-        weight=weight,
-        context=context,
-        contextual_fit=contextual_fit,
-        impute=impute,
-    )
-
-
 def run_strategy_grid(
     train: Dataset,
     test: Dataset,
@@ -123,12 +107,34 @@ def run_strategy_grid(
     contextual_fit: str = "train",
     impute: bool = False,
 ) -> tuple[CellResult, ...]:
+    """Score the 8 combos of STRATEGY_COMBOS on one train/test pair.
+
+    Each pipeline stage runs once per distinct prefix of the fixed order
+    impute+encode -> normalize -> weight -> expand: the root pair is imputed
+    and encoded once, then each stage runs on every pair of the level before
+    it when its flag is on and passes the pair through when it is off (1
+    normalization, 2 weightings, 4 expansions).  Every stage reads only the
+    output of the stage before it and encoding already-encoded data changes
+    nothing, so each leaf equals the full per-combo run_pipeline output.
+    """
+    stages = (
+        PipelineConfig(normalize="contextual", context=context, contextual_fit=contextual_fit),
+        PipelineConfig(weight=True, context=context),
+        PipelineConfig(expand=(expand_feature,) if expand_feature else ()),
+    )
+    # leaf pairs keyed by the pipeline-order flags (normalize, weight, expand)
+    leaves = {(): run_pipeline(PipelineConfig(impute=impute), train, test)}
+    for stage in stages:
+        leaves = {
+            flags + (on,): run_pipeline(stage, *pair) if on else pair
+            for flags, pair in leaves.items()
+            for on in (False, True)
+        }
     cells = []
     for combo in STRATEGY_COMBOS:
-        config = _combo_config(combo, context, expand_feature, contextual_fit, impute)
-        tr, te = run_pipeline(config, train, test)
-        correct = evaluate(classifier, tr, te)
-        cells.append(CellResult(combo, correct, test.n_rows))
+        normalize, expand, weight = combo  # table order
+        tr, te = leaves[(normalize, weight, expand)]
+        cells.append(CellResult(combo, evaluate(classifier, tr, te), test.n_rows))
     return tuple(cells)
 
 
@@ -157,34 +163,28 @@ def run_hepatitis_grid(
 ) -> ExperimentReport:
     """Aggregate the 8-combo grid over seeded random train/test splits.
 
-    Per split: impute from the training rows, bin the age context into
-    equal-frequency intervals computed on the training rows, then run all
-    combos.  Counts are summed over splits; the patient's sex stays unused.
+    Per split: bin the age context into equal-frequency intervals computed
+    on the training rows, then run_strategy_grid with imputation from the
+    training rows.  Counts are summed over splits; the patient's sex stays
+    unused.
     """
     rng = random.Random(seed)
     split_seeds = [rng.randrange(2**32) for _ in range(n_splits)]
-    totals = {combo: 0 for combo in STRATEGY_COMBOS}
-    grand_total = {combo: 0 for combo in STRATEGY_COMBOS}
     per_split = []
-    per_split_acc = {combo: [] for combo in STRATEGY_COMBOS}
     age_idx = dataset.schema.index_of("age")
     for s, split_seed in enumerate(split_seeds):
         train, test = split_random(dataset, n_train, split_seed)
         context = ContextKey("age", column_bins(train, age_idx, age_bins))
-        for combo in STRATEGY_COMBOS:
-            config = _combo_config(combo, context, "age", "train", impute=True)
-            tr, te = run_pipeline(config, train, test)
-            correct = evaluate(classifier, tr, te)
-            totals[combo] += correct
-            grand_total[combo] += test.n_rows
-            per_split.append((s, combo, correct, test.n_rows))
-            per_split_acc[combo].append(correct / test.n_rows)
+        grid = run_strategy_grid(train, test, classifier, context, "age", impute=True)
+        per_split += [(s, c.combo, c.correct, c.total) for c in grid]
+    by_combo = {combo: [r for r in per_split if r[1] == combo] for combo in STRATEGY_COMBOS}
     cells = tuple(
-        CellResult(combo, totals[combo], grand_total[combo]) for combo in STRATEGY_COMBOS
+        CellResult(combo, sum(r[2] for r in records), sum(r[3] for r in records))
+        for combo, records in by_combo.items()
     )
-    baseline = per_split_acc[STRATEGY_COMBOS[0]]
+    accuracy = {combo: [r[2] / r[3] for r in records] for combo, records in by_combo.items()}
     significance = tuple(
-        paired_t_test(per_split_acc[combo], baseline, combo=combo)
+        paired_t_test(accuracy[combo], accuracy[STRATEGY_COMBOS[0]], combo=combo)
         for combo in STRATEGY_COMBOS[1:]
     )
     return ExperimentReport(

@@ -129,12 +129,18 @@ def fit_minmax(train: Dataset) -> MinMaxModel:
     return MinMaxModel(idx, tuple(m.min(axis=0)), tuple(m.max(axis=0)))
 
 
+def _minmax_scale(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The columns of x rescaled by their lo/hi into [0, 1]; a constant column
+    carries no information either way and maps to 0.5.  NaN stays NaN."""
+    constant = hi == lo
+    scaled = (x - lo) / np.where(constant, 1.0, hi - lo)
+    return np.where(constant & ~np.isnan(x), 0.5, scaled)
+
+
 def apply_minmax(model: MinMaxModel, dataset: Dataset) -> Dataset:
     x = _require_numeric(dataset, model.indices)
-    lo, hi = np.asarray(model.lo), np.asarray(model.hi)
-    constant = hi == lo  # a constant feature carries no information either way
-    scaled = (x - lo) / np.where(constant, 1.0, hi - lo)
-    return _write_columns(dataset, model.indices, np.where(constant, 0.5, scaled))
+    scaled = _minmax_scale(x, np.asarray(model.lo), np.asarray(model.hi))
+    return _write_columns(dataset, model.indices, scaled)
 
 
 @dataclass(frozen=True)
@@ -505,21 +511,16 @@ def apply_expansion(model: ExpansionModel, dataset: Dataset) -> Dataset:
 # ---------------------------------------------------------------------------
 # Missing-value imputation
 
-def _imputation_matrix(dataset: Dataset, lo: np.ndarray, hi: np.ndarray,
-                       indices: Sequence[int]) -> np.ndarray:
-    """Numeric view of the non-class features with NaN for MISSING, rescaled
-    by the training min/max so no feature dominates the distance."""
-    n = dataset.n_rows
-    m = np.full((n, len(indices)), np.nan)
+def _imputation_matrix(dataset: Dataset, indices: Sequence[int]) -> np.ndarray:
+    """The listed columns as floats: NaN for MISSING, discrete symbols by
+    their encode_value codes."""
+    m = np.empty((dataset.n_rows, len(indices)))
     for j, i in enumerate(indices):
         feat = dataset.schema.features[i]
-        for r, row in enumerate(dataset.rows):
-            cell = row[i]
-            if cell is MISSING:
-                continue
-            v = encode_value(feat, cell) if feat.kind == "discrete" else float(cell)
-            span = hi[j] - lo[j]
-            m[r, j] = 0.5 if span == 0 else (v - lo[j]) / span
+        codes = {MISSING: np.nan}
+        if feat.kind == "discrete":
+            codes.update((symbol, encode_value(feat, symbol)) for symbol in feat.alphabet)
+        m[:, j] = [codes.get(cell, cell) for cell in dataset.column(i)]
     return m
 
 
@@ -528,32 +529,29 @@ def impute_missing(train: Dataset, target: Dataset) -> Dataset:
 
     Similarity is the sum of 1 - |difference| over the non-class features
     that are present in both rows, after rescaling each feature into [0, 1]
-    by the training min/max.  The donor for a cell must itself have that
-    cell present; otherwise the next-nearest donor supplies it.
+    by the training min/max (a constant training feature rescales to 0.5).
+    The donor for a cell must itself have that cell present; otherwise the
+    next-nearest donor supplies it.
     """
     schema = train.schema
     indices = [
         i for i, f in enumerate(schema) if f.role is not FeatureRole.CLASS
     ]
-    # training min/max per feature, on encoded values
-    lo = np.empty(len(indices))
-    hi = np.empty(len(indices))
-    for j, i in enumerate(indices):
-        feat = schema.features[i]
-        vals = [
-            encode_value(feat, c) if feat.kind == "discrete" else float(c)
-            for c in train.column(i)
-            if c is not MISSING
-        ]
-        if not vals:
-            raise ValueError(f"feature {feat.name!r} is entirely MISSING in the training set")
-        lo[j], hi[j] = min(vals), max(vals)
+    train_raw = _imputation_matrix(train, indices)
+    empty = np.isnan(train_raw).all(axis=0)
+    if empty.any():
+        name = schema.features[indices[int(empty.argmax())]].name
+        raise ValueError(f"feature {name!r} is entirely MISSING in the training set")
 
     if target.missing_count() == 0:
         return target
 
-    train_m = _imputation_matrix(train, lo, hi, indices)
-    target_m = _imputation_matrix(target, lo, hi, indices)
+    lo, hi = np.nanmin(train_raw, axis=0), np.nanmax(train_raw, axis=0)
+    train_m = _minmax_scale(train_raw, lo, hi)
+    if target is train:
+        target_m = train_m
+    else:
+        target_m = _minmax_scale(_imputation_matrix(target, indices), lo, hi)
     train_present = ~np.isnan(train_m)
 
     rows = []

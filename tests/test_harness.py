@@ -1,10 +1,12 @@
 import math
+import random
 
 import pytest
 import scipy.stats
 
-from ctxclass import data, harness
+from ctxclass import data, harness, preprocess
 from ctxclass.harness import (
+    CLASSIFIERS,
     STRATEGY_COMBOS,
     CellResult,
     ExperimentReport,
@@ -13,10 +15,12 @@ from ctxclass.harness import (
     percent,
     run_hepatitis_grid,
     run_normalization_comparison,
+    run_strategy_grid,
     run_vowel_grid,
     synergy,
     write_report,
 )
+from ctxclass.preprocess import ContextKey, PipelineConfig, column_bins, run_pipeline
 
 
 def fake_report(percents):
@@ -212,3 +216,92 @@ class TestEvaluate:
         train, test = synthetic_vowel_pair
         with pytest.raises(ValueError):
             harness.evaluate("forest", train, test)
+
+
+def per_combo_grid(train, test, classifier, context, expand_feature,
+                   contextual_fit="train", impute=False):
+    """Reference for run_strategy_grid: the full pipeline of each combo run
+    from the raw pair.  Returns the cells and the pair each one scored."""
+    cells, pairs = [], []
+    for combo in STRATEGY_COMBOS:
+        normalize, expand, weight = combo
+        config = PipelineConfig(
+            normalize="contextual" if normalize else "off",
+            expand=(expand_feature,) if expand else (),
+            weight=weight,
+            context=context,
+            contextual_fit=contextual_fit,
+            impute=impute,
+        )
+        tr, te = run_pipeline(config, train, test)
+        pairs.append((tr, te))
+        cells.append(CellResult(combo, harness.evaluate(classifier, tr, te), test.n_rows))
+    return tuple(cells), pairs
+
+
+def scored_pairs(monkeypatch):
+    """Record every (train, test) pair that harness.evaluate scores."""
+    pairs = []
+    real = harness.evaluate
+
+    def recording(classifier, train, test):
+        pairs.append((train, test))
+        return real(classifier, train, test)
+
+    monkeypatch.setattr(harness, "evaluate", recording)
+    return pairs
+
+
+def hepatitis_age_context(train):
+    return ContextKey("age", column_bins(train, train.schema.index_of("age"), 5))
+
+
+class TestGridMatchesPerComboPipeline:
+    @pytest.mark.parametrize("classifier", CLASSIFIERS)
+    def test_hepatitis_split(self, synthetic_hepatitis, classifier, monkeypatch):
+        train, test = data.split_random(synthetic_hepatitis, 100, seed=3)
+        context = hepatitis_age_context(train)
+        expected, expected_pairs = per_combo_grid(
+            train, test, classifier, context, "age", impute=True
+        )
+        pairs = scored_pairs(monkeypatch)
+        assert run_strategy_grid(train, test, classifier, context, "age", impute=True) == expected
+        assert pairs == expected_pairs
+
+    @pytest.mark.parametrize("classifier", CLASSIFIERS)
+    def test_vowel_pair(self, synthetic_vowel_pair, classifier, monkeypatch):
+        train, test = synthetic_vowel_pair
+        context = ContextKey("speaker")
+        expected, expected_pairs = per_combo_grid(
+            train, test, classifier, context, "sex", contextual_fit="transductive"
+        )
+        pairs = scored_pairs(monkeypatch)
+        assert run_vowel_grid(train, test, classifier).cells == expected
+        assert pairs == expected_pairs
+
+    def test_hepatitis_per_split_records(self, synthetic_hepatitis, hep_report):
+        # hep_report: 3 splits, seed 7, nn, 100 training rows
+        rng = random.Random(7)
+        records = []
+        for s in range(3):
+            train, test = data.split_random(synthetic_hepatitis, 100, rng.randrange(2**32))
+            cells, _ = per_combo_grid(
+                train, test, "nn", hepatitis_age_context(train), "age", impute=True
+            )
+            records += [(s, c.combo, c.correct, c.total) for c in cells]
+        assert hep_report.per_split == tuple(records)
+
+
+def test_grid_runs_each_shared_stage_once_per_prefix(synthetic_hepatitis, monkeypatch):
+    calls = {"impute_missing": 0, "fit_contextual": 0, "compute_weights": 0}
+    for name in calls:
+        real = getattr(preprocess, name)
+
+        def counting(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(preprocess, name, counting)
+    run_hepatitis_grid(synthetic_hepatitis, n_splits=3)
+    # per split: impute train and test once, one normalization, two weightings
+    assert calls == {"impute_missing": 6, "fit_contextual": 3, "compute_weights": 6}

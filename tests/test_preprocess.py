@@ -520,6 +520,67 @@ class TestImputation:
         with pytest.raises(ValueError):
             impute_missing(train, train)
 
+    def test_error_names_first_entirely_missing_feature(self):
+        sch = FeatureSchema(
+            (
+                Feature("x", FeatureRole.PRIMARY, "continuous"),
+                Feature("y", FeatureRole.PRIMARY, "continuous"),
+                Feature("z", FeatureRole.PRIMARY, "discrete", ("p", "q")),
+                Feature("cls", FeatureRole.CLASS, "discrete", ("a",)),
+            )
+        )
+        train = Dataset.build(sch, [(1.0, MISSING, MISSING, "a")])
+        with pytest.raises(ValueError, match="'y' is entirely MISSING"):
+            impute_missing(train, train)
+
+    def test_constant_training_column(self):
+        # x has span 0 in training: every present x rescales to 0.5, whatever
+        # its value (9.0 in the target), while a MISSING x shares nothing
+        sch = FeatureSchema(
+            (
+                Feature("x", FeatureRole.PRIMARY, "continuous"),
+                Feature("y", FeatureRole.PRIMARY, "continuous"),
+                Feature("z", FeatureRole.PRIMARY, "continuous"),
+                Feature("cls", FeatureRole.CLASS, "discrete", ("a", "b")),
+            )
+        )
+        train = Dataset.build(
+            sch,
+            [(MISSING, 1.0, 0.0, "a"), (5.0, 2.0, 0.0, "b"), (5.0, 3.0, 10.0, "a")],
+        )
+        target = Dataset.build(sch, [(9.0, MISSING, 0.0, "a")])
+        # similarities: row 0 -> 1 (z only), row 1 -> 1 + 1, row 2 -> 1 + 0
+        out = impute_missing(train, target)
+        assert out.rows[0] == (9.0, 2.0, 0.0, "a")
+
+    def test_discrete_and_continuous_features(self):
+        # d is scored by its alphabet code (a 0, b 0.5, c 1), x by the
+        # training min/max 0..4, y by 1..3
+        sch = FeatureSchema(
+            (
+                Feature("d", FeatureRole.CONTEXTUAL, "discrete", ("a", "b", "c")),
+                Feature("x", FeatureRole.PRIMARY, "continuous"),
+                Feature("y", FeatureRole.PRIMARY, "continuous"),
+                Feature("cls", FeatureRole.CLASS, "discrete", ("u", "v")),
+            )
+        )
+        train = Dataset.build(
+            sch, [("a", 0.0, 1.0, "u"), ("c", 1.0, 2.0, "v"), ("b", 4.0, 3.0, "u")]
+        )
+        target = Dataset.build(sch, [("c", 3.0, MISSING, "v"), (MISSING, 0.5, 1.1, "u")])
+        # row 0: similarities 0.25, 1.5, 1.25 (x alone would pick the last row)
+        # row 1: similarities 1.825, 1.425, 0.175
+        out = impute_missing(train, target)
+        assert out.rows == (("c", 3.0, 2.0, "v"), ("a", 0.5, 1.1, "u"))
+
+    def test_train_as_target_matches_an_equal_copy(self, synthetic_hepatitis):
+        ds = synthetic_hepatitis
+        copy = Dataset(ds.schema, ds.rows)
+        assert copy is not ds
+        filled = impute_missing(ds, ds)
+        assert filled.missing_count() == 0
+        assert filled == impute_missing(ds, copy)
+
     def test_random_datasets_match_brute_force(self):
         rng = random.Random(11)
         for trial in range(50):
