@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import random
 import warnings
 from dataclasses import dataclass, field
@@ -155,6 +156,17 @@ class Dataset:
         return sum(1 for r in self.rows for c in r if c is MISSING)
 
 
+def _parse_number(raw: str, name: str, path, lineno: int) -> float:
+    """The finite float in one cell of a data file; LoadError naming the line otherwise."""
+    try:
+        value = float(raw)
+    except ValueError:
+        raise LoadError(f"{path}: line {lineno}: bad number {raw!r} for {name!r}") from None
+    if not math.isfinite(value):
+        raise LoadError(f"{path}: line {lineno}: non-finite number {raw!r} for {name!r}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # UCI loaders
 
@@ -186,10 +198,13 @@ def _parse_vowel_file(path) -> list[tuple[int, str, str, list[float], str]]:
                 flag = int(fields[0])
                 speaker = str(int(fields[1]))
                 sex = str(int(fields[2]))
-                values = [float(v) for v in fields[3:13]]
                 vowel = str(int(fields[13]))
             except ValueError as exc:
                 raise LoadError(f"{path}: line {lineno}: {exc}") from None
+            values = [
+                _parse_number(v, f"f{k}", path, lineno)
+                for k, v in enumerate(fields[3:13], start=1)
+            ]
             rows.append((flag, speaker, sex, values, vowel))
     if not rows:
         raise LoadError(f"{path}: file contains no data rows")
@@ -294,12 +309,7 @@ def load_hepatitis(path) -> Dataset:
                         )
                     row.append(raw)
                 else:
-                    try:
-                        row.append(float(raw))
-                    except ValueError:
-                        raise LoadError(
-                            f"{path}: line {lineno}: bad number {raw!r} for {feat.name!r}"
-                        ) from None
+                    row.append(_parse_number(raw, feat.name, path, lineno))
             rows.append(row)
     if not rows:
         raise LoadError(f"{path}: file contains no data rows")
@@ -368,12 +378,7 @@ def load_table(path, schema_path) -> Dataset:
                         )
                     row.append(raw)
                 else:
-                    try:
-                        row.append(float(raw))
-                    except ValueError:
-                        raise LoadError(
-                            f"{path}: line {lineno}: bad number {raw!r} for {feat.name!r}"
-                        ) from None
+                    row.append(_parse_number(raw, feat.name, path, lineno))
             rows.append(row)
     try:
         return Dataset.build(schema, rows)
@@ -422,6 +427,33 @@ def split_random(dataset: Dataset, n_train: int, seed: int) -> tuple[Dataset, Da
 # ---------------------------------------------------------------------------
 # Joint distributions and synthetic generation
 
+def validate_joint(
+    variables: Sequence[str],
+    alphabets: Sequence[Sequence[str]],
+    probs: Mapping[tuple[str, ...], float],
+) -> None:
+    """Check an explicit joint distribution; raise ValueError on the first fault.
+
+    One alphabet per variable, one symbol per variable in every tuple, each
+    symbol in its variable's alphabet, every probability a non-negative
+    number, and the probabilities summing to 1 within 1e-12.
+    """
+    if len(variables) != len(alphabets):
+        raise ValueError("one alphabet per variable required")
+    total = 0.0
+    for tup, p in probs.items():
+        if len(tup) != len(variables):
+            raise ValueError(f"tuple {tup!r} does not match variable count")
+        for sym, var, alpha in zip(tup, variables, alphabets):
+            if sym not in alpha:
+                raise ValueError(f"symbol {sym!r} not in alphabet of {var!r}")
+        if not p >= 0:
+            raise ValueError(f"probability {p!r} for {tup!r} is negative or not a number")
+        total += p
+    if not abs(total - 1.0) <= 1e-12:
+        raise ValueError(f"probabilities sum to {total!r}, not 1")
+
+
 @dataclass(frozen=True)
 class JointSpec:
     """Explicit discrete joint distribution: variables, alphabets, tuple -> prob.
@@ -434,20 +466,7 @@ class JointSpec:
     probs: Mapping[tuple[str, ...], float] = field(hash=False)
 
     def __post_init__(self):
-        if len(self.variables) != len(self.alphabets):
-            raise ValueError("one alphabet per variable required")
-        total = 0.0
-        for tup, p in self.probs.items():
-            if len(tup) != len(self.variables):
-                raise ValueError(f"tuple {tup!r} does not match variable count")
-            for sym, alpha in zip(tup, self.alphabets):
-                if sym not in alpha:
-                    raise ValueError(f"symbol {sym!r} not in alphabet")
-            if p < 0:
-                raise ValueError(f"negative probability for {tup!r}")
-            total += p
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"probabilities sum to {total!r}, not 1")
+        validate_joint(self.variables, self.alphabets, self.probs)
 
     @classmethod
     def from_json(cls, text: str) -> "JointSpec":

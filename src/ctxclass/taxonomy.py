@@ -9,15 +9,26 @@ distribution given the primary value moves with the contextual value.
 All tests compare conditional probabilities with a tolerance ``eps``;
 conditioning events of probability zero are skipped (they provide no
 witness, and the conditional is undefined there).
+
+The tests run on the support, not on the product of the alphabets: the
+distribution's tuples are encoded once as integer codes, and every
+probability a test compares is a cell of a marginal table summed from those
+codes with ``np.bincount``.  ``bincount`` adds the weights one after another
+in ``probs`` order, as :meth:`JointDistribution.marginal` does, so each cell
+is bit for bit the float ``marginal`` returns, and a feature costs
+O(support · d) instead of the product of every alphabet size.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import product
-from typing import Iterator, Mapping
+from functools import cached_property
+from typing import Mapping
 
-from .data import Dataset, JointSpec
+import numpy as np
+
+from .data import MISSING, Dataset, JointSpec, validate_joint
 
 #: suggested tolerance for distributions estimated from ~10^4 samples
 EMPIRICAL_EPS = 0.03
@@ -39,17 +50,7 @@ class JointDistribution:
     class_var: str = ""
 
     def __post_init__(self):
-        if len(self.variables) != len(self.alphabets):
-            raise ValueError("one alphabet per variable required")
-        total = 0.0
-        for tup, p in self.probs.items():
-            if len(tup) != len(self.variables):
-                raise ValueError(f"tuple {tup!r} does not match variable count")
-            if p < 0:
-                raise ValueError(f"negative probability for {tup!r}")
-            total += p
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"probabilities sum to {total!r}, not 1")
+        validate_joint(self.variables, self.alphabets, self.probs)
         if not self.class_var:
             object.__setattr__(self, "class_var", self.variables[0])
         elif self.class_var not in self.variables:
@@ -104,7 +105,7 @@ class FeatureVerdict:
 
 
 def estimate_distribution(dataset: Dataset) -> JointDistribution:
-    """Empirical joint distribution of a fully discrete dataset."""
+    """Empirical joint distribution of a fully discrete dataset without MISSING cells."""
     if dataset.n_rows == 0:
         raise ValueError("cannot estimate a distribution from an empty dataset")
     continuous = [f.name for f in dataset.schema if f.kind != "discrete"]
@@ -113,9 +114,14 @@ def estimate_distribution(dataset: Dataset) -> JointDistribution:
             f"continuous features {continuous} must be binned first "
             "(see preprocess.equal_freq_bins)"
         )
-    counts: dict[tuple[str, ...], int] = {}
-    for row in dataset.rows:
-        counts[tuple(row)] = counts.get(tuple(row), 0) + 1
+    counts = Counter(dataset.rows)
+    holes = [(i, c) for row, c in counts.items() for i, cell in enumerate(row) if cell is MISSING]
+    if holes:
+        first = dataset.schema.features[min(i for i, _ in holes)].name
+        raise ValueError(
+            f"{sum(c for _, c in holes)} MISSING cells (first in feature {first!r}); "
+            "the taxonomy tests need complete rows"
+        )
     n = dataset.n_rows
     probs = {t: c / n for t, c in counts.items()}
     return JointDistribution(
@@ -153,82 +159,136 @@ def _check_feature(dist: JointDistribution, feature: str) -> None:
         raise ValueError("the class variable is not a feature under test")
 
 
-def _primary_witness(dist: JointDistribution, feature: str, eps: float):
-    """Witness (a0, ai) with |p(x0=a0 | xi=ai) - p(x0=a0)| > eps, or None."""
-    _check_feature(dist, feature)
-    c = dist.class_var
-    for ai in dist.alphabet_of(feature):
-        for a0 in dist.alphabet_of(c):
-            lhs = cond_prob(dist, (c, a0), {feature: ai})
-            if lhs is None:
-                continue
-            if abs(lhs - dist.marginal({c: a0})) > eps:
-                return (a0, ai)
-    return None
+def _conditional(joint: np.ndarray, given: np.ndarray) -> np.ndarray:
+    """p(class | given) from p(given, class), class on the last axis, and p(given).
+
+    It reads 0 where p(given) is 0 and the conditional is undefined.
+    """
+    return joint / np.where(given > 0, given, 1.0)[..., None]
+
+
+def _first_hit(joint: np.ndarray, given: np.ndarray, other: np.ndarray, eps: float):
+    """First index, in C order, where p(class | given) and ``other`` differ by more than eps.
+
+    Conditioning events of probability 0 are skipped; None when nothing hits.
+    """
+    hit = (np.abs(_conditional(joint, given) - other) > eps) & (given > 0)[..., None]
+    if not hit.any():
+        return None
+    return tuple(int(k) for k in np.unravel_index(np.argmax(hit), hit.shape))
+
+
+class _Support:
+    """A distribution's tuples as integer codes, the source of every marginal table.
+
+    ``codes[k, j]`` is the index of tuple k's value in the alphabet of
+    variable j (the first index, as ``tuple.index`` gives) and ``p[k]`` is
+    tuple k's probability, both in ``probs`` order.
+    """
+
+    def __init__(self, dist: JointDistribution):
+        self.dist = dist
+        index = [{s: k for k, s in reversed(tuple(enumerate(a)))} for a in dist.alphabets]
+        self.codes = np.array(
+            [[idx[s] for idx, s in zip(index, tup)] for tup in dist.probs], dtype=np.intp
+        )
+        self.p = np.fromiter(dist.probs.values(), dtype=float, count=len(dist.probs))
+        self.sizes = tuple(len(a) for a in dist.alphabets)
+        self.c = dist.index_of(dist.class_var)
+
+    def table(self, *variables: int) -> np.ndarray:
+        """p(variables): one axis per variable (a column index), in alphabet order."""
+        shape = tuple(self.sizes[v] for v in variables)
+        flat = np.ravel_multi_index(self.codes[:, list(variables)].T, shape)
+        return np.bincount(flat, weights=self.p, minlength=int(np.prod(shape))).reshape(shape)
+
+    def _grouped(self, group: np.ndarray, n_groups: int, cls: np.ndarray, p: np.ndarray):
+        """p(group, class) and p(group) for tuples with the given group numbers."""
+        n_cls = self.sizes[self.c]
+        joint = np.bincount(group * n_cls + cls, weights=p, minlength=n_groups * n_cls)
+        return joint.reshape(n_groups, n_cls), np.bincount(group, weights=p, minlength=n_groups)
+
+    @cached_property
+    def _full(self):
+        """Full assignments of positive probability, and the tuples behind them.
+
+        The assignments are the unique non-class code rows of the positive
+        tuples, in lexicographic order, which is the order ``itertools.product``
+        visits them in.  Also returned: each positive tuple's assignment
+        number, class code and probability.
+        """
+        pos = self.p > 0
+        rest = [j for j in range(len(self.sizes)) if j != self.c]
+        rows, full_of = np.unique(self.codes[pos][:, rest], axis=0, return_inverse=True)
+        return rows, full_of.reshape(-1), self.codes[pos, self.c], self.p[pos]
+
+    def primary_witness(self, feature: str, eps: float):
+        """Witness (a0, ai) with |p(x0=a0 | xi=ai) - p(x0=a0)| > eps, or None."""
+        _check_feature(self.dist, feature)
+        i, c = self.dist.index_of(feature), self.c
+        hit = _first_hit(self.table(i, c), self.table(i), self.table(c), eps)
+        if hit is None:
+            return None
+        ai, a0 = hit
+        return (self.dist.alphabets[c][a0], self.dist.alphabets[i][ai])
+
+    def contextual_witness(self, feature: str, eps: float):
+        """Witness full assignment where dropping the feature moves the prediction.
+
+        Only full assignments of positive probability are visited, and their
+        reduced assignments have positive probability too, so both
+        conditionals are defined.  The same class value appears on both
+        sides of the comparison because the witness is a single shared
+        assignment; the first hit in (assignment, class value) order wins.
+        """
+        _check_feature(self.dist, feature)
+        rows, full_of, cls, p = self._full
+        names = _non_class_vars(self.dist)
+        col = names.index(feature)
+        _, reduced = np.unique(np.delete(rows, col, axis=1), axis=0, return_inverse=True)
+        reduced = reduced.reshape(-1)
+        n_reduced = int(reduced.max()) + 1
+        without = _conditional(*self._grouped(reduced[full_of], n_reduced, cls, p))
+        hit = _first_hit(*self._grouped(full_of, len(rows), cls, p), without[reduced], eps)
+        if hit is None:
+            return None
+        g, a0 = hit
+        full = {n: self.dist.alphabet_of(n)[k] for n, k in zip(names, rows[g])}
+        return (self.dist.alphabets[self.c][a0], full)
+
+    def sensitivity_witness(self, primary: str, contextual: str, eps: float):
+        """Witness (a0, ai, aj) with |p(x0=a0 | xi=ai, xj=aj) - p(x0=a0 | xi=ai)| > eps."""
+        _check_feature(self.dist, primary)
+        _check_feature(self.dist, contextual)
+        if primary == contextual:
+            raise ValueError("primary and contextual feature must differ")
+        i, j, c = self.dist.index_of(primary), self.dist.index_of(contextual), self.c
+        alone = _conditional(self.table(i, c), self.table(i))
+        hit = _first_hit(self.table(i, j, c), self.table(i, j), alone[:, None, :], eps)
+        if hit is None:
+            return None
+        ai, aj, a0 = hit
+        alphabets = self.dist.alphabets
+        return (alphabets[c][a0], alphabets[i][ai], alphabets[j][aj])
 
 
 def is_primary(dist: JointDistribution, feature: str, eps: float = EXACT_EPS) -> bool:
-    return _primary_witness(dist, feature, eps) is not None
-
-
-def _full_assignments(dist: JointDistribution) -> Iterator[dict[str, str]]:
-    names = _non_class_vars(dist)
-    for values in product(*(dist.alphabet_of(n) for n in names)):
-        yield dict(zip(names, values))
+    return _Support(dist).primary_witness(feature, eps) is not None
 
 
 def _contextual_witness(dist: JointDistribution, feature: str, eps: float):
-    """Witness full assignment where dropping the feature moves the prediction.
-
-    Both conditionals must be defined (positive conditioning probability on
-    both sides); the same class value appears on both sides of the
-    comparison because the witness is a single shared assignment.
-    """
-    _check_feature(dist, feature)
-    if is_primary(dist, feature, eps):
-        return None
-    c = dist.class_var
-    for full in _full_assignments(dist):
-        reduced = {k: v for k, v in full.items() if k != feature}
-        if dist.marginal(full) == 0.0 or dist.marginal(reduced) == 0.0:
-            continue
-        for a0 in dist.alphabet_of(c):
-            with_i = cond_prob(dist, (c, a0), full)
-            without_i = cond_prob(dist, (c, a0), reduced)
-            if abs(with_i - without_i) > eps:
-                return (a0, dict(full))
-    return None
+    """Contextual witness (a0, full assignment) of a feature, whether primary or not."""
+    return _Support(dist).contextual_witness(feature, eps)
 
 
 def is_contextual(dist: JointDistribution, feature: str, eps: float = EXACT_EPS) -> bool:
-    return _contextual_witness(dist, feature, eps) is not None
-
-
-def _sensitivity_witness(dist: JointDistribution, primary: str, contextual: str, eps: float):
-    _check_feature(dist, primary)
-    _check_feature(dist, contextual)
-    if primary == contextual:
-        raise ValueError("primary and contextual feature must differ")
-    c = dist.class_var
-    for ai in dist.alphabet_of(primary):
-        base_denom = dist.marginal({primary: ai})
-        if base_denom == 0.0:
-            continue
-        for aj in dist.alphabet_of(contextual):
-            if dist.marginal({primary: ai, contextual: aj}) == 0.0:
-                continue
-            for a0 in dist.alphabet_of(c):
-                joint = cond_prob(dist, (c, a0), {primary: ai, contextual: aj})
-                alone = cond_prob(dist, (c, a0), {primary: ai})
-                if abs(joint - alone) > eps:
-                    return (a0, ai, aj)
-    return None
+    return not is_primary(dist, feature, eps) and _contextual_witness(dist, feature, eps) is not None
 
 
 def is_context_sensitive(
     dist: JointDistribution, primary: str, contextual: str, eps: float = EXACT_EPS
 ) -> bool:
-    return _sensitivity_witness(dist, primary, contextual, eps) is not None
+    return _Support(dist).sensitivity_witness(primary, contextual, eps) is not None
 
 
 def classify_features(dist: JointDistribution, eps: float = EXACT_EPS) -> FeatureVerdict:
@@ -236,16 +296,18 @@ def classify_features(dist: JointDistribution, eps: float = EXACT_EPS) -> Featur
 
     Definition order matters: the contextual test only applies to features
     that failed the primary test, and irrelevant is the residual label.
+    The distribution is encoded once for all the tests.
     """
+    support = _Support(dist)
     labels: dict[str, str] = {}
     witnesses: dict[str, tuple] = {}
     for name in _non_class_vars(dist):
-        w = _primary_witness(dist, name, eps)
+        w = support.primary_witness(name, eps)
         if w is not None:
             labels[name] = "primary"
             witnesses[name] = w
             continue
-        w = _contextual_witness(dist, name, eps)
+        w = support.contextual_witness(name, eps)
         if w is not None:
             labels[name] = "contextual"
             witnesses[name] = w
@@ -258,7 +320,7 @@ def classify_features(dist: JointDistribution, eps: float = EXACT_EPS) -> Featur
         hits = tuple(
             ctx
             for ctx, lab2 in labels.items()
-            if lab2 == "contextual" and is_context_sensitive(dist, p, ctx, eps)
+            if lab2 == "contextual" and support.sensitivity_witness(p, ctx, eps) is not None
         )
         sensitive[p] = hits
     return FeatureVerdict(labels=labels, sensitive_to=sensitive, witnesses=witnesses)

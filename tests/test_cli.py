@@ -94,6 +94,20 @@ class TestTaxonomyCommand:
         assert "distinct values" in capsys.readouterr().err
 
 
+    def test_missing_cells_are_precondition(self, tmp_path, capsys):
+        sp = tmp_path / "m.schema.json"
+        sp.write_text(
+            '[{"name": "cls", "role": "class", "kind": "discrete", "alphabet": ["a", "b"]},\n'
+            ' {"name": "g", "role": "primary", "kind": "discrete", "alphabet": ["0", "1"]},\n'
+            ' {"name": "h", "role": "contextual", "kind": "discrete", "alphabet": ["0", "1"]}]'
+        )
+        dp = tmp_path / "m.csv"
+        dp.write_text("a,0,1\nb,?,0\na,1,?\nb,?,1\n")
+        code = cli.main(["taxonomy", "--data", str(dp), "--schema", str(sp)])
+        assert code == 3
+        assert "3 MISSING cells (first in feature 'g')" in capsys.readouterr().err
+
+
 class TestRunGrid:
     def test_vowel_grid(self, vowel_file, capsys):
         code = cli.main(["run-grid", "--dataset", "vowel", "--train", str(vowel_file)])
@@ -209,6 +223,17 @@ class TestNormalize:
         ds = data.load_table(out, sp)
         col = [float(v) for v in ds.column(1)]
         assert abs(sum(col) / len(col)) < 1e-9
+
+    def test_non_finite_cell_is_load_error(self, tmp_path, small_table, capsys):
+        _, sp = small_table
+        dp = tmp_path / "nan.csv"
+        dp.write_text("a,0.1,0\nb,nan,1\na,0.3,0\n")
+        out = tmp_path / "norm.csv"
+        code = cli.main(["normalize", "--data", str(dp), "--schema", str(sp),
+                         "--mode", "zscore", "--out", str(out)])
+        assert code == 2
+        assert "line 2: non-finite number 'nan' for 'x'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_contextual_requires_context(self, tmp_path, small_table):
         dp, sp = small_table

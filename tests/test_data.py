@@ -40,6 +40,16 @@ class TestVowelLoader:
         with pytest.raises(LoadError, match="line 5"):
             data.load_vowel(p, p)
 
+    def test_non_finite_number_names_line_and_feature(self, tmp_path):
+        text = make_vowel_text().splitlines()
+        fields = text[2].split()
+        fields[5] = "nan"  # the third real, f3
+        text[2] = " ".join(fields)
+        p = tmp_path / "nan.data"
+        p.write_text("\n".join(text))
+        with pytest.raises(LoadError, match=r"line 3: non-finite number 'nan' for 'f3'"):
+            data.load_vowel(p, p)
+
     def test_wrong_counts_warn_not_error(self, tmp_path):
         lines = make_vowel_text().splitlines()[:100]
         p = tmp_path / "short.data"
@@ -79,6 +89,17 @@ class TestHepatitisLoader:
             data.load_hepatitis(p)
 
 
+    def test_non_finite_number_names_line_and_feature(self, tmp_path):
+        lines = make_hepatitis_text(missing_rate=0.0).splitlines()
+        fields = lines[1].split(",")
+        fields[14] = "inf"  # bilirubin
+        lines[1] = ",".join(fields)
+        p = tmp_path / "inf.data"
+        p.write_text("\n".join(lines))
+        with pytest.raises(LoadError, match=r"line 2: non-finite number 'inf' for 'bilirubin'"):
+            data.load_hepatitis(p)
+
+
 class TestGenericTable:
     SCHEMA = (
         '[{"name": "cls", "role": "class", "kind": "discrete", "alphabet": ["a", "b"]},\n'
@@ -97,6 +118,13 @@ class TestGenericTable:
         (tmp_path / "t.schema.json").write_text(self.SCHEMA)
         (tmp_path / "t.csv").write_text("a,1.5\n")
         with pytest.raises(LoadError):
+            data.load_table(tmp_path / "t.csv", tmp_path / "t.schema.json")
+
+    @pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-inf", "Infinity"])
+    def test_non_finite_number_names_line_and_feature(self, tmp_path, cell):
+        (tmp_path / "t.schema.json").write_text(self.SCHEMA)
+        (tmp_path / "t.csv").write_text(f"a,1.5,0\nb,{cell},1\n")
+        with pytest.raises(LoadError, match=rf"line 2: non-finite number '{cell}' for 'x'"):
             data.load_table(tmp_path / "t.csv", tmp_path / "t.schema.json")
 
     def test_numeric_symbols_load_as_discrete(self, tmp_path):
@@ -192,6 +220,14 @@ class TestJointSpecValidation:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             data.JointSpec(("c",), (("0", "1"),), {("0",): 1.5, ("1",): -0.5})
+
+    def test_rejects_out_of_alphabet_symbol(self):
+        with pytest.raises(ValueError, match="not in alphabet of 'c'"):
+            data.JointSpec(("c",), (("0", "1"),), {("0",): 0.5, ("2",): 0.5})
+
+    def test_rejects_nan_probability(self):
+        with pytest.raises(ValueError):
+            data.JointSpec(("c",), (("0", "1"),), {("0",): float("nan"), ("1",): 1.0})
 
     def test_json_round_trip(self, table_spec):
         back = data.JointSpec.from_json(table_spec.to_json())

@@ -1,15 +1,21 @@
 import itertools
+import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctxclass import data, taxonomy
 from ctxclass.taxonomy import (
+    EXACT_EPS,
+    FeatureVerdict,
     classify_features,
     cond_prob,
     estimate_distribution,
     is_context_sensitive,
     is_contextual,
     is_primary,
+    verdict_json,
 )
 
 from conftest import WORKED_PROBS, worked_spec
@@ -125,6 +131,14 @@ class TestEstimateDistribution:
         with pytest.raises(ValueError):
             estimate_distribution(ds)
 
+    def test_missing_cells_are_an_error(self):
+        spec = worked_spec()
+        m = data.MISSING
+        rows = [("0", "1", "0", "1")] * 3 + [("1", "0", m, "1")] * 2 + [("0", m, "1", m)]
+        ds = data.Dataset.build(spec.schema(), rows)
+        with pytest.raises(ValueError, match=r"4 MISSING cells \(first in feature 'x1'\)"):
+            estimate_distribution(ds)
+
     def test_continuous_feature_directs_to_binning(self):
         schema = data.FeatureSchema(
             (
@@ -135,6 +149,18 @@ class TestEstimateDistribution:
         ds = data.Dataset.build(schema, [("0", 1.0)])
         with pytest.raises(ValueError, match="binned"):
             estimate_distribution(ds)
+
+
+class TestJointDistributionValidation:
+    def test_out_of_alphabet_symbol_is_error(self):
+        with pytest.raises(ValueError, match="not in alphabet of 'x'"):
+            taxonomy.JointDistribution(
+                ("c", "x"), (("0", "1"), ("0", "1")), {("0", "0"): 0.5, ("1", "2"): 0.5}
+            )
+
+    def test_nan_probability_is_error(self):
+        with pytest.raises(ValueError):
+            taxonomy.JointDistribution(("c",), (("0", "1"),), {("0",): float("nan"), ("1",): 1.0})
 
 
 class TestClassifyFeatures:
@@ -193,3 +219,126 @@ class TestClassifyFeatures:
     def test_verdict_rendering(self, worked_dist):
         text = taxonomy.verdict_table(classify_features(worked_dist))
         assert "x1" in text and "primary" in text and "x2" in text
+
+
+# ---------------------------------------------------------------------------
+# The definitions enumerated literally, as a test-only oracle: every full
+# assignment in the product of the non-class alphabets, and every
+# probability from ``marginal`` / ``cond_prob``.
+
+def _oracle_primary(dist, feature, eps):
+    c = dist.class_var
+    for ai in dist.alphabet_of(feature):
+        for a0 in dist.alphabet_of(c):
+            lhs = cond_prob(dist, (c, a0), {feature: ai})
+            if lhs is not None and abs(lhs - dist.marginal({c: a0})) > eps:
+                return (a0, ai)
+    return None
+
+
+def _oracle_contextual(dist, feature, eps):
+    c = dist.class_var
+    names = [v for v in dist.variables if v != c]
+    for values in itertools.product(*(dist.alphabet_of(n) for n in names)):
+        full = dict(zip(names, values))
+        reduced = {k: v for k, v in full.items() if k != feature}
+        if dist.marginal(full) == 0.0 or dist.marginal(reduced) == 0.0:
+            continue
+        for a0 in dist.alphabet_of(c):
+            if abs(cond_prob(dist, (c, a0), full) - cond_prob(dist, (c, a0), reduced)) > eps:
+                return (a0, full)
+    return None
+
+
+def _oracle_sensitive(dist, primary, contextual, eps):
+    c = dist.class_var
+    for ai in dist.alphabet_of(primary):
+        if dist.marginal({primary: ai}) == 0.0:
+            continue
+        for aj in dist.alphabet_of(contextual):
+            if dist.marginal({primary: ai, contextual: aj}) == 0.0:
+                continue
+            for a0 in dist.alphabet_of(c):
+                joint = cond_prob(dist, (c, a0), {primary: ai, contextual: aj})
+                alone = cond_prob(dist, (c, a0), {primary: ai})
+                if abs(joint - alone) > eps:
+                    return True
+    return False
+
+
+def _oracle_verdict(dist, eps):
+    labels, witnesses = {}, {}
+    for name in (v for v in dist.variables if v != dist.class_var):
+        w = _oracle_primary(dist, name, eps)
+        if w is not None:
+            labels[name], witnesses[name] = "primary", w
+            continue
+        w = _oracle_contextual(dist, name, eps)
+        if w is not None:
+            labels[name], witnesses[name] = "contextual", w
+        else:
+            labels[name] = "irrelevant"
+    sensitive = {
+        p: tuple(x for x, lx in labels.items()
+                 if lx == "contextual" and _oracle_sensitive(dist, p, x, eps))
+        for p, lp in labels.items() if lp == "primary"
+    }
+    return FeatureVerdict(labels=labels, sensitive_to=sensitive, witnesses=witnesses)
+
+
+@st.composite
+def small_distributions(draw):
+    """d = 2-5 variables with alphabets of 1-3 symbols in a drawn order, a
+    support of up to 20 tuples in a drawn insertion order, some of them with
+    probability zero, and a class variable that is not always the first."""
+    d = draw(st.integers(2, 5))
+    names = tuple(f"x{j}" for j in range(d))
+    alphabets = tuple(
+        tuple(draw(st.permutations("abc"))[: draw(st.integers(1, 3))]) for _ in range(d)
+    )
+    support = draw(st.lists(st.tuples(*(st.sampled_from(a) for a in alphabets)),
+                            min_size=1, max_size=20, unique=True))
+    weights = draw(st.lists(st.integers(0, 4), min_size=len(support),
+                            max_size=len(support)).filter(any))
+    total = sum(weights)
+    probs = {t: w / total for t, w in zip(support, weights)}
+    return taxonomy.JointDistribution(names, alphabets, probs, draw(st.sampled_from(names)))
+
+
+class TestMatchesEnumerationOracle:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(dist=small_distributions(), eps=st.sampled_from([EXACT_EPS, 0.03, 0.2]))
+    def test_verdicts_witnesses_and_order(self, dist, eps):
+        got, want = classify_features(dist, eps), _oracle_verdict(dist, eps)
+        # the JSON text fixes label order and the key order inside witnesses
+        assert json.dumps(verdict_json(got)) == json.dumps(verdict_json(want))
+        assert got.sensitive_to == want.sensitive_to
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(dist=small_distributions(), eps=st.sampled_from([EXACT_EPS, 0.03, 0.2]))
+    def test_single_feature_tests(self, dist, eps):
+        feats = [v for v in dist.variables if v != dist.class_var]
+        for f in feats:
+            assert is_primary(dist, f, eps) == (_oracle_primary(dist, f, eps) is not None)
+            assert taxonomy._contextual_witness(dist, f, eps) == _oracle_contextual(dist, f, eps)
+            for x in feats:
+                if x != f:
+                    assert is_context_sensitive(dist, f, x, eps) == _oracle_sensitive(
+                        dist, f, x, eps
+                    )
+
+    def test_uniform_d8_never_enumerates(self, monkeypatch):
+        names = ("c",) + tuple(f"x{i}" for i in range(1, 9))
+        tuples = list(itertools.product("01", repeat=len(names)))
+        dist = taxonomy.JointDistribution(
+            names, (("0", "1"),) * len(names), {t: 1 / len(tuples) for t in tuples}
+        )
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("classify_features must not query marginal or cond_prob")
+
+        monkeypatch.setattr(taxonomy.JointDistribution, "marginal", forbidden)
+        monkeypatch.setattr(taxonomy, "cond_prob", forbidden)
+        v = classify_features(dist)
+        assert v.labels == {n: "irrelevant" for n in names[1:]}
+        assert v.sensitive_to == {} and v.witnesses == {}
