@@ -112,12 +112,6 @@ class LinearDiscriminantModel:
         return "\n".join(lines)
 
 
-def _lstsq_rss(design: np.ndarray, y: np.ndarray) -> float:
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    r = y - design @ coef
-    return float(r @ r)
-
-
 def _fit_selected(x: np.ndarray, y: np.ndarray,
                   selected: tuple) -> tuple[float, tuple, tuple, tuple]:
     """Final least-squares fit of y on an intercept plus the selected columns;
@@ -147,24 +141,42 @@ def _fit_forward(
     x: np.ndarray, y: np.ndarray, params: SelectionParams
 ) -> tuple[float, tuple, tuple, tuple]:
     """Greedy forward selection: admit the feature with the largest residual
-    sum-of-squares reduction while its partial F statistic exceeds f_enter."""
+    sum-of-squares reduction while its partial F statistic exceeds f_enter.
+
+    The stepwise-regression update: q is an orthonormal basis of the
+    intercept and the selected columns, r = y - q q'y the residual and
+    z = x - q q'x the candidates, so one step scores every candidate j as
+    the residual sum ||r - t_j z_j||^2 with t_j = z_j.r / z_j.z_j.  A
+    candidate with ||z_j|| at most PIVOT_TOL of ||x_j|| is collinear with
+    the basis and scores no drop.  The first minimum wins: ties go to the
+    lowest column.  An admitted z_j is normalized, orthogonalized against q
+    once more and projected out of r and z.  The coefficients come from one
+    least-squares fit of the selected columns.
+    """
     n, d = x.shape
     limit = d if params.max_features is None else min(d, params.max_features)
     selected: list[int] = []
-    ones = np.ones((n, 1))
-    rss = _lstsq_rss(ones, y)
-    while len(selected) < limit:
-        best = None
-        for j in range(d):
-            if j in selected:
-                continue
-            design = np.hstack([ones, x[:, selected + [j]]])
-            cand = _lstsq_rss(design, y)
-            if best is None or cand < best[1]:
-                best = (j, cand)
-        if best is None:
+    collinear_below = PIVOT_TOL ** 2 * (x * x).sum(axis=0)
+    q = np.empty((n, limit + 1))
+    r, z = y.copy(), x.copy()
+    b = np.full(n, 1.0 / np.sqrt(n))  # the intercept
+    while True:
+        q[:, len(selected)] = b
+        r -= b * (b @ r)
+        # summed column by column, not as a matrix product, so that equal
+        # columns stay bit-equal and tie
+        z -= b[:, None] * (b[:, None] * z).sum(axis=0)
+        rss = float(r @ r)
+        if len(selected) == limit:
             break
-        j, new_rss = best
+        zz = (z * z).sum(axis=0)
+        collinear = zz <= collinear_below
+        t = (z * r[:, None]).sum(axis=0) / np.where(collinear, 1.0, zz)
+        cand = ((r[:, None] - z * t) ** 2).sum(axis=0)
+        cand[collinear] = rss
+        cand[selected] = np.inf
+        j = int(np.argmin(cand))
+        new_rss = float(cand[j])
         p = len(selected) + 2  # intercept + selected + candidate
         if n - p <= 0:
             break
@@ -180,7 +192,10 @@ def _fit_forward(
         if f_stat <= params.f_enter:
             break
         selected.append(j)
-        rss = new_rss
+        basis = q[:, :len(selected)]
+        b = z[:, j] / np.sqrt(zz[j])
+        b -= basis @ (basis.T @ b)
+        b /= np.linalg.norm(b)
     return _fit_selected(x, y, tuple(selected))
 
 

@@ -53,6 +53,13 @@ def _bin_count(text: str) -> int:
     return k
 
 
+def _split_count(text: str) -> int:
+    k = int(text)
+    if k < 2:
+        raise argparse.ArgumentTypeError(f"need at least 2 splits for the paired t-test, got {k}")
+    return k
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="ctxclass", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -73,7 +80,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--test", help="vowel testing file (default: same as --train)")
     p.add_argument("--data", help="hepatitis file (default: $CTXCLASS_DATA_DIR/hepatitis.data)")
     p.add_argument("--classifier", default="nn", choices=harness.CLASSIFIERS)
-    p.add_argument("--splits", type=int, default=10, help="hepatitis split count")
+    p.add_argument("--splits", type=_split_count, default=10,
+                   help="hepatitis split count (at least 2)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="base path for report files (.txt/.csv/.schema.json)")
 

@@ -47,15 +47,21 @@ def _require_numeric(dataset: Dataset, indices: Sequence[int]) -> np.ndarray:
     return m
 
 
-def _write_columns(dataset: Dataset, indices: Sequence[int], values: np.ndarray) -> Dataset:
+def _write_columns(dataset: Dataset, indices: Sequence[int], values: np.ndarray,
+                   schema: FeatureSchema | None = None) -> Dataset:
     """The dataset with the listed columns replaced by the columns of values,
-    as Python floats; the schema is unchanged, so Dataset.build is skipped."""
+    as Python floats with NaN as MISSING, under schema (default: the
+    dataset's own).  Each value fits its column, so Dataset.build is skipped."""
+    schema = schema or dataset.schema
     if not dataset.rows:
-        return dataset
+        return Dataset(schema, dataset.rows)
     cols = list(zip(*dataset.rows))
-    for i, col in zip(indices, values.T.tolist()):
+    missing = np.isnan(values)
+    for j, (i, col) in enumerate(zip(indices, values.T.tolist())):
+        if missing[:, j].any():
+            col = [MISSING if m else v for v, m in zip(col, missing[:, j])]
         cols[i] = col
-    return Dataset(dataset.schema, tuple(zip(*cols)))
+    return Dataset(schema, tuple(zip(*cols)))
 
 
 def _nearest_rows(queries: np.ndarray, reference: np.ndarray,
@@ -82,33 +88,36 @@ def encode_value(feature: Feature, cell) -> float:
     return idx / (k - 1) if k > 1 else 0.0
 
 
+def _code_matrix(dataset: Dataset, indices: Sequence[int]) -> np.ndarray:
+    """The listed columns as floats: NaN for MISSING, discrete symbols by
+    their encode_value codes."""
+    m = np.empty((dataset.n_rows, len(indices)))
+    for j, i in enumerate(indices):
+        feat = dataset.schema.features[i]
+        codes = {MISSING: np.nan}
+        if feat.kind == "discrete":
+            codes.update((symbol, encode_value(feat, symbol)) for symbol in feat.alphabet)
+        m[:, j] = [codes.get(cell, cell) for cell in dataset.column(i)]
+    return m
+
+
 def encode_numeric(dataset: Dataset) -> Dataset:
     """Turn discrete primary features into continuous [0, 1] codes.
 
     Binary features become 0/1.  Contextual and class features are left
     symbolic; MISSING cells pass through.
     """
-    targets = {
-        i: f
-        for i, f in enumerate(dataset.schema)
+    targets = [
+        i for i, f in enumerate(dataset.schema)
         if f.role is FeatureRole.PRIMARY and f.kind == "discrete"
-    }
+    ]
     if not targets:
         return dataset
-    feats = tuple(
+    schema = FeatureSchema(tuple(
         replace(f, kind="continuous", alphabet=None) if i in targets else f
         for i, f in enumerate(dataset.schema)
-    )
-    schema = FeatureSchema(feats)
-    rows = []
-    for row in dataset.rows:
-        rows.append(
-            tuple(
-                cell if i not in targets or cell is MISSING else encode_value(targets[i], cell)
-                for i, cell in enumerate(row)
-            )
-        )
-    return Dataset.build(schema, rows)
+    ))
+    return _write_columns(dataset, targets, _code_matrix(dataset, targets), schema)
 
 
 # ---------------------------------------------------------------------------
@@ -470,10 +479,10 @@ def fit_expansion(train: Dataset, selected: Sequence[str]) -> ExpansionModel:
         if feat.role is not FeatureRole.CONTEXTUAL:
             raise ValueError(f"{name!r} is not a contextual feature")
         if feat.kind == "continuous":
-            col = [float(c) for c in train.column(schema.index_of(name)) if c is not MISSING]
-            if not col:
+            col = _code_matrix(train, [schema.index_of(name)])
+            if np.isnan(col).all():
                 raise ValueError(f"contextual feature {name!r} is entirely MISSING")
-            ranges[name] = (min(col), max(col))
+            ranges[name] = (float(np.nanmin(col)), float(np.nanmax(col)))
     return ExpansionModel(tuple(selected), ranges)
 
 
@@ -483,46 +492,22 @@ def apply_expansion(model: ExpansionModel, dataset: Dataset) -> Dataset:
     if not model.selected:
         return dataset
     schema = dataset.schema
-    targets = {schema.index_of(n): n for n in model.selected}
-    feats = []
-    for i, f in enumerate(schema):
-        if i in targets:
-            feats.append(Feature(f.name, FeatureRole.PRIMARY, "continuous"))
-        else:
-            feats.append(f)
-    new_schema = FeatureSchema(tuple(feats))
-    rows = []
-    for row in dataset.rows:
-        out = list(row)
-        for i, name in targets.items():
-            feat = schema.features[i]
-            cell = row[i]
-            if cell is MISSING:
-                continue
-            if feat.kind == "discrete":
-                out[i] = encode_value(feat, cell)
-            else:
-                lo, hi = model.ranges[name]
-                out[i] = 0.5 if hi == lo else (float(cell) - lo) / (hi - lo)
-        rows.append(tuple(out))
-    return Dataset.build(new_schema, rows)
+    targets = [schema.index_of(n) for n in model.selected]
+    new_schema = FeatureSchema(tuple(
+        Feature(f.name, FeatureRole.PRIMARY, "continuous") if i in targets else f
+        for i, f in enumerate(schema)
+    ))
+    # discrete codes are already in [0, 1]: the range (0, 1) leaves them as they are
+    lo, hi = np.array([
+        (0.0, 1.0) if schema.features[i].kind == "discrete" else model.ranges[n]
+        for i, n in zip(targets, model.selected)
+    ]).T
+    scaled = _minmax_scale(_code_matrix(dataset, targets), lo, hi)
+    return _write_columns(dataset, targets, scaled, new_schema)
 
 
 # ---------------------------------------------------------------------------
 # Missing-value imputation
-
-def _imputation_matrix(dataset: Dataset, indices: Sequence[int]) -> np.ndarray:
-    """The listed columns as floats: NaN for MISSING, discrete symbols by
-    their encode_value codes."""
-    m = np.empty((dataset.n_rows, len(indices)))
-    for j, i in enumerate(indices):
-        feat = dataset.schema.features[i]
-        codes = {MISSING: np.nan}
-        if feat.kind == "discrete":
-            codes.update((symbol, encode_value(feat, symbol)) for symbol in feat.alphabet)
-        m[:, j] = [codes.get(cell, cell) for cell in dataset.column(i)]
-    return m
-
 
 def impute_missing(train: Dataset, target: Dataset) -> Dataset:
     """Fill MISSING cells from the nearest training row.
@@ -537,7 +522,7 @@ def impute_missing(train: Dataset, target: Dataset) -> Dataset:
     indices = [
         i for i, f in enumerate(schema) if f.role is not FeatureRole.CLASS
     ]
-    train_raw = _imputation_matrix(train, indices)
+    train_raw = _code_matrix(train, indices)
     empty = np.isnan(train_raw).all(axis=0)
     if empty.any():
         name = schema.features[indices[int(empty.argmax())]].name
@@ -551,7 +536,7 @@ def impute_missing(train: Dataset, target: Dataset) -> Dataset:
     if target is train:
         target_m = train_m
     else:
-        target_m = _minmax_scale(_imputation_matrix(target, indices), lo, hi)
+        target_m = _minmax_scale(_code_matrix(target, indices), lo, hi)
     train_present = ~np.isnan(train_m)
 
     rows = []

@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctxclass import classify
 from ctxclass.classify import (
@@ -14,7 +16,8 @@ from ctxclass.classify import (
     nn_predict_dataset,
     similarity,
 )
-from ctxclass.data import Dataset, Feature, FeatureRole, FeatureSchema
+from ctxclass.data import Dataset, Feature, FeatureRole, FeatureSchema, split_random
+from ctxclass.preprocess import encode_numeric, impute_missing
 
 from test_preprocess import numeric_dataset
 
@@ -239,3 +242,114 @@ class TestLinearDiscriminant:
         assert model.describe() == mlr_fit(ds, SelectionParams(enabled=False)).describe()
         nn = nn_fit(ds)
         assert "2 stored rows" in nn.describe()
+
+
+def _oracle_fit_forward(x, y, params):
+    """Forward selection as a per-candidate scan: every step refits
+    np.linalg.lstsq on the intercept, the selected columns and each remaining
+    column, and the strict < keeps the first minimum.  Returns the fit and,
+    for every step, each column's candidate residual sum (inf once selected)."""
+
+    def lstsq_rss(design):
+        coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+        r = y - design @ coef
+        return float(r @ r)
+
+    n, d = x.shape
+    limit = d if params.max_features is None else min(d, params.max_features)
+    selected, scores = [], []
+    ones = np.ones((n, 1))
+    rss = lstsq_rss(ones)
+    while len(selected) < limit:
+        cand = np.full(d, np.inf)
+        best = None
+        for j in range(d):
+            if j in selected:
+                continue
+            cand[j] = lstsq_rss(np.hstack([ones, x[:, selected + [j]]]))
+            if best is None or cand[j] < best[1]:
+                best = (j, cand[j])
+        scores.append(cand)
+        j, new_rss = best
+        p = len(selected) + 2
+        if n - p <= 0:
+            break
+        if rss - new_rss <= 1e-10 * max(1.0, float(y @ y)):
+            break
+        if new_rss <= 0.0:
+            f_stat = np.inf if rss > 0.0 else 0.0
+        else:
+            f_stat = (rss - new_rss) / (new_rss / (n - p))
+        if f_stat <= params.f_enter:
+            break
+        selected.append(j)
+        rss = new_rss
+    return classify._fit_selected(x, y, tuple(selected)), scores
+
+
+@st.composite
+def selection_problems(draw):
+    """Columns that are random at mixed scales, duplicates of an earlier
+    column, constants, exact sums of two earlier columns, or an affine map of
+    one class's 0/1 target (a perfect fit for that class); labels of 2-4
+    classes on 2-24 rows; f_enter and max_features."""
+    n = draw(st.integers(2, 24))
+    k = draw(st.integers(2, 4))
+    labels = [f"c{c}" for c in draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["random", "random", "duplicate", "constant", "sum", "fit"]))
+        if kind == "duplicate" and columns:
+            col = columns[draw(st.integers(0, len(columns) - 1))].copy()
+        elif kind == "sum" and len(columns) >= 2:
+            a, b = draw(st.lists(st.integers(0, len(columns) - 1), min_size=2, max_size=2,
+                                 unique=True))
+            col = columns[a] + columns[b]
+        elif kind == "constant":
+            col = np.full(n, rng.normal())
+        elif kind == "fit":
+            target = np.array([lab == draw(st.sampled_from(labels)) for lab in labels])
+            col = rng.uniform(0.5, 3.0) * target + rng.normal()
+        else:
+            col = rng.normal(size=n) * 10.0 ** rng.integers(-2, 3)
+        columns.append(col)
+    params = SelectionParams(f_enter=draw(st.sampled_from([0.0, 4.0, 1e9])),
+                             max_features=draw(st.sampled_from([None, 1, 2])))
+    return columns, labels, params
+
+
+class TestForwardSelectionMatchesOracle:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(problem=selection_problems())
+    def test_equations_match_the_lstsq_scan(self, problem):
+        columns, labels, params = problem
+        model = mlr_fit(numeric_dataset([c.tolist() for c in columns], labels), params)
+        x = np.column_stack(columns)
+        for eq in model.equations:
+            y = np.array([1.0 if lab == eq.label else 0.0 for lab in labels])
+            want, scores = _oracle_fit_forward(x, y, params)
+            got = (eq.intercept, eq.selected, eq.coefs, eq.dropped)
+            assert len(got[1]) == len(want[1]), f"selected {got[1]}, oracle {want[1]}"
+            # the scans may part only at ties the oracle itself cannot order:
+            # distinct columns of equal span (x0 and x0 + x1 once x1 is in,
+            # two perfect fits) whose residual sums differ by rounding alone;
+            # of equal columns the lowest must win
+            for step, (a, b) in enumerate(zip(got[1], want[1])):
+                if a != b:
+                    assert not np.array_equal(x[:, a], x[:, b]), f"x{a} == x{b}"
+                    assert abs(scores[step][a] - scores[step][b]) <= 1e-9 * max(1.0, y @ y)
+            if got[1] == want[1]:
+                assert got == want
+
+    def test_selection_solves_one_least_squares_per_class(self, synthetic_hepatitis,
+                                                          monkeypatch):
+        train, _ = split_random(synthetic_hepatitis, 100, seed=0)
+        train = encode_numeric(impute_missing(train, train))
+        assert len(train.schema.primary_indices) == 17
+        calls = []
+        lstsq = np.linalg.lstsq
+        monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **kw: calls.append(1) or lstsq(*a, **kw))
+        model = mlr_fit(train, SelectionParams())
+        assert any(eq.selected for eq in model.equations)
+        assert len(calls) == len(model.equations) == 2

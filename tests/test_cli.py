@@ -137,6 +137,14 @@ class TestRunGrid:
         assert base.with_suffix(".csv").exists()
         assert base.with_suffix(".schema.json").exists()
 
+    @pytest.mark.parametrize("splits", ["0", "1"])
+    def test_fewer_than_two_splits_is_usage_error(self, tmp_path, splits, capsys):
+        # exits before loading: the data file does not even exist
+        code = cli.main(["run-grid", "--dataset", "hepatitis",
+                         "--data", str(tmp_path / "absent.data"), "--splits", splits])
+        assert code == 1
+        assert "--splits" in capsys.readouterr().err
+
     def test_bad_dataset_name(self):
         assert cli.main(["run-grid", "--dataset", "iris"]) == 1
 

@@ -452,6 +452,32 @@ class TestExpansion:
         with pytest.raises(ValueError):
             fit_expansion(synthetic_hepatitis, ["class"])
 
+    def test_matches_per_cell_formula(self, synthetic_hepatitis):
+        # a constant context column maps to 0.5; MISSING cells stay MISSING
+        ds = synthetic_hepatitis
+        age, sex = ds.schema.index_of("age"), ds.schema.index_of("sex")
+
+        def with_age(value):
+            return Dataset(ds.schema, tuple(
+                r[:age] + (MISSING if k % 7 == 0 else value(r[age]),) + r[age + 1:]
+                for k, r in enumerate(ds.rows)))
+
+        for table in (with_age(float), with_age(lambda _: 40.0)):
+            ages = [c for c in table.column(age) if c is not MISSING]
+            lo, hi = min(ages), max(ages)
+            out = apply_expansion(fit_expansion(table, ["age", "sex"]), table)
+            sex_feature = table.schema.features[sex]
+            for before, after in zip(table.rows, out.rows):
+                want_age = (MISSING if before[age] is MISSING else 0.5 if hi == lo
+                            else (float(before[age]) - lo) / (hi - lo))
+                want_sex = (MISSING if before[sex] is MISSING
+                            else preprocess.encode_value(sex_feature, before[sex]))
+                assert after[age] is want_age or after[age] == want_age
+                assert after[sex] is want_sex or after[sex] == want_sex
+                assert after[:age] + after[sex + 1:] == before[:age] + before[sex + 1:]
+            assert any(c is MISSING for c in out.column(age))
+            assert out.schema.features[age].role is FeatureRole.PRIMARY
+
 
 class TestImputation:
     def test_single_donor(self):
@@ -651,6 +677,17 @@ class TestEncodeNumeric:
         idx = out.schema.index_of("steroid")
         assert set(out.column(idx)) <= {0.0, 1.0}
         assert out.schema.features[idx].kind == "continuous"
+
+    def test_matches_per_cell_formula(self, synthetic_hepatitis):
+        out = encode_numeric(synthetic_hepatitis)
+        for i, f in enumerate(synthetic_hepatitis.schema):
+            col = synthetic_hepatitis.column(i)
+            if f.role is FeatureRole.PRIMARY and f.kind == "discrete":
+                want = tuple(c if c is MISSING else preprocess.encode_value(f, c) for c in col)
+                assert MISSING in want
+            else:
+                want = col
+            assert out.column(i) == want
 
     def test_contextual_and_class_untouched(self, synthetic_hepatitis):
         out = encode_numeric(synthetic_hepatitis)
