@@ -13,8 +13,8 @@ from typing import Sequence
 import numpy as np
 import scipy.linalg
 
-from .data import Dataset, FeatureSchema
-from .preprocess import _nearest_rows, _require_numeric
+from .data import MISSING, Dataset, FeatureSchema
+from .preprocess import _check_numeric, _nearest_rows, _require_numeric
 
 PIVOT_TOL = 1e-10
 
@@ -35,7 +35,8 @@ def _query_matrix(schema: FeatureSchema, query) -> np.ndarray:
     """A single query as a one-row feature matrix: either a full row of the
     schema or a bare vector of primary-feature values."""
     if isinstance(query, (tuple, list)) and len(query) == len(schema):
-        return _require_numeric(Dataset(schema, (tuple(query),)), schema.primary_indices)
+        cells = [np.nan if query[i] is MISSING else query[i] for i in schema.primary_indices]
+        return _check_numeric(schema, schema.primary_indices, np.array([cells], dtype=float))
     return np.asarray(query, dtype=float).reshape(1, -1)
 
 

@@ -170,25 +170,12 @@ def _cmd_taxonomy(args) -> int:
 
 def _discretize(ds: data.Dataset, k: int) -> data.Dataset:
     """Equal-frequency-bin every continuous feature so the taxonomy tests apply."""
-    schema = ds.schema
-    new_feats = []
-    binned: dict[int, tuple[float, ...]] = {}
-    for i, f in enumerate(schema):
+    feats, values = list(ds.schema), ds.values.copy()
+    for i, f in enumerate(ds.schema):
         if f.kind == "continuous":
-            binned[i] = preprocess.column_bins(ds, i, k)
-            new_feats.append(
-                data.Feature(f.name, f.role, "discrete", tuple(f"b{j}" for j in range(k)))
-            )
-        else:
-            new_feats.append(f)
-    rows = []
-    for row in ds.rows:
-        out = list(row)
-        for i, boundaries in binned.items():
-            if out[i] is not data.MISSING:
-                out[i] = f"b{preprocess.bin_index(boundaries, out[i])}"
-        rows.append(out)
-    return data.Dataset.build(data.FeatureSchema(tuple(new_feats)), rows)
+            values[:, i] = preprocess._bin_column(preprocess.column_bins(ds, i, k), values[:, i])
+            feats[i] = data.Feature(f.name, f.role, "discrete", tuple(f"b{j}" for j in range(k)))
+    return data.Dataset(data.FeatureSchema(tuple(feats)), values)
 
 
 def _cmd_run_grid(args) -> int:

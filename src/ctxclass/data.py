@@ -1,8 +1,11 @@
 """Dataset representation, schemas with feature roles, loaders, and splits.
 
-Cells are either floats (continuous features), strings (discrete symbols), or
-the MISSING sentinel.  Discrete symbols stay symbolic here; numeric encoding
-is the preprocess module's job.
+A Dataset is one read-only float matrix with a column per feature: a
+continuous cell holds its float, a discrete cell the index of its symbol in
+the feature's alphabet, and NaN marks a MISSING cell.  Loaders and
+generators check each cell once as they parse it straight into the matrix;
+transforms read and write whole columns of it.  Rows of symbols, floats and
+the MISSING sentinel are derived views for callers that want Python cells.
 """
 
 from __future__ import annotations
@@ -14,8 +17,11 @@ import random
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 
 class LoadError(Exception):
@@ -37,8 +43,6 @@ class _Missing:
 
 
 MISSING = _Missing()
-
-Cell = "float | str | _Missing"
 
 
 class FeatureRole(Enum):
@@ -62,6 +66,11 @@ class Feature:
         if self.kind == "continuous" and self.alphabet is not None:
             raise ValueError(f"continuous feature {self.name!r} must not carry an alphabet")
 
+    @cached_property
+    def codes(self) -> dict[str, int]:
+        """Each symbol's code: its first index in the alphabet."""
+        return {s: k for k, s in reversed(tuple(enumerate(self.alphabet)))}
+
 
 @dataclass(frozen=True)
 class FeatureSchema:
@@ -76,6 +85,8 @@ class FeatureSchema:
         n_class = sum(1 for f in self.features if f.role is FeatureRole.CLASS)
         if n_class != 1:
             raise ValueError(f"schema must have exactly one class feature, got {n_class}")
+        if self.class_feature.kind != "discrete":
+            raise ValueError(f"class feature {self.class_feature.name!r} must be discrete")
 
     def __len__(self):
         return len(self.features)
@@ -125,35 +136,74 @@ class FeatureSchema:
                     raise ValueError(f"continuous feature {f.name!r}{where} got {cell!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    """Immutable table of observations conforming to a schema."""
+    """Immutable table of observations conforming to a schema.
+
+    ``values`` is a float64 matrix, n_rows x len(schema), that the
+    constructor makes read-only: a continuous cell holds its float, a
+    discrete cell its symbol's code (``Feature.codes``), and NaN is MISSING.
+    ``rows``, ``column`` and ``class_labels`` are views derived on demand,
+    with symbols, floats and MISSING as cells.
+    """
 
     schema: FeatureSchema
-    rows: tuple[tuple, ...]
+    values: np.ndarray
+
+    def __post_init__(self):
+        values = np.asarray(self.values, dtype=float)
+        if values.shape != (len(values), len(self.schema)):
+            raise ValueError(f"values of shape {values.shape} do not fit the schema")
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
 
     @classmethod
     def build(cls, schema: FeatureSchema, rows: Iterable[Sequence]) -> "Dataset":
-        frozen = tuple(tuple(r) for r in rows)
-        for i, r in enumerate(frozen):
+        """The validated constructor from Python rows of symbols, numbers and
+        MISSING; a bad cell is a ValueError naming its row."""
+        rows = [tuple(r) for r in rows]
+        for i, r in enumerate(rows):
             schema.check_row(r, where=f" (row {i})")
-        return cls(schema, frozen)
+        return _from_cells(schema, [[math.nan if c is MISSING else f.codes[c] if f.alphabet else c
+                                     for f, c in zip(schema, r)] for r in rows])
+
+    def __eq__(self, other):
+        return (isinstance(other, Dataset) and self.schema == other.schema
+                and np.array_equal(self.values, other.values, equal_nan=True))
 
     @property
     def n_rows(self) -> int:
-        return len(self.rows)
+        return len(self.values)
+
+    @property
+    def rows(self) -> tuple[tuple, ...]:
+        return tuple(zip(*(self.column(i) for i in range(len(self.schema)))))
 
     def column(self, index: int) -> tuple:
-        return tuple(r[index] for r in self.rows)
+        symbols = self.schema.features[index].alphabet
+        return tuple(MISSING if c != c else symbols[int(c)] if symbols else c
+                     for c in self.values[:, index].tolist())
 
     def class_labels(self) -> tuple[str, ...]:
         return self.column(self.schema.class_index)
 
     def subset(self, indices: Sequence[int]) -> "Dataset":
-        return Dataset(self.schema, tuple(self.rows[i] for i in indices))
+        return Dataset(self.schema, self.values[np.asarray(indices, dtype=np.intp)])
 
     def missing_count(self) -> int:
-        return sum(1 for r in self.rows for c in r if c is MISSING)
+        return int(np.isnan(self.values).sum())
+
+    def replace_columns(self, indices: Sequence[int], columns: np.ndarray,
+                        schema: FeatureSchema | None = None) -> "Dataset":
+        """A copy with the listed columns replaced, under schema (default: this one)."""
+        values = self.values.copy()
+        values[:, list(indices)] = columns
+        return Dataset(schema or self.schema, values)
+
+
+def _from_cells(schema: FeatureSchema, rows: list[list[float]]) -> Dataset:
+    """A Dataset from rows already in matrix form (codes, floats, NaN)."""
+    return Dataset(schema, np.array(rows, dtype=float).reshape(len(rows), len(schema)))
 
 
 def _parse_number(raw: str, name: str, path, lineno: int) -> float:
@@ -165,6 +215,27 @@ def _parse_number(raw: str, name: str, path, lineno: int) -> float:
     if not math.isfinite(value):
         raise LoadError(f"{path}: line {lineno}: non-finite number {raw!r} for {name!r}")
     return value
+
+
+def _parse_row(schema: FeatureSchema, fields: Sequence[str], missing: tuple[str, ...],
+               path, lineno: int) -> list[float]:
+    """One data line as a matrix row: NaN for a token in ``missing``, a symbol's
+    code, a finite float.  The first bad cell is a LoadError naming the line."""
+    row = []
+    for feat, raw in zip(schema, fields):
+        raw = raw.strip()
+        if raw in missing:
+            if feat.role is FeatureRole.CLASS:
+                raise LoadError(f"{path}: line {lineno}: class cell is MISSING")
+            row.append(math.nan)
+        elif feat.kind == "discrete":
+            if raw not in feat.codes:
+                raise LoadError(f"{path}: line {lineno}: "
+                                f"symbol {raw!r} not valid for {feat.name!r}")
+            row.append(feat.codes[raw])
+        else:
+            row.append(_parse_number(raw, feat.name, path, lineno))
+    return row
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +255,9 @@ def _vowel_schema(speakers: Sequence[str]) -> FeatureSchema:
     return FeatureSchema(tuple(feats))
 
 
-def _parse_vowel_file(path) -> list[tuple[int, str, str, list[float], str]]:
+def _parse_vowel_file(path) -> list[tuple[int, int, list[str]]]:
+    """(flag, line number, cells in schema order) of each data line, with
+    speaker, sex and class written as plain integers."""
     rows = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -196,16 +269,10 @@ def _parse_vowel_file(path) -> list[tuple[int, str, str, list[float], str]]:
                 raise LoadError(f"{path}: line {lineno}: expected 14 fields, got {len(fields)}")
             try:
                 flag = int(fields[0])
-                speaker = str(int(fields[1]))
-                sex = str(int(fields[2]))
-                vowel = str(int(fields[13]))
+                speaker, sex, vowel = (str(int(fields[i])) for i in (1, 2, 13))
             except ValueError as exc:
                 raise LoadError(f"{path}: line {lineno}: {exc}") from None
-            values = [
-                _parse_number(v, f"f{k}", path, lineno)
-                for k, v in enumerate(fields[3:13], start=1)
-            ]
-            rows.append((flag, speaker, sex, values, vowel))
+            rows.append((flag, lineno, [speaker, sex, *fields[3:13], vowel]))
     if not rows:
         raise LoadError(f"{path}: file contains no data rows")
     return rows
@@ -229,20 +296,18 @@ def load_vowel(train_path, test_path) -> tuple[Dataset, Dataset]:
 
     tr = select(raw_train, 0)
     te = select(raw_test, 1)
-    speakers = sorted({r[1] for r in tr} | {r[1] for r in te}, key=lambda s: (len(s), s))
+    speakers = sorted({r[2][0] for r in tr} | {r[2][0] for r in te}, key=lambda s: (len(s), s))
     schema = _vowel_schema(speakers)
 
-    def to_rows(raw):
-        return [(spk, sex, *vals, vowel) for _, spk, sex, vals, vowel in raw]
-
-    train = Dataset.build(schema, to_rows(tr))
-    test = Dataset.build(schema, to_rows(te))
+    train, test = (
+        _from_cells(schema, [_parse_row(schema, cells, (), path, n) for _, n, cells in raw])
+        for raw, path in ((tr, train_path), (te, test_path))
+    )
     if train.n_rows != VOWEL_TRAIN_ROWS:
         warnings.warn(f"vowel train has {train.n_rows} rows, expected {VOWEL_TRAIN_ROWS}")
     if test.n_rows != VOWEL_TEST_ROWS:
         warnings.warn(f"vowel test has {test.n_rows} rows, expected {VOWEL_TEST_ROWS}")
-    train_speakers = set(train.column(0))
-    if train_speakers & set(test.column(0)):
+    if np.intersect1d(train.values[:, 0], test.values[:, 0]).size:
         warnings.warn("vowel train and test share speaker identities")
     return train, test
 
@@ -292,28 +357,15 @@ def load_hepatitis(path) -> Dataset:
                 raise LoadError(
                     f"{path}: line {lineno}: expected {len(schema)} fields, got {len(fields)}"
                 )
-            row = []
-            for feat, raw in zip(schema, fields):
-                raw = raw.strip()
-                if raw == "?":
-                    row.append(MISSING)
-                    continue
-                if feat.name == "class":
-                    if raw not in HEPATITIS_CLASS_MAP:
-                        raise LoadError(f"{path}: line {lineno}: unknown class symbol {raw!r}")
-                    row.append(HEPATITIS_CLASS_MAP[raw])
-                elif feat.kind == "discrete":
-                    if raw not in feat.alphabet:
-                        raise LoadError(
-                            f"{path}: line {lineno}: symbol {raw!r} not valid for {feat.name!r}"
-                        )
-                    row.append(raw)
-                else:
-                    row.append(_parse_number(raw, feat.name, path, lineno))
-            rows.append(row)
+            raw = fields[0].strip()
+            if raw != "?":
+                if raw not in HEPATITIS_CLASS_MAP:
+                    raise LoadError(f"{path}: line {lineno}: unknown class symbol {raw!r}")
+                fields[0] = HEPATITIS_CLASS_MAP[raw]
+            rows.append(_parse_row(schema, fields, ("?",), path, lineno))
     if not rows:
         raise LoadError(f"{path}: file contains no data rows")
-    return Dataset.build(schema, rows)
+    return _from_cells(schema, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -366,40 +418,17 @@ def load_table(path, schema_path) -> Dataset:
                 raise LoadError(
                     f"{path}: line {lineno}: expected {len(schema)} fields, got {len(fields)}"
                 )
-            row = []
-            for feat, raw in zip(schema, fields):
-                raw = raw.strip()
-                if raw in ("?", ""):
-                    row.append(MISSING)
-                elif feat.kind == "discrete":
-                    if raw not in feat.alphabet:
-                        raise LoadError(
-                            f"{path}: line {lineno}: symbol {raw!r} not valid for {feat.name!r}"
-                        )
-                    row.append(raw)
-                else:
-                    row.append(_parse_number(raw, feat.name, path, lineno))
-            rows.append(row)
-    try:
-        return Dataset.build(schema, rows)
-    except ValueError as exc:
-        raise LoadError(f"{path}: {exc}") from None
+            rows.append(_parse_row(schema, fields, ("?", ""), path, lineno))
+    return _from_cells(schema, rows)
 
 
 def write_table(dataset: Dataset, path, schema_path=None) -> None:
     """Write a dataset as CSV (floats via repr, so values round-trip exactly)."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in dataset.rows:
-            out = []
-            for cell in row:
-                if cell is MISSING:
-                    out.append("?")
-                elif isinstance(cell, str):
-                    out.append(cell)
-                else:
-                    out.append(repr(float(cell)))
-            writer.writerow(out)
+        csv.writer(fh).writerows(
+            ["?" if c is MISSING else c if isinstance(c, str) else repr(c) for c in row]
+            for row in dataset.rows
+        )
     if schema_path is not None:
         Path(schema_path).write_text(schema_to_json(dataset.schema) + "\n")
 
@@ -507,7 +536,7 @@ def sample_from(spec: JointSpec, n: int, seed: int) -> Dataset:
         total += spec.probs[t]
         cumulative.append(total)
     rng = random.Random(seed)
-    rows = []
+    picks = []
     for _ in range(n):
         u = rng.random() * total
         lo, hi = 0, len(tuples) - 1
@@ -517,8 +546,10 @@ def sample_from(spec: JointSpec, n: int, seed: int) -> Dataset:
                 hi = mid
             else:
                 lo = mid + 1
-        rows.append(tuples[lo])
-    return Dataset.build(spec.schema(), rows)
+        picks.append(lo)
+    schema = spec.schema()
+    codes = [[f.codes[s] for f, s in zip(schema, t)] for t in tuples]
+    return _from_cells(schema, codes).subset(picks)
 
 
 @dataclass(frozen=True)
@@ -583,7 +614,7 @@ def plant_context_dataset(
                 float(cls) + params.shift * c + params.noise * rng.gauss(0.0, 1.0)
                 for _ in range(params.n_primary)
             ]
-            rows.append((c, *feats, f"c{cls}"))
-        return Dataset.build(schema, rows)
+            rows.append([c, *feats, cls])  # class c{cls} has code cls
+        return _from_cells(schema, rows)
 
     return make(params.n_train, params.train_context), make(params.n_test, params.test_context)

@@ -5,9 +5,11 @@ by a deviation floors it at SIGMA_FLOOR: boolean features inside a pure
 context group legitimately have zero spread.
 
 Fit/apply are strictly separated: fit_* functions read only their fit set
-and return an immutable model.  apply_* functions read the primary columns as
-one matrix, transform it elementwise (context models give per-row mean and
-deviation matrices via ``row_stats``) and write it back; rows stay independent.
+and return an immutable model.  apply_* functions slice the primary columns
+out of the dataset's matrix, transform them elementwise (context models give
+per-row mean and deviation matrices via ``row_stats``) and return a new
+Dataset holding a copy of the matrix with those columns replaced; rows stay
+independent.
 """
 
 from __future__ import annotations
@@ -19,49 +21,32 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .data import (
-    MISSING,
-    Dataset,
-    Feature,
-    FeatureRole,
-    FeatureSchema,
-)
+from .data import Dataset, Feature, FeatureRole, FeatureSchema
 
 SIGMA_FLOOR = 1e-12
 
 _NN_BLOCK_ROWS = 64  # queries per block of the L1 nearest-neighbour distance tensor
 
 
-def _require_numeric(dataset: Dataset, indices: Sequence[int]) -> np.ndarray:
-    """The listed columns as an n_rows x len(indices) float matrix; a MISSING
-    or symbolic cell is an error that names its feature."""
-    m = np.empty((dataset.n_rows, len(indices)))
+def _check_numeric(schema: FeatureSchema, indices: Sequence[int], m: np.ndarray) -> np.ndarray:
+    """m, the listed columns of a matrix under schema, once every column is
+    numeric: a MISSING cell, then a discrete column with rows, is an error
+    that names its feature."""
+    missing = np.isnan(m).any(axis=0)
     for j, i in enumerate(indices):
-        col = dataset.column(i)
-        kinds = set(map(type, col))
-        problem = ("has MISSING cells; impute first" if type(MISSING) in kinds
-                   else "is symbolic; encode_numeric first" if str in kinds else None)
+        feature = schema.features[i]
+        problem = ("has MISSING cells; impute first" if missing[j]
+                   else "is symbolic; encode_numeric first"
+                   if feature.kind == "discrete" and len(m) else None)
         if problem:
-            raise ValueError(f"feature {dataset.schema.features[i].name!r} {problem}")
-        m[:, j] = col
+            raise ValueError(f"feature {feature.name!r} {problem}")
     return m
 
 
-def _write_columns(dataset: Dataset, indices: Sequence[int], values: np.ndarray,
-                   schema: FeatureSchema | None = None) -> Dataset:
-    """The dataset with the listed columns replaced by the columns of values,
-    as Python floats with NaN as MISSING, under schema (default: the
-    dataset's own).  Each value fits its column, so Dataset.build is skipped."""
-    schema = schema or dataset.schema
-    if not dataset.rows:
-        return Dataset(schema, dataset.rows)
-    cols = list(zip(*dataset.rows))
-    missing = np.isnan(values)
-    for j, (i, col) in enumerate(zip(indices, values.T.tolist())):
-        if missing[:, j].any():
-            col = [MISSING if m else v for v, m in zip(col, missing[:, j])]
-        cols[i] = col
-    return Dataset(schema, tuple(zip(*cols)))
+def _require_numeric(dataset: Dataset, indices: Sequence[int]) -> np.ndarray:
+    """The listed columns as a checked n_rows x len(indices) matrix, C-ordered
+    like every column matrix here: the rounding of sums depends on the order."""
+    return _check_numeric(dataset.schema, indices, dataset.values.take(indices, axis=1))
 
 
 def _nearest_rows(queries: np.ndarray, reference: np.ndarray,
@@ -88,17 +73,12 @@ def encode_value(feature: Feature, cell) -> float:
     return idx / (k - 1) if k > 1 else 0.0
 
 
-def _code_matrix(dataset: Dataset, indices: Sequence[int]) -> np.ndarray:
-    """The listed columns as floats: NaN for MISSING, discrete symbols by
-    their encode_value codes."""
-    m = np.empty((dataset.n_rows, len(indices)))
-    for j, i in enumerate(indices):
-        feat = dataset.schema.features[i]
-        codes = {MISSING: np.nan}
-        if feat.kind == "discrete":
-            codes.update((symbol, encode_value(feat, symbol)) for symbol in feat.alphabet)
-        m[:, j] = [codes.get(cell, cell) for cell in dataset.column(i)]
-    return m
+def _encoded_columns(dataset: Dataset, indices: Sequence[int]) -> np.ndarray:
+    """The listed columns with each discrete code scaled as encode_value
+    scales it: code / (k - 1) for an alphabet of k > 1 symbols, else 0."""
+    features = [dataset.schema.features[i] for i in indices]
+    scale = [max(len(f.alphabet) - 1, 1) if f.kind == "discrete" else 1 for f in features]
+    return dataset.values.take(indices, axis=1) / scale
 
 
 def encode_numeric(dataset: Dataset) -> Dataset:
@@ -107,17 +87,15 @@ def encode_numeric(dataset: Dataset) -> Dataset:
     Binary features become 0/1.  Contextual and class features are left
     symbolic; MISSING cells pass through.
     """
-    targets = [
-        i for i, f in enumerate(dataset.schema)
-        if f.role is FeatureRole.PRIMARY and f.kind == "discrete"
-    ]
+    targets = [i for i, f in enumerate(dataset.schema)
+               if f.role is FeatureRole.PRIMARY and f.kind == "discrete"]
     if not targets:
         return dataset
     schema = FeatureSchema(tuple(
         replace(f, kind="continuous", alphabet=None) if i in targets else f
         for i, f in enumerate(dataset.schema)
     ))
-    return _write_columns(dataset, targets, _code_matrix(dataset, targets), schema)
+    return dataset.replace_columns(targets, _encoded_columns(dataset, targets), schema)
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +127,7 @@ def _minmax_scale(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 def apply_minmax(model: MinMaxModel, dataset: Dataset) -> Dataset:
     x = _require_numeric(dataset, model.indices)
     scaled = _minmax_scale(x, np.asarray(model.lo), np.asarray(model.hi))
-    return _write_columns(dataset, model.indices, scaled)
+    return dataset.replace_columns(model.indices, scaled)
 
 
 @dataclass(frozen=True)
@@ -172,7 +150,7 @@ def fit_zscore(fit_set: Dataset) -> ZScoreModel:
 def apply_zscore(model: ZScoreModel, dataset: Dataset) -> Dataset:
     x = _require_numeric(dataset, model.indices)
     z = (x - np.asarray(model.mu)) / np.maximum(model.sigma, SIGMA_FLOOR)
-    return _write_columns(dataset, model.indices, z)
+    return dataset.replace_columns(model.indices, z)
 
 
 @dataclass(frozen=True)
@@ -197,7 +175,7 @@ def apply_percentile(model: PercentileModel, dataset: Dataset) -> Dataset:
         below = np.searchsorted(vals, x[:, j], side="left")
         equal = np.searchsorted(vals, x[:, j], side="right") - below
         ranks[:, j] = (below + 0.5 * equal) / len(vals)
-    return _write_columns(dataset, model.indices, ranks)
+    return dataset.replace_columns(model.indices, ranks)
 
 
 # ---------------------------------------------------------------------------
@@ -239,9 +217,16 @@ def bin_index(boundaries: Sequence[float], x: float) -> int:
     return bisect.bisect_right(boundaries, float(x))
 
 
+def _bin_column(boundaries: Sequence[float], col: np.ndarray) -> np.ndarray:
+    """bin_index of every cell of a column (searchsorted on the right is
+    bisect_right); NaN stays NaN."""
+    return np.where(np.isnan(col), np.nan, np.searchsorted(boundaries, col, side="right"))
+
+
 def column_bins(dataset: Dataset, index: int, k: int) -> tuple[float, ...]:
     """equal_freq_bins over the non-MISSING values of one continuous column."""
-    return equal_freq_bins([float(c) for c in dataset.column(index) if c is not MISSING], k)
+    col = dataset.values[:, index]
+    return equal_freq_bins(col[~np.isnan(col)].tolist(), k)
 
 
 # ---------------------------------------------------------------------------
@@ -262,13 +247,34 @@ class ContextKey:
                 raise ValueError("bin boundaries must be strictly increasing")
             object.__setattr__(self, "boundaries", b)
 
-    def group_of(self, schema: FeatureSchema, row: Sequence):
-        cell = row[schema.index_of(self.feature)]
-        if self.boundaries is None:
-            return cell
-        if cell is MISSING:
-            return MISSING
-        return bin_index(self.boundaries, cell)
+    def groups(self, dataset: Dataset) -> tuple[np.ndarray, list]:
+        """The context group of every row of dataset, numbered in order of
+        first occurrence (-1 for MISSING), and the groups in that order: bin
+        indices of a binned feature, else symbols or values."""
+        i = dataset.schema.index_of(self.feature)
+        alphabet = dataset.schema.features[i].alphabet
+        if self.boundaries is not None:
+            if alphabet:
+                raise ValueError(f"bin boundaries need a continuous feature, not {self.feature!r}")
+            number, bins = _first_occurrence(_bin_column(self.boundaries, dataset.values[:, i]))
+            return number, [int(b) for b in bins]
+        number, codes = _first_occurrence(dataset.values[:, i])
+        return number, [alphabet[int(c)] for c in codes] if alphabet else codes.tolist()
+
+
+def _first_occurrence(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Number the distinct non-NaN codes in order of first occurrence: each
+    row's number (-1 for NaN) and the distinct codes in that order."""
+    present = ~np.isnan(codes)
+    distinct, first, inverse = np.unique(codes[present], return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    number = np.full(len(codes), -1)
+    number[present] = np.argsort(order)[inverse]
+    return number, distinct[order]
+
+
+def _mean_std(m: np.ndarray) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    return tuple(m.mean(axis=0)), tuple(m.std(axis=0))
 
 
 @dataclass(frozen=True)
@@ -284,11 +290,10 @@ class GroupContextModel:
     def row_stats(self, dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
         """Per-row mean and deviation matrices (n_rows x features) of the
         context group of each row of dataset."""
-        stats = np.array(
-            [self.groups.get(self.key.group_of(dataset.schema, row), self.fallback)
-             for row in dataset.rows],
-            dtype=float,
-        ).reshape(dataset.n_rows, 2, len(self.indices))
+        number, labels = self.key.groups(dataset)
+        table = [self.groups.get(label, self.fallback) for label in labels] + [self.fallback]
+        # number -1 (a MISSING group) picks the fallback appended last
+        stats = np.array(table, dtype=float).reshape(-1, 2, len(self.indices))[number]
         return stats[:, 0], stats[:, 1]
 
 
@@ -299,20 +304,11 @@ def fit_contextual(train: Dataset, key: ContextKey) -> GroupContextModel:
     m = _require_numeric(train, idx)
     if train.n_rows == 0:
         raise ValueError("cannot fit a context model on an empty set")
-    group_rows: dict[object, list[int]] = {}
-    for r, row in enumerate(train.rows):
-        g = key.group_of(train.schema, row)
-        if g is MISSING:
-            continue
-        group_rows.setdefault(g, []).append(r)
-    if not group_rows:
+    group, labels = key.groups(train)
+    if not labels:
         raise ValueError(f"context feature {key.feature!r} has no resolvable values")
-    groups = {}
-    for g, rows in group_rows.items():
-        sub = m[rows]
-        groups[g] = (tuple(sub.mean(axis=0)), tuple(sub.std(axis=0)))
-    fallback = (tuple(m.mean(axis=0)), tuple(m.std(axis=0)))
-    return GroupContextModel(idx, key, groups, fallback)
+    groups = {label: _mean_std(m[group == g]) for g, label in enumerate(labels)}
+    return GroupContextModel(idx, key, groups, _mean_std(m))
 
 
 @dataclass(frozen=True)
@@ -373,9 +369,8 @@ def fit_contextual_model(
             warnings.warn(
                 "degenerate context design; falling back to global statistics"
             )
-            global_stats = (tuple(feats.mean(axis=0)), tuple(feats.std(axis=0)))
             key = ContextKey(context_features[0], boundaries=None)
-            return GroupContextModel(idx, key, {}, global_stats)
+            return GroupContextModel(idx, key, {}, _mean_std(feats))
         coefs, *_ = np.linalg.lstsq(design, feats, rcond=None)
         resid = feats - design @ coefs
         sigma = resid.std(axis=0)
@@ -408,7 +403,7 @@ def apply_contextual(model, dataset: Dataset) -> Dataset:
     (x - mu(context)) / max(sigma(context), floor)."""
     x = _require_numeric(dataset, model.indices)
     mu, sigma = model.row_stats(dataset)
-    return _write_columns(dataset, model.indices, (x - mu) / np.maximum(sigma, SIGMA_FLOOR))
+    return dataset.replace_columns(model.indices, (x - mu) / np.maximum(sigma, SIGMA_FLOOR))
 
 
 # ---------------------------------------------------------------------------
@@ -432,28 +427,23 @@ def compute_weights(train: Dataset, key: ContextKey) -> WeightVector:
     """
     idx = train.schema.primary_indices
     m = _require_numeric(train, idx)
-    labels = train.class_labels()
     if train.n_rows == 0:
         raise ValueError("no labeled rows")
-    group_rows: dict[object, list[int]] = {}
-    cell_rows: dict[tuple, list[int]] = {}
-    for r, row in enumerate(train.rows):
-        g = key.group_of(train.schema, row)
-        if g is MISSING:
-            continue
-        group_rows.setdefault(g, []).append(r)
-        cell_rows.setdefault((g, labels[r]), []).append(r)
-    if not group_rows:
+    group, labels = key.groups(train)
+    if not labels:
         raise ValueError(f"context feature {key.feature!r} has no resolvable values")
-    inter = np.mean([m[rows].std(axis=0) for rows in group_rows.values()], axis=0)
-    intra = np.mean([m[rows].std(axis=0) for rows in cell_rows.values()], axis=0)
+    classes = train.values[:, train.schema.class_index]
+    n_classes = len(train.schema.class_feature.alphabet)
+    cell, cells = _first_occurrence(np.where(group >= 0, group * n_classes + classes, np.nan))
+    inter = np.mean([m[group == g].std(axis=0) for g in range(len(labels))], axis=0)
+    intra = np.mean([m[cell == c].std(axis=0) for c in range(len(cells))], axis=0)
     weights = inter / np.maximum(intra, SIGMA_FLOOR)
     return WeightVector(idx, tuple(weights), tuple(inter), tuple(intra))
 
 
 def apply_weights(weights: WeightVector, dataset: Dataset) -> Dataset:
     x = _require_numeric(dataset, weights.indices)
-    return _write_columns(dataset, weights.indices, np.asarray(weights.weights) * x)
+    return dataset.replace_columns(weights.indices, np.asarray(weights.weights) * x)
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +469,7 @@ def fit_expansion(train: Dataset, selected: Sequence[str]) -> ExpansionModel:
         if feat.role is not FeatureRole.CONTEXTUAL:
             raise ValueError(f"{name!r} is not a contextual feature")
         if feat.kind == "continuous":
-            col = _code_matrix(train, [schema.index_of(name)])
+            col = train.values[:, schema.index_of(name)]
             if np.isnan(col).all():
                 raise ValueError(f"contextual feature {name!r} is entirely MISSING")
             ranges[name] = (float(np.nanmin(col)), float(np.nanmax(col)))
@@ -502,8 +492,8 @@ def apply_expansion(model: ExpansionModel, dataset: Dataset) -> Dataset:
         (0.0, 1.0) if schema.features[i].kind == "discrete" else model.ranges[n]
         for i, n in zip(targets, model.selected)
     ]).T
-    scaled = _minmax_scale(_code_matrix(dataset, targets), lo, hi)
-    return _write_columns(dataset, targets, scaled, new_schema)
+    scaled = _minmax_scale(_encoded_columns(dataset, targets), lo, hi)
+    return dataset.replace_columns(targets, scaled, new_schema)
 
 
 # ---------------------------------------------------------------------------
@@ -516,13 +506,12 @@ def impute_missing(train: Dataset, target: Dataset) -> Dataset:
     that are present in both rows, after rescaling each feature into [0, 1]
     by the training min/max (a constant training feature rescales to 0.5).
     The donor for a cell must itself have that cell present; otherwise the
-    next-nearest donor supplies it.
+    next-nearest donor supplies it.  Target rows with a MISSING cell are
+    ranked against the training rows in blocks of _NN_BLOCK_ROWS.
     """
     schema = train.schema
-    indices = [
-        i for i, f in enumerate(schema) if f.role is not FeatureRole.CLASS
-    ]
-    train_raw = _code_matrix(train, indices)
+    indices = [i for i, f in enumerate(schema) if f.role is not FeatureRole.CLASS]
+    train_raw = _encoded_columns(train, indices)
     empty = np.isnan(train_raw).all(axis=0)
     if empty.any():
         name = schema.features[indices[int(empty.argmax())]].name
@@ -533,39 +522,27 @@ def impute_missing(train: Dataset, target: Dataset) -> Dataset:
 
     lo, hi = np.nanmin(train_raw, axis=0), np.nanmax(train_raw, axis=0)
     train_m = _minmax_scale(train_raw, lo, hi)
-    if target is train:
-        target_m = train_m
-    else:
-        target_m = _minmax_scale(_code_matrix(target, indices), lo, hi)
+    target_m = (train_m if target is train
+                else _minmax_scale(_encoded_columns(target, indices), lo, hi))
     train_present = ~np.isnan(train_m)
 
-    rows = []
-    for r, row in enumerate(target.rows):
-        if all(c is not MISSING for c in row):
-            rows.append(row)
-            continue
-        q = target_m[r]
-        q_present = ~np.isnan(q)
-        shared = train_present & q_present
-        diffs = np.where(shared, np.abs(train_m - q), 0.0)
-        sims = np.where(shared, 1.0 - diffs, 0.0).sum(axis=1)
+    cols = np.asarray(indices)
+    values = target.values.copy()
+    incomplete = np.flatnonzero(np.isnan(values).any(axis=1))
+    for start in range(0, len(incomplete), _NN_BLOCK_ROWS):
+        rows = incomplete[start:start + _NN_BLOCK_ROWS]
+        q = target_m[rows][:, None, :]
+        shared = train_present & ~np.isnan(q)
+        sims = np.where(shared, 1.0 - np.abs(train_m - q), 0.0).sum(axis=2)
         # stable ranking: best similarity first, earliest row wins ties
-        order = np.lexsort((np.arange(len(sims)), -sims))
-        out = list(row)
-        for j, i in enumerate(indices):
-            if out[i] is not MISSING:
-                continue
-            for donor in order:
-                cell = train.rows[donor][i]
-                if cell is not MISSING:
-                    out[i] = cell
-                    break
-            else:
-                raise ValueError(
-                    f"no donor with a value for {schema.features[i].name!r}"
-                )
-        rows.append(tuple(out))
-    return Dataset.build(target.schema, rows)
+        order = np.argsort(-sims, axis=1, kind="stable")
+        # each MISSING cell's donor is the best-ranked row with that cell
+        # present; every column has one, as none is entirely MISSING
+        r, j = np.nonzero(np.isnan(target_m[rows]))
+        ranked = order[r]
+        donors = ranked[np.arange(len(r)), train_present[ranked, j[:, None]].argmax(axis=1)]
+        values[rows[r], cols[j]] = train.values[donors, cols[j]]
+    return Dataset(target.schema, values)
 
 
 # ---------------------------------------------------------------------------
@@ -590,7 +567,7 @@ class PipelineConfig:
     expand: tuple[str, ...] = ()
     weight: bool = False
     context: ContextKey | None = None
-    baseline: Dataset | None = None
+    baseline: Dataset | None = field(default=None, hash=False)
     contextual_fit: str = "train"  # or "transductive"
     contextual_model: str = "groups"  # or "nn" / "linear" (regression on context)
     impute: bool = False

@@ -28,7 +28,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .data import MISSING, Dataset, JointSpec, validate_joint
+from .data import Dataset, JointSpec, validate_joint
 
 #: suggested tolerance for distributions estimated from ~10^4 samples
 EMPIRICAL_EPS = 0.03
@@ -114,16 +114,17 @@ def estimate_distribution(dataset: Dataset) -> JointDistribution:
             f"continuous features {continuous} must be binned first "
             "(see preprocess.equal_freq_bins)"
         )
-    counts = Counter(dataset.rows)
-    holes = [(i, c) for row, c in counts.items() for i, cell in enumerate(row) if cell is MISSING]
-    if holes:
-        first = dataset.schema.features[min(i for i, _ in holes)].name
+    missing = np.isnan(dataset.values)
+    if missing.any():
+        first = dataset.schema.features[int(missing.any(axis=0).argmax())].name
         raise ValueError(
-            f"{sum(c for _, c in holes)} MISSING cells (first in feature {first!r}); "
+            f"{int(missing.sum())} MISSING cells (first in feature {first!r}); "
             "the taxonomy tests need complete rows"
         )
     n = dataset.n_rows
-    probs = {t: c / n for t, c in counts.items()}
+    alphabets = [f.alphabet for f in dataset.schema]
+    counts = Counter(map(tuple, dataset.values.astype(np.intp).tolist()))
+    probs = {tuple(a[k] for a, k in zip(alphabets, codes)): c / n for codes, c in counts.items()}
     return JointDistribution(
         variables=dataset.schema.names,
         alphabets=tuple(f.alphabet for f in dataset.schema),

@@ -4,7 +4,7 @@ import pytest
 
 from ctxclass import cli, data
 
-from conftest import worked_spec
+from conftest import make_hepatitis_text, make_vowel_text, worked_spec
 
 
 @pytest.fixture()
@@ -148,6 +148,24 @@ class TestRunGrid:
     def test_bad_dataset_name(self):
         assert cli.main(["run-grid", "--dataset", "iris"]) == 1
 
+    def test_missing_hepatitis_class_is_load_error(self, tmp_path, capsys):
+        lines = make_hepatitis_text().splitlines()
+        lines[2] = "?," + lines[2].split(",", 1)[1]
+        p = tmp_path / "hepatitis.data"
+        p.write_text("\n".join(lines) + "\n")
+        assert cli.main(["run-grid", "--dataset", "hepatitis", "--data", str(p)]) == 2
+        assert "line 3: class cell is MISSING" in capsys.readouterr().err
+
+    def test_vowel_class_outside_alphabet_is_load_error(self, tmp_path, capsys):
+        lines = make_vowel_text().splitlines()
+        fields = lines[5].split()
+        fields[13] = "12"
+        lines[5] = " ".join(fields)
+        p = tmp_path / "vowel.data"
+        p.write_text("\n".join(lines) + "\n")
+        assert cli.main(["run-grid", "--dataset", "vowel", "--train", str(p)]) == 2
+        assert "line 6: symbol '12' not valid for 'vowel'" in capsys.readouterr().err
+
 
 class TestSynth:
     def test_writes_pair(self, tmp_path, capsys):
@@ -174,6 +192,24 @@ class TestCompareNormalizers:
     def test_unknown_baseline_class(self, capsys):
         code = cli.main(["compare-normalizers", "--baseline-class", "zz"])
         assert code == 3
+
+    def test_continuous_class_is_load_error(self, tmp_path, small_table, capsys):
+        dp, sp = small_table
+        sp.write_text(sp.read_text().replace(
+            '"kind": "discrete", "alphabet": ["a", "b"]', '"kind": "continuous"'))
+        dp.write_text("".join(f"{i % 2}.0,{i / 10},{i % 2}\n" for i in range(20)))
+        code = cli.main(["compare-normalizers", "--train", str(dp), "--train-schema", str(sp),
+                         "--test", str(dp), "--test-schema", str(sp)])
+        assert code == 2
+        assert "class feature 'cls' must be discrete" in capsys.readouterr().err
+
+    def test_missing_class_cell_is_load_error(self, tmp_path, small_table, capsys):
+        dp, sp = small_table
+        dp.write_text("a,0.1,0\n?,0.2,1\n")
+        code = cli.main(["compare-normalizers", "--train", str(dp), "--train-schema", str(sp),
+                         "--test", str(dp), "--test-schema", str(sp)])
+        assert code == 2
+        assert "line 2: class cell is MISSING" in capsys.readouterr().err
 
     def test_partial_file_args(self, small_table):
         dp, _ = small_table

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from ctxclass import data
@@ -50,6 +51,16 @@ class TestVowelLoader:
         with pytest.raises(LoadError, match=r"line 3: non-finite number 'nan' for 'f3'"):
             data.load_vowel(p, p)
 
+    def test_class_outside_alphabet_names_line(self, tmp_path):
+        text = make_vowel_text().splitlines()
+        fields = text[3].split()
+        fields[13] = "11"  # vowels are 0-10
+        text[3] = " ".join(fields)
+        p = tmp_path / "bad.data"
+        p.write_text("\n".join(text))
+        with pytest.raises(LoadError, match=r"line 4: symbol '11' not valid for 'vowel'"):
+            data.load_vowel(p, p)
+
     def test_wrong_counts_warn_not_error(self, tmp_path):
         lines = make_vowel_text().splitlines()[:100]
         p = tmp_path / "short.data"
@@ -89,6 +100,14 @@ class TestHepatitisLoader:
             data.load_hepatitis(p)
 
 
+    def test_missing_class_names_line(self, tmp_path):
+        lines = make_hepatitis_text().splitlines()
+        lines[2] = "?," + lines[2].split(",", 1)[1]
+        p = tmp_path / "bad.data"
+        p.write_text("\n".join(lines))
+        with pytest.raises(LoadError, match=r"line 3: class cell is MISSING"):
+            data.load_hepatitis(p)
+
     def test_non_finite_number_names_line_and_feature(self, tmp_path):
         lines = make_hepatitis_text(missing_rate=0.0).splitlines()
         fields = lines[1].split(",")
@@ -113,6 +132,19 @@ class TestGenericTable:
         ds = data.load_table(tmp_path / "t.csv", tmp_path / "t.schema.json")
         assert ds.n_rows == 2
         assert ds.rows[0] == ("a", 1.5, "0")
+
+    @pytest.mark.parametrize("cell", ["?", ""])
+    def test_missing_class_names_line(self, tmp_path, cell):
+        (tmp_path / "t.schema.json").write_text(self.SCHEMA)
+        (tmp_path / "t.csv").write_text(f"a,1.5,0\n{cell},2.5,1\n")
+        with pytest.raises(LoadError, match=r"line 2: class cell is MISSING"):
+            data.load_table(tmp_path / "t.csv", tmp_path / "t.schema.json")
+
+    def test_continuous_class_is_load_error(self, tmp_path):
+        (tmp_path / "t.schema.json").write_text(self.SCHEMA.replace(
+            '"kind": "discrete", "alphabet": ["a", "b"]', '"kind": "continuous"'))
+        with pytest.raises(LoadError, match="class feature 'cls' must be discrete"):
+            data.load_schema(tmp_path / "t.schema.json")
 
     def test_column_count_mismatch(self, tmp_path):
         (tmp_path / "t.schema.json").write_text(self.SCHEMA)
@@ -150,6 +182,40 @@ class TestGenericTable:
         data.write_table(ds, tmp_path / "out.csv", tmp_path / "out.schema.json")
         back = data.load_table(tmp_path / "out.csv", tmp_path / "out.schema.json")
         assert back.rows == ds.rows  # floats round-trip bit-exactly via repr
+
+
+class TestDatasetMatrix:
+    def test_values_are_read_only(self, synthetic_hepatitis):
+        values = synthetic_hepatitis.values
+        assert not values.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            values[0, 1] = 0.0
+
+    def test_constructor_freezes_the_matrix_it_is_given(self, table_spec):
+        schema = table_spec.schema()
+        values = np.zeros((2, len(schema)))
+        ds = data.Dataset(schema, values)
+        with pytest.raises(ValueError, match="read-only"):
+            values[0, 0] = 1.0
+        assert ds.rows == (("0", "0", "0", "0"),) * 2
+
+    def test_codes_and_views(self):
+        schema = data.FeatureSchema((
+            data.Feature("c", FeatureRole.CLASS, "discrete", ("u", "v", "u")),
+            data.Feature("x", FeatureRole.PRIMARY, "continuous"),
+            data.Feature("g", FeatureRole.CONTEXTUAL, "discrete", ("p", "q")),
+        ))
+        ds = data.Dataset.build(schema, [("v", 2.5, MISSING), ("u", MISSING, "q")])
+        # a repeated symbol takes its first index; NaN is MISSING
+        assert np.array_equal(ds.values, [[1, 2.5, np.nan], [0, np.nan, 1]], equal_nan=True)
+        assert ds.rows == (("v", 2.5, MISSING), ("u", MISSING, "q"))
+        assert ds.column(2) == (MISSING, "q")
+        assert ds.class_labels() == ("v", "u")
+        assert ds.missing_count() == 2
+
+    def test_shape_must_fit_schema(self, table_spec):
+        with pytest.raises(ValueError, match="do not fit the schema"):
+            data.Dataset(table_spec.schema(), np.zeros((3, 2)))
 
 
 class TestSplitRandom:

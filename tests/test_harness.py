@@ -305,3 +305,26 @@ def test_grid_runs_each_shared_stage_once_per_prefix(synthetic_hepatitis, monkey
     run_hepatitis_grid(synthetic_hepatitis, n_splits=3)
     # per split: impute train and test once, one normalization, two weightings
     assert calls == {"impute_missing": 6, "fit_contextual": 3, "compute_weights": 6}
+
+
+def test_grid_and_comparison_build_no_rows_after_loading(synthetic_hepatitis, planted,
+                                                         monkeypatch):
+    # every stage works on the loaded matrix: no row is validated or built again
+    calls = {"check_row": 0, "build": 0}
+    check_row, build = data.FeatureSchema.check_row, data.Dataset.build.__func__
+
+    def counting_check_row(*args, **kwargs):
+        calls["check_row"] += 1
+        return check_row(*args, **kwargs)
+
+    def counting_build(*args, **kwargs):
+        calls["build"] += 1
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(data.FeatureSchema, "check_row", counting_check_row)
+    monkeypatch.setattr(data.Dataset, "build", classmethod(counting_build))
+    run_hepatitis_grid(synthetic_hepatitis, classifier="mlr")
+    assert calls == {"check_row": 0, "build": 0}
+    train, test, baseline = planted
+    run_normalization_comparison(train, test, baseline=baseline)
+    assert calls == {"check_row": 0, "build": 0}

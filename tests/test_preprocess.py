@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ctxclass import data, preprocess
 from ctxclass.data import MISSING, Dataset, Feature, FeatureRole, FeatureSchema
@@ -263,6 +265,13 @@ class TestContextualGroups:
             assert mean == pytest.approx(0.0, abs=1e-9)
             assert dev == pytest.approx(1.0, abs=1e-9)
 
+    def test_bin_boundaries_on_a_discrete_context_are_an_error(self):
+        # the symbols "1"/"2" are codes 0/1 in the matrix: binning them would
+        # silently bin the codes, not the symbols
+        ds = numeric_dataset([[1.0, 2.0, 3.0]], ["a", "b", "a"], context=["1", "2", "2"])
+        with pytest.raises(ValueError, match="bin boundaries need a continuous feature"):
+            fit_contextual(ds, ContextKey("ctx", (1.5,)))
+
     def test_unseen_group_uses_fallback(self):
         train = numeric_dataset([[1.0, 3.0]], ["a", "b"], context=["g", "g"])
         test = numeric_dataset([[2.0]], ["a"], context=["h"])
@@ -458,7 +467,7 @@ class TestExpansion:
         age, sex = ds.schema.index_of("age"), ds.schema.index_of("sex")
 
         def with_age(value):
-            return Dataset(ds.schema, tuple(
+            return Dataset.build(ds.schema, tuple(
                 r[:age] + (MISSING if k % 7 == 0 else value(r[age]),) + r[age + 1:]
                 for k, r in enumerate(ds.rows)))
 
@@ -601,7 +610,7 @@ class TestImputation:
 
     def test_train_as_target_matches_an_equal_copy(self, synthetic_hepatitis):
         ds = synthetic_hepatitis
-        copy = Dataset(ds.schema, ds.rows)
+        copy = Dataset.build(ds.schema, ds.rows)
         assert copy is not ds
         filled = impute_missing(ds, ds)
         assert filled.missing_count() == 0
@@ -668,6 +677,112 @@ class TestImputation:
             for b, a in zip(before, after):
                 if b is not MISSING:
                     assert a == b
+
+
+def impute_oracle(train, target):
+    """The row-at-a-time impute_missing that the blocked version replaced,
+    kept as its reference: one similarity ranking and one donor walk per
+    target row, over the cells of the row views."""
+    schema = train.schema
+    indices = [i for i, f in enumerate(schema) if f.role is not FeatureRole.CLASS]
+
+    def code_matrix(ds):
+        m = np.empty((ds.n_rows, len(indices)))
+        for j, i in enumerate(indices):
+            feat = schema.features[i]
+            codes = {MISSING: np.nan}
+            if feat.kind == "discrete":
+                codes.update((s, preprocess.encode_value(feat, s)) for s in feat.alphabet)
+            m[:, j] = [codes.get(cell, cell) for cell in ds.column(i)]
+        return m
+
+    train_raw = code_matrix(train)
+    if target.missing_count() == 0:
+        return target
+    lo, hi = np.nanmin(train_raw, axis=0), np.nanmax(train_raw, axis=0)
+    train_m = preprocess._minmax_scale(train_raw, lo, hi)
+    target_m = train_m if target is train else preprocess._minmax_scale(code_matrix(target), lo, hi)
+    train_present = ~np.isnan(train_m)
+    train_rows = train.rows
+    rows = []
+    for r, row in enumerate(target.rows):
+        if all(c is not MISSING for c in row):
+            rows.append(row)
+            continue
+        q = target_m[r]
+        shared = train_present & ~np.isnan(q)
+        diffs = np.where(shared, np.abs(train_m - q), 0.0)
+        sims = np.where(shared, 1.0 - diffs, 0.0).sum(axis=1)
+        order = np.lexsort((np.arange(len(sims)), -sims))
+        out = list(row)
+        for i in indices:
+            if out[i] is MISSING:
+                out[i] = next(train_rows[d][i] for d in order if train_rows[d][i] is not MISSING)
+        rows.append(tuple(out))
+    return Dataset.build(target.schema, rows)
+
+
+@st.composite
+def imputation_tables(draw):
+    """A training table and a target table (or the training table itself)
+    over 1-4 continuous and discrete non-class features, the class placed
+    anywhere.  Cells come from a few coarse values, so equal similarities
+    occur; some training columns are constant; every training column has a
+    value; 1-14 target rows."""
+    n_feat = draw(st.integers(1, 4))
+    feats, pools = [], []
+    for j in range(n_feat):
+        if draw(st.booleans()):
+            alphabet = ("a", "b", "c")[:draw(st.integers(1, 3))]
+            feats.append(Feature(f"d{j}", FeatureRole.CONTEXTUAL, "discrete", alphabet))
+            pools.append(list(alphabet))
+        else:
+            feats.append(Feature(f"x{j}", FeatureRole.PRIMARY, "continuous"))
+            pools.append([0.0, 0.5, 1.0, 2.0])
+    class_at = draw(st.integers(0, n_feat))
+    feats.insert(class_at, Feature("cls", FeatureRole.CLASS, "discrete", ("u", "v")))
+    schema = FeatureSchema(tuple(feats))
+    constant = [draw(st.booleans()) and draw(st.booleans()) for _ in range(n_feat)]
+
+    def table(n_rows, fill_every_column):
+        columns = []
+        for pool, const in zip(pools, constant):
+            values = pool[:1] if const else pool
+            col = [draw(st.sampled_from([MISSING, *values, *values])) for _ in range(n_rows)]
+            if fill_every_column and all(c is MISSING for c in col):
+                col[0] = values[-1]
+            columns.append(col)
+        labels = [draw(st.sampled_from(["u", "v"])) for _ in range(n_rows)]
+        rows = [list(r) for r in zip(*columns)]
+        for row, label in zip(rows, labels):
+            row.insert(class_at, label)
+        return Dataset.build(schema, rows)
+
+    train = table(draw(st.integers(1, 9)), True)
+    if draw(st.booleans()):
+        return train, train
+    return train, table(draw(st.integers(1, 14)), False)
+
+
+class TestImputationMatchesOracle:
+    @pytest.mark.parametrize("part", ["train", "test"])
+    def test_every_hepatitis_grid_split(self, synthetic_hepatitis, part):
+        rng = random.Random(0)  # the split seeds run_hepatitis_grid draws at seed 0
+        for split_seed in [rng.randrange(2**32) for _ in range(10)]:
+            train, test = data.split_random(synthetic_hepatitis, 100, split_seed)
+            target = train if part == "train" else test
+            assert target.missing_count() > 0
+            assert impute_missing(train, target) == impute_oracle(train, target)
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(tables=imputation_tables())
+    def test_random_tables_in_small_blocks(self, monkeypatch, tables):
+        monkeypatch.setattr(preprocess, "_NN_BLOCK_ROWS", 3)
+        train, target = tables
+        got, want = impute_missing(train, target), impute_oracle(train, target)
+        assert got == want
+        assert got.rows == want.rows
 
 
 class TestEncodeNumeric:
@@ -739,6 +854,15 @@ class TestPipeline:
             PipelineConfig(normalize="baseline")
         with pytest.raises(ValueError):
             PipelineConfig(normalize="bogus")
+
+    def test_config_with_a_baseline_stays_hashable(self, synthetic_vowel_pair):
+        # a Dataset holds a mutable-typed matrix and is unhashable; the config
+        # hashes without it and still compares it
+        train, _ = synthetic_vowel_pair
+        a = PipelineConfig(normalize="baseline", baseline=train)
+        b = PipelineConfig(normalize="baseline", baseline=train.subset(range(train.n_rows)))
+        assert a == b and hash(a) == hash(b)
+        assert a != PipelineConfig(normalize="baseline", baseline=train.subset([0]))
 
     def test_fit_uses_only_fit_set(self):
         train = numeric_dataset([[0.0, 10.0]], ["a", "b"])
