@@ -2,7 +2,9 @@
 
 Both consume the primary features of an encoded dataset as plain real
 vectors and are deterministic: ties break toward the lowest training-row
-index (nearest neighbor) or the lowest class index (discriminant).
+index (nearest neighbor) or the lowest class index (discriminant).  The
+discriminant picks its features by forward selection or, without it, by
+column-pivoted Gram-Schmidt, and ties there go to the lowest column.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .data import MISSING, Dataset, FeatureSchema
 from .preprocess import _check_numeric, _nearest_rows, _require_numeric
@@ -125,17 +126,26 @@ def _fit_selected(x: np.ndarray, y: np.ndarray,
     return intercept, selected, coefs, dropped
 
 
+def _sweep(b: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Project the unit vector b out of every column of z, in place, and return
+    the squared column norms left; summed column by column, not as a matrix
+    product, so that equal columns stay bit-equal and tie."""
+    z -= b[:, None] * (b[:, None] * z).sum(axis=0)
+    return (z * z).sum(axis=0)
+
+
 def _fit_full(x: np.ndarray, y: np.ndarray) -> tuple[float, tuple, tuple, tuple]:
-    """Least squares on all features via pivoted QR; near-singular columns
-    (pivot below PIVOT_TOL of the leading pivot) are dropped."""
-    # center the columns first: the intercept is always in the basis, so any
-    # column collinear with it (or with the others) must pivot out here
-    centered = x - x.mean(axis=0)
-    _, r, piv = scipy.linalg.qr(centered, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(np.atleast_2d(r)))
-    lead = diag[0] if diag.size else 0.0
-    selected = tuple(sorted(piv[j] for j in range(len(diag)) if diag[j] > PIVOT_TOL * lead))
-    return _fit_selected(x, y, selected)
+    """Least squares on the columns that column-pivoted Gram-Schmidt keeps: the largest
+    residual norm first (Businger-Golub; the lowest index among norms equal within
+    rounding), while that norm is above PIVOT_TOL of the first."""
+    z, selected = x - x.mean(axis=0), []  # centered: the intercept is in every fit
+    zz = (z * z).sum(axis=0)
+    stop = PIVOT_TOL ** 2 * zz.max(initial=0.0)
+    while zz.max(initial=0.0) > stop:
+        selected.append(j := int(np.argmax(zz)))
+        zz = _sweep(z[:, j] / np.sqrt(zz[j]), z)
+        zz[selected] = 0.0
+    return _fit_selected(x, y, tuple(sorted(selected)))
 
 
 def _fit_forward(
@@ -164,13 +174,10 @@ def _fit_forward(
     while True:
         q[:, len(selected)] = b
         r -= b * (b @ r)
-        # summed column by column, not as a matrix product, so that equal
-        # columns stay bit-equal and tie
-        z -= b[:, None] * (b[:, None] * z).sum(axis=0)
+        zz = _sweep(b, z)
         rss = float(r @ r)
         if len(selected) == limit:
             break
-        zz = (z * z).sum(axis=0)
         collinear = zz <= collinear_below
         t = (z * r[:, None]).sum(axis=0) / np.where(collinear, 1.0, zz)
         cand = ((r[:, None] - z * t) ** 2).sum(axis=0)

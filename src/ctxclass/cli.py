@@ -53,6 +53,13 @@ def _bin_count(text: str) -> int:
     return k
 
 
+def _tolerance(text: str) -> float:
+    eps = float(text)
+    if not 0 <= eps < float("inf"):
+        raise argparse.ArgumentTypeError(f"need a finite tolerance >= 0, got {text}")
+    return eps
+
+
 def _split_count(text: str) -> int:
     k = int(text)
     if k < 2:
@@ -68,7 +75,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--data", help="CSV data file (requires --schema)")
     p.add_argument("--schema", help="JSON schema sidecar for --data")
     p.add_argument("--spec", help="JSON joint-distribution file (exact probabilities)")
-    p.add_argument("--eps", type=float, default=None,
+    p.add_argument("--eps", type=_tolerance, default=None,
                    help="comparison tolerance (default: 1e-9 for --spec, 0.03 for --data)")
     p.add_argument("--bins", type=_bin_count, default=None,
                    help="equal-frequency bin count for continuous features")
@@ -238,6 +245,9 @@ def _cmd_compare_normalizers(args) -> int:
     except (data.LoadError, OSError) as exc:
         sys.stderr.write(f"compare-normalizers: {exc}\n")
         return EXIT_LOAD
+    except ValueError as exc:  # synthetic-pair parameters
+        sys.stderr.write(f"compare-normalizers: {exc}\n")
+        return EXIT_USAGE
     label = args.baseline_class or train.schema.class_feature.alphabet[0]
     baseline_rows = [i for i, c in enumerate(train.class_labels()) if c == label]
     if not baseline_rows:

@@ -576,8 +576,8 @@ class PlantedContextParams:
             raise ValueError("need at least 2 classes and 1 primary feature")
         if self.n_train < self.n_classes or self.n_test < 1:
             raise ValueError("too few rows requested")
-        if self.noise < 0 or self.shift < 0:
-            raise ValueError("shift and noise must be nonnegative")
+        if not (0 <= self.shift < math.inf and 0 <= self.noise < math.inf):
+            raise ValueError("shift and noise must be finite and nonnegative")
         for lo, hi in (self.train_context, self.test_context):
             if not lo < hi:
                 raise ValueError("context ranges must be non-degenerate (lo < hi)")

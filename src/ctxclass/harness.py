@@ -14,8 +14,7 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-import scipy.stats
-
+from ._dist import student_t_two_sided
 from .classify import (
     SelectionParams,
     mlr_fit,
@@ -263,7 +262,8 @@ def synergy(report: ExperimentReport) -> tuple[int, int]:
 def paired_t_test(
     acc_a: Sequence[float], acc_b: Sequence[float], combo: tuple = ()
 ) -> TTestResult:
-    """Two-sided paired Student t on per-split accuracy differences."""
+    """Two-sided paired Student t on per-split accuracy differences; the
+    p-value is the Student tail of ``_dist``, an incomplete beta function."""
     if len(acc_a) != len(acc_b):
         raise ValueError("sequences must have equal length")
     if len(acc_a) < 2:
@@ -280,8 +280,7 @@ def paired_t_test(
             return TTestResult(combo, 0.0, 1.0)
         return TTestResult(combo, None, None, no_variance=True)
     t = mean / (sd / math.sqrt(n))
-    p = 2.0 * float(scipy.stats.t.sf(abs(t), n - 1))
-    return TTestResult(combo, t, p)
+    return TTestResult(combo, t, student_t_two_sided(t, n - 1))
 
 
 # ---------------------------------------------------------------------------

@@ -297,8 +297,11 @@ def classify_features(dist: JointDistribution, eps: float = EXACT_EPS) -> Featur
 
     Definition order matters: the contextual test only applies to features
     that failed the primary test, and irrelevant is the residual label.
-    The distribution is encoded once for all the tests.
+    The distribution is encoded once for all the tests.  ``eps`` must be
+    finite and nonnegative.
     """
+    if not 0 <= eps < np.inf:
+        raise ValueError(f"tolerance must be finite and nonnegative, got {eps}")
     support = _Support(dist)
     labels: dict[str, str] = {}
     witnesses: dict[str, tuple] = {}

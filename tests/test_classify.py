@@ -2,6 +2,7 @@ import random
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -353,3 +354,85 @@ class TestForwardSelectionMatchesOracle:
         model = mlr_fit(train, SelectionParams())
         assert any(eq.selected for eq in model.equations)
         assert len(calls) == len(model.equations) == 2
+
+
+def _oracle_full_columns(x):
+    """The columns scipy's pivoted Householder QR of the centered design keeps:
+    those whose pivot |R_jj| exceeds PIVOT_TOL of the leading one."""
+    _, r, piv = scipy.linalg.qr(x - x.mean(axis=0), mode="economic", pivoting=True)
+    diag = np.abs(np.diag(np.atleast_2d(r)))
+    lead = diag[0] if diag.size else 0.0
+    return tuple(sorted(int(piv[j]) for j in range(len(diag)) if diag[j] > classify.PIVOT_TOL * lead))
+
+
+@st.composite
+def full_fit_designs(draw, dependent):
+    """2-24 rows of 1-6 columns, random at mixed scales; with ``dependent``
+    some columns are duplicates of earlier ones, constants or exact sums of
+    two earlier ones, at least one of them."""
+    n = draw(st.integers(2, 24))
+    labels = [f"c{c}" for c in draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = ["random", "duplicate", "constant", "sum"] if dependent else ["random"]
+    columns = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "duplicate" and columns:
+            col = columns[draw(st.integers(0, len(columns) - 1))].copy()
+        elif kind == "sum" and len(columns) >= 2:
+            a, b = draw(st.lists(st.integers(0, len(columns) - 1), min_size=2, max_size=2,
+                                 unique=True))
+            col = columns[a] + columns[b]
+        elif kind == "constant":
+            col = np.full(n, rng.normal())
+        else:
+            col = rng.normal(size=n) * 10.0 ** rng.integers(-2, 3)
+        columns.append(col)
+    if dependent and not draw(st.booleans()):
+        columns.append(columns[draw(st.integers(0, len(columns) - 1))].copy())
+    return np.column_stack(columns), labels
+
+
+def _full_fit_columns(x, labels):
+    model = mlr_fit(numeric_dataset([c.tolist() for c in x.T], labels),
+                    SelectionParams(enabled=False))
+    kept = {eq.selected for eq in model.equations}
+    assert len(kept) == 1, "the kept columns depend on the design alone"
+    for eq in model.equations:
+        assert eq.dropped == tuple(j for j in range(x.shape[1]) if j not in eq.selected)
+    return kept.pop()
+
+
+class TestFullFitMatchesPivotedQR:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(design=full_fit_designs(dependent=False))
+    def test_keeps_the_oracle_columns(self, design):
+        x, labels = design
+        assert _full_fit_columns(x, labels) == _oracle_full_columns(x)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(design=full_fit_designs(dependent=True))
+    def test_dependent_design_keeps_the_oracle_column_space(self, design):
+        # which member of an exactly dependent set pivots in rests on rounding,
+        # so the kept sets may differ; they must span the same columns
+        x, labels = design
+        got, want = _full_fit_columns(x, labels), _oracle_full_columns(x)
+        centered = x - x.mean(axis=0)
+        tol = 1e-9 * max(1.0, float(np.abs(x).max()))
+
+        def rank(cols):
+            return np.linalg.matrix_rank(centered[:, sorted(cols)], tol=tol) if cols else 0
+
+        assert len(got) == len(want)
+        assert rank(got) == rank(want) == rank(set(got) | set(want))
+
+    def test_equal_columns_tie_to_the_lowest_index(self):
+        rng = random.Random(8)
+        a, b = ([rng.gauss(0, 1) for _ in range(12)] for _ in range(2))
+        labels = [rng.choice("ab") for _ in range(12)]
+        x = np.column_stack([b, a, a, b])
+        assert _full_fit_columns(x, labels) == (0, 1)
+
+    def test_exactly_centered_constant_design_keeps_nothing(self):
+        x = np.column_stack([np.full(5, 2.0), np.zeros(5)])
+        assert _full_fit_columns(x, ["a", "b", "a", "b", "a"]) == ()

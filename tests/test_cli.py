@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -93,6 +97,13 @@ class TestTaxonomyCommand:
         assert code == 3
         assert "distinct values" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("eps", ["nan", "inf", "-0.5"])
+    def test_non_finite_or_negative_eps_is_usage_error(self, spec_file, tmp_path, eps, capsys):
+        out = tmp_path / "verdict.json"
+        code = cli.main(["taxonomy", "--spec", str(spec_file), "--eps", eps, "--json", str(out)])
+        assert code == 1
+        assert "finite tolerance" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_cells_are_precondition(self, tmp_path, capsys):
         sp = tmp_path / "m.schema.json"
@@ -182,12 +193,28 @@ class TestSynth:
     def test_bad_params(self, tmp_path):
         assert cli.main(["synth", "--classes", "1", "--out", str(tmp_path / "x")]) == 1
 
+    @pytest.mark.parametrize("flag", ["--shift", "--noise"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_non_finite_or_negative_shift_and_noise_are_usage_errors(self, tmp_path, flag,
+                                                                      value, capsys):
+        base = tmp_path / "pair"
+        assert cli.main(["synth", flag, value, "--out", str(base)]) == 1
+        assert "finite and nonnegative" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestCompareNormalizers:
     def test_synthetic_default(self, capsys):
         assert cli.main(["compare-normalizers", "--noise", "0.05"]) == 0
         out = capsys.readouterr().out
         assert "contextual-linear" in out and "nn" in out
+
+    @pytest.mark.parametrize("flag", ["--shift", "--noise"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_non_finite_or_negative_shift_and_noise_are_usage_errors(self, flag, value,
+                                                                      capsys):
+        assert cli.main(["compare-normalizers", flag, value]) == 1
+        assert "finite and nonnegative" in capsys.readouterr().err
 
     def test_unknown_baseline_class(self, capsys):
         code = cli.main(["compare-normalizers", "--baseline-class", "zz"])
@@ -338,3 +365,32 @@ class TestParser:
     def test_help_exits_zero(self, capsys):
         assert cli.main(["--help"]) == 0
         assert "taxonomy" in capsys.readouterr().out
+
+
+# a fresh interpreter that runs the given commands through cli.main and prints
+# their exit codes and every scipy module then loaded
+_SCIPY_GUARD = """import json, sys
+from ctxclass import cli
+codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps([codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+"""
+
+
+def test_commands_run_without_scipy(vowel_file, hepatitis_file, spec_file, tmp_path):
+    commands = [
+        ["run-grid", "--dataset", "vowel", "--train", str(vowel_file), "--classifier", "nn"],
+        ["run-grid", "--dataset", "vowel", "--train", str(vowel_file), "--classifier", "mlr"],
+        ["run-grid", "--dataset", "hepatitis", "--data", str(hepatitis_file), "--splits", "3",
+         "--classifier", "nn"],
+        ["run-grid", "--dataset", "hepatitis", "--data", str(hepatitis_file), "--splits", "3",
+         "--classifier", "mlr", "--out", str(tmp_path / "hep")],
+        ["compare-normalizers", "--out", str(tmp_path / "norm")],
+        ["taxonomy", "--spec", str(spec_file)],
+    ]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_GUARD, json.dumps(commands)],
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+                          timeout=300, check=True)
+    codes, scipy_modules = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0] * len(commands)
+    assert scipy_modules == []

@@ -347,6 +347,12 @@ class TestPlantedContext:
         with pytest.raises(ValueError):
             data.PlantedContextParams(train_context=(1.0, 1.0))
 
+    @pytest.mark.parametrize("field", ["shift", "noise"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+    def test_shift_and_noise_must_be_finite_and_nonnegative(self, field, value):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            data.PlantedContextParams(**{field: value})
+
 
 def _encoded(train, test):
     from ctxclass import preprocess

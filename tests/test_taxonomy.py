@@ -184,6 +184,11 @@ class TestClassifyFeatures:
         v = classify_features(estimate_distribution(ds), eps=0.03)
         assert v.labels == classify_features(worked_dist).labels
 
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf"), -0.5])
+    def test_tolerance_must_be_finite_and_nonnegative(self, worked_dist, eps):
+        with pytest.raises(ValueError, match="tolerance"):
+            classify_features(worked_dist, eps)
+
     def test_trichotomy(self, worked_dist):
         v = classify_features(worked_dist)
         assert set(v.labels) == {"x1", "x2", "x3"}
