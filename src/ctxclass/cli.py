@@ -125,7 +125,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--data", required=True)
     p.add_argument("--schema", required=True)
     p.add_argument("--mode", default="zscore",
-                   choices=[m for m in preprocess.NORMALIZE_MODES if m not in ("off", "baseline")])
+                   choices=("minmax", "zscore", "percentile", "contextual"))
     p.add_argument("--context", help="context feature for --mode contextual")
     p.add_argument("--bins", type=_bin_count, default=None,
                    help="equal-frequency bins for a continuous context feature")
@@ -222,12 +222,20 @@ def _cmd_run_grid(args) -> int:
     return EXIT_OK
 
 
+def _check_same_schema(train, test, train_schema, test_schema) -> None:
+    """Models apply by the training schema's column positions and codes, so
+    a pair whose sidecars differ is a load error."""
+    if train.schema != test.schema:
+        raise data.LoadError(f"{train_schema} and {test_schema} describe different schemas")
+
+
 def _load_pair(args):
     if args.train:
         if not (args.train_schema and args.test and args.test_schema):
             raise _UsageError(EXIT_USAGE)
         train = data.load_table(args.train, args.train_schema)
         test = data.load_table(args.test, args.test_schema)
+        _check_same_schema(train, test, args.train_schema, args.test_schema)
     else:
         params = data.PlantedContextParams(shift=args.shift, noise=args.noise)
         train, test = data.plant_context_dataset(params, args.seed)
@@ -248,6 +256,9 @@ def _cmd_compare_normalizers(args) -> int:
     except ValueError as exc:  # synthetic-pair parameters
         sys.stderr.write(f"compare-normalizers: {exc}\n")
         return EXIT_USAGE
+    if test.n_rows == 0:
+        sys.stderr.write("compare-normalizers: test set has no rows\n")
+        return EXIT_PRECONDITION
     label = args.baseline_class or train.schema.class_feature.alphabet[0]
     baseline_rows = [i for i, c in enumerate(train.class_labels()) if c == label]
     if not baseline_rows:
@@ -290,7 +301,9 @@ def _cmd_impute(args) -> int:
     try:
         target = data.load_table(args.data, args.schema)
         if args.train:
-            train = data.load_table(args.train, args.train_schema or args.schema)
+            train_schema = args.train_schema or args.schema
+            train = data.load_table(args.train, train_schema)
+            _check_same_schema(train, target, train_schema, args.schema)
         else:
             train = target
     except (data.LoadError, OSError) as exc:

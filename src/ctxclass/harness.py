@@ -103,7 +103,7 @@ def run_strategy_grid(
     classifier: str,
     context: ContextKey,
     expand_feature: str | None,
-    contextual_fit: str = "train",
+    normalize: str = "contextual",
     impute: bool = False,
 ) -> tuple[CellResult, ...]:
     """Score the 8 combos of STRATEGY_COMBOS on one train/test pair.
@@ -115,9 +115,11 @@ def run_strategy_grid(
     normalization, 2 weightings, 4 expansions).  Every stage reads only the
     output of the stage before it and encoding already-encoded data changes
     nothing, so each leaf equals the full per-combo run_pipeline output.
+    The normalizer is ``normalize``: "contextual" fits group statistics on
+    the training split, "contextual-transductive" on each split's own rows.
     """
     stages = (
-        PipelineConfig(normalize="contextual", context=context, contextual_fit=contextual_fit),
+        PipelineConfig(normalize=normalize, context=context),
         PipelineConfig(weight=True, context=context),
         PipelineConfig(expand=(expand_feature,) if expand_feature else ()),
     )
@@ -139,15 +141,16 @@ def run_strategy_grid(
 
 def run_vowel_grid(train: Dataset, test: Dataset, classifier: str) -> ExperimentReport:
     """The 8-combo grid on the vowel pair: speaker is the context, sex is the
-    expansion feature, and contextual normalization is transductive (each
-    speaker's statistics come from that speaker's own rows)."""
+    expansion feature, and the normalizer is "contextual-transductive": the
+    group statistics of each speaker are fitted on that speaker's own rows
+    in whichever split they fall, then applied to those rows."""
     cells = run_strategy_grid(
         train,
         test,
         classifier,
         context=ContextKey("speaker"),
         expand_feature="sex",
-        contextual_fit="transductive",
+        normalize="contextual-transductive",
     )
     return ExperimentReport("vowel", classifier, cells)
 
@@ -212,9 +215,10 @@ def run_normalization_comparison(
 ) -> ExperimentReport:
     """One cell per (classifier, normalizer) on a labeled pair with context.
 
-    ``baseline`` is the reference set for the baseline z-score and the two
-    model-based contextual normalizers (regression of each feature on the
-    continuous context feature)."""
+    Each name in ``normalizers`` is a PipelineConfig normalizer: fitted on
+    the training split, or, for "baseline", "contextual-nn" and
+    "contextual-linear", on ``baseline``, the reference set; the contextual
+    ones read ``context_feature`` (default: the first contextual feature)."""
     if context_feature is None:
         ctx_idx = train.schema.contextual_indices
         if not ctx_idx:
@@ -223,25 +227,9 @@ def run_normalization_comparison(
     cells = []
     for classifier in classifiers:
         for norm in normalizers:
-            if norm == "none":
-                config = PipelineConfig(normalize="off")
-            elif norm in ("minmax", "zscore", "percentile"):
-                config = PipelineConfig(normalize=norm)
-            elif norm == "baseline":
-                if baseline is None:
-                    raise ValueError("baseline normalizer requires a baseline set")
-                config = PipelineConfig(normalize="baseline", baseline=baseline)
-            elif norm in ("contextual-nn", "contextual-linear"):
-                if baseline is None:
-                    raise ValueError(f"{norm} requires a baseline set")
-                config = PipelineConfig(
-                    normalize="contextual",
-                    context=ContextKey(context_feature),
-                    contextual_model=norm.split("-")[1],
-                    baseline=baseline,
-                )
-            else:
-                raise ValueError(f"unknown normalizer {norm!r}")
+            config = PipelineConfig(
+                normalize=norm, context=ContextKey(context_feature), baseline=baseline
+            )
             tr, te = run_pipeline(config, train, test)
             correct = evaluate(classifier, tr, te)
             cells.append(CellResult((classifier, norm), correct, test.n_rows))

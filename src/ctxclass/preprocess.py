@@ -10,6 +10,11 @@ out of the dataset's matrix, transform them elementwise (context models give
 per-row mean and deviation matrices via ``row_stats``) and return a new
 Dataset holding a copy of the matrix with those columns replaced; rows stay
 independent.
+
+A normalizer is a fit, an apply, and the set it is fitted on: the training
+split ("minmax", "zscore", "percentile", "contextual"), a baseline set
+("baseline", "contextual-nn", "contextual-linear"), or each split itself
+("contextual-transductive").  NORMALIZERS lists them after "none".
 """
 
 from __future__ import annotations
@@ -509,6 +514,8 @@ def impute_missing(train: Dataset, target: Dataset) -> Dataset:
     next-nearest donor supplies it.  Target rows with a MISSING cell are
     ranked against the training rows in blocks of _NN_BLOCK_ROWS.
     """
+    if train.n_rows == 0:
+        raise ValueError("the training set is empty")
     schema = train.schema
     indices = [i for i, f in enumerate(schema) if f.role is not FeatureRole.CLASS]
     train_raw = _encoded_columns(train, indices)
@@ -548,7 +555,9 @@ def impute_missing(train: Dataset, target: Dataset) -> Dataset:
 # ---------------------------------------------------------------------------
 # Pipeline
 
-NORMALIZE_MODES = ("off", "minmax", "zscore", "percentile", "baseline", "contextual")
+NORMALIZERS = ("none", "minmax", "zscore", "percentile", "baseline", "contextual",
+               "contextual-transductive", "contextual-nn", "contextual-linear")
+_BASELINE_FITTED = ("baseline", "contextual-nn", "contextual-linear")
 
 
 @dataclass(frozen=True)
@@ -556,35 +565,49 @@ class PipelineConfig:
     """Which transforms to run, in the fixed order
     impute -> encode -> normalize -> weight -> expand.
 
+    ``normalize`` names one of NORMALIZERS, a fit and an apply: fitted on
+    the set the module docstring gives for it (a baseline set is encoded,
+    and imputed from itself under ``impute``), then applied to both splits.
     Expanded features are appended after weighting and are never weighted
-    themselves.  ``contextual_fit`` selects the protocol for contextual
-    normalization: "train" fits group statistics on the training split and
-    reuses them; "transductive" fits each dataset's groups on its own rows
-    (the buffered-samples protocol for contexts absent from training).
+    themselves.
     """
 
-    normalize: str = "off"
+    normalize: str = "none"
     expand: tuple[str, ...] = ()
     weight: bool = False
     context: ContextKey | None = None
     baseline: Dataset | None = field(default=None, hash=False)
-    contextual_fit: str = "train"  # or "transductive"
-    contextual_model: str = "groups"  # or "nn" / "linear" (regression on context)
     impute: bool = False
 
     def __post_init__(self):
-        if self.normalize not in NORMALIZE_MODES:
-            raise ValueError(f"unknown normalize mode {self.normalize!r}")
-        if self.contextual_fit not in ("train", "transductive"):
-            raise ValueError(f"unknown contextual_fit {self.contextual_fit!r}")
-        if self.contextual_model not in ("groups", "nn", "linear"):
-            raise ValueError(f"unknown contextual_model {self.contextual_model!r}")
-        needs_context = self.weight or self.normalize == "contextual"
+        if self.normalize not in NORMALIZERS:
+            raise ValueError(f"unknown normalizer {self.normalize!r}")
+        needs_context = self.weight or self.normalize.startswith("contextual")
         if needs_context and self.context is None:
             raise ValueError("contextual normalization / weighting require a context key")
-        if self.normalize == "baseline" and self.baseline is None:
-            raise ValueError("baseline normalization requires a baseline set")
+        if self.normalize in _BASELINE_FITTED and self.baseline is None:
+            raise ValueError(f"{self.normalize} normalization requires a baseline set")
         object.__setattr__(self, "expand", tuple(self.expand))
+
+
+def _fit_normalizer(config: PipelineConfig, train: Dataset):
+    """The model of config.normalize fitted on its fit set, and the apply_*
+    function that uses it."""
+    name, fit_set = config.normalize, train
+    if name in _BASELINE_FITTED:
+        fit_set = encode_numeric(config.baseline)
+        if config.impute:
+            fit_set = impute_missing(fit_set, fit_set)
+    if name == "minmax":
+        return fit_minmax(fit_set), apply_minmax
+    if name == "percentile":
+        return fit_percentile(fit_set), apply_percentile
+    if name in ("zscore", "baseline"):
+        return fit_zscore(fit_set), apply_zscore
+    if name == "contextual":
+        return fit_contextual(fit_set, config.context), apply_contextual
+    regressor = name.split("-")[1]  # contextual-nn or contextual-linear
+    return fit_contextual_model(fit_set, [config.context.feature], regressor), apply_contextual
 
 
 def run_pipeline(
@@ -592,45 +615,19 @@ def run_pipeline(
 ) -> tuple[Dataset, Dataset]:
     """Apply the configured transforms to a train/test pair.
 
-    All parameters are fitted on the training split (or the baseline set),
-    except transductive contextual normalization, which fits each split's
-    context groups on that split's own rows.
+    Imputation, weighting and expansion are fitted on the training split;
+    the normalizer on its fit set (see PipelineConfig), then applied to both.
     """
     if config.impute:
         train, test = impute_missing(train, train), impute_missing(train, test)
     train, test = encode_numeric(train), encode_numeric(test)
 
-    if config.normalize == "minmax":
-        model = fit_minmax(train)
-        train, test = apply_minmax(model, train), apply_minmax(model, test)
-    elif config.normalize == "zscore":
-        model = fit_zscore(train)
-        train, test = apply_zscore(model, train), apply_zscore(model, test)
-    elif config.normalize == "percentile":
-        model = fit_percentile(train)
-        train, test = apply_percentile(model, train), apply_percentile(model, test)
-    elif config.normalize == "baseline":
-        base = encode_numeric(config.baseline)
-        if config.impute:
-            base = impute_missing(base, base)
-        model = fit_zscore(base)
-        train, test = apply_zscore(model, train), apply_zscore(model, test)
-    elif config.normalize == "contextual":
-        if config.contextual_model in ("nn", "linear"):
-            base = config.baseline if config.baseline is not None else train
-            base = encode_numeric(base)
-            model = fit_contextual_model(
-                base, [config.context.feature], config.contextual_model
-            )
-            train = apply_contextual(model, train)
-            test = apply_contextual(model, test)
-        elif config.contextual_fit == "transductive":
-            train = apply_contextual(fit_contextual(train, config.context), train)
-            test = apply_contextual(fit_contextual(test, config.context), test)
-        else:
-            model = fit_contextual(train, config.context)
-            train = apply_contextual(model, train)
-            test = apply_contextual(model, test)
+    if config.normalize == "contextual-transductive":
+        train = apply_contextual(fit_contextual(train, config.context), train)
+        test = apply_contextual(fit_contextual(test, config.context), test)
+    elif config.normalize != "none":
+        model, apply = _fit_normalizer(config, train)
+        train, test = apply(model, train), apply(model, test)
 
     if config.weight:
         w = compute_weights(train, config.context)

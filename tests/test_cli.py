@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from ctxclass import cli, data
+from ctxclass import cli, data, harness, preprocess
 
 from conftest import make_hepatitis_text, make_vowel_text, worked_spec
 
@@ -47,6 +48,22 @@ def continuous_context_table(tmp_path):
     rows = [f"{'a' if i % 2 else 'b'},{i / 10},{float(i % 3)}" for i in range(20)]
     dp.write_text("\n".join(rows) + "\n")
     return dp, sp
+
+
+def swap_first_columns(csv_path, schema_path, out_base):
+    """Write a copy of a table and its sidecar with the first two columns
+    swapped: the same data under a reordered schema."""
+    entries = json.loads(Path(schema_path).read_text())
+    entries[0], entries[1] = entries[1], entries[0]
+    lines = []
+    for line in Path(csv_path).read_text().splitlines():
+        cells = line.split(",")
+        cells[0], cells[1] = cells[1], cells[0]
+        lines.append(",".join(cells))
+    out_csv, out_schema = out_base.with_suffix(".csv"), out_base.with_suffix(".schema.json")
+    out_csv.write_text("\n".join(lines) + "\n")
+    out_schema.write_text(json.dumps(entries))
+    return out_csv, out_schema
 
 
 class TestTaxonomyCommand:
@@ -260,6 +277,31 @@ class TestCompareNormalizers:
         assert code == 4
         assert "'condition' has MISSING cells" in capsys.readouterr().err
 
+    def test_reordered_test_schema_is_load_error(self, tmp_path, capsys):
+        base = tmp_path / "pair"
+        assert cli.main(["synth", "--out", str(base)]) == 0
+        test_csv, test_schema = swap_first_columns(
+            base.with_suffix(".test.csv"), base.with_suffix(".test.schema.json"),
+            tmp_path / "swapped")
+        train_schema = base.with_suffix(".train.schema.json")
+        code = cli.main(
+            ["compare-normalizers",
+             "--train", str(base.with_suffix(".train.csv")), "--train-schema", str(train_schema),
+             "--test", str(test_csv), "--test-schema", str(test_schema)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{train_schema} and {test_schema} describe different schemas" in err
+
+    def test_empty_test_set_is_precondition(self, tmp_path, small_table, capsys):
+        dp, sp = small_table
+        empty = tmp_path / "empty.csv"
+        empty.write_text("")
+        code = cli.main(["compare-normalizers", "--train", str(dp), "--train-schema", str(sp),
+                         "--test", str(empty), "--test-schema", str(sp)])
+        assert code == 3
+        assert "test set has no rows" in capsys.readouterr().err
+
 
 class TestImpute:
     def test_fills_cells(self, tmp_path, small_table, capsys):
@@ -282,6 +324,28 @@ class TestImpute:
         code = cli.main(["impute", "--data", str(tmp_path / "nope.csv"),
                          "--schema", str(sp), "--out", str(tmp_path / "o.csv")])
         assert code == 2
+
+    def test_reordered_train_schema_is_load_error(self, tmp_path, small_table, capsys):
+        dp, sp = small_table
+        holed = tmp_path / "holed.csv"
+        holed.write_text("a,?,1\n" + dp.read_text())
+        train_csv, train_schema = swap_first_columns(dp, sp, tmp_path / "swapped")
+        out = tmp_path / "filled.csv"
+        code = cli.main(["impute", "--data", str(holed), "--schema", str(sp),
+                         "--train", str(train_csv), "--train-schema", str(train_schema),
+                         "--out", str(out)])
+        assert code == 2
+        assert f"{train_schema} and {sp} describe different schemas" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_empty_data_is_precondition(self, tmp_path, small_table, capsys):
+        _, sp = small_table
+        empty = tmp_path / "empty.csv"
+        empty.write_text("")
+        code = cli.main(["impute", "--data", str(empty), "--schema", str(sp),
+                         "--out", str(tmp_path / "o.csv")])
+        assert code == 3
+        assert "the training set is empty" in capsys.readouterr().err
 
 
 class TestNormalize:
@@ -356,6 +420,13 @@ class TestNormalize:
 
 
 class TestParser:
+    def test_normalizer_names_come_from_the_menu(self):
+        parser = cli._build_parser()
+        commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        mode = next(a for a in commands.choices["normalize"]._actions if a.dest == "mode")
+        assert set(mode.choices) <= set(preprocess.NORMALIZERS)
+        assert set(harness.NORMALIZER_MENU) <= set(preprocess.NORMALIZERS)
+
     def test_no_command(self):
         assert cli.main([]) == 1
 
@@ -377,6 +448,9 @@ print(json.dumps([codes, sorted(m for m in sys.modules if m.split(".")[0] == "sc
 
 
 def test_commands_run_without_scipy(vowel_file, hepatitis_file, spec_file, tmp_path):
+    pair = tmp_path / "pair"  # written by the synth command, read by the ones after it
+    train_csv = pair.with_suffix(".train.csv")
+    train_schema = pair.with_suffix(".train.schema.json")
     commands = [
         ["run-grid", "--dataset", "vowel", "--train", str(vowel_file), "--classifier", "nn"],
         ["run-grid", "--dataset", "vowel", "--train", str(vowel_file), "--classifier", "mlr"],
@@ -386,6 +460,13 @@ def test_commands_run_without_scipy(vowel_file, hepatitis_file, spec_file, tmp_p
          "--classifier", "mlr", "--out", str(tmp_path / "hep")],
         ["compare-normalizers", "--out", str(tmp_path / "norm")],
         ["taxonomy", "--spec", str(spec_file)],
+        ["synth", "--train-rows", "40", "--test-rows", "40", "--out", str(pair)],
+        ["normalize", "--data", str(train_csv), "--schema", str(train_schema),
+         "--mode", "contextual", "--context", "condition", "--bins", "4",
+         "--out", str(tmp_path / "normalized.csv")],
+        ["impute", "--data", str(train_csv), "--schema", str(train_schema),
+         "--out", str(tmp_path / "imputed.csv")],
+        ["taxonomy", "--data", str(train_csv), "--schema", str(train_schema), "--bins", "3"],
     ]
     src = str(Path(cli.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-c", _SCIPY_GUARD, json.dumps(commands)],

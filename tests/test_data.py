@@ -319,9 +319,8 @@ class TestPlantedContext:
         plain = harness.evaluate("nn", *_encoded(train, test))
         base = train.subset([i for i, c in enumerate(train.class_labels()) if c == "c0"])
         cfg = preprocess.PipelineConfig(
-            normalize="contextual",
+            normalize="contextual-linear",
             context=preprocess.ContextKey("condition"),
-            contextual_model="linear",
             baseline=base,
         )
         ctx = harness.evaluate("nn", *preprocess.run_pipeline(cfg, train, test))
@@ -334,9 +333,8 @@ class TestPlantedContext:
         train, test = data.plant_context_dataset(params, seed=2)
         base = train.subset([i for i, c in enumerate(train.class_labels()) if c == "c0"])
         cfg = preprocess.PipelineConfig(
-            normalize="contextual",
+            normalize="contextual-linear",
             context=preprocess.ContextKey("condition"),
-            contextual_model="linear",
             baseline=base,
         )
         assert harness.evaluate("nn", *preprocess.run_pipeline(cfg, train, test)) == test.n_rows

@@ -219,18 +219,17 @@ class TestEvaluate:
 
 
 def per_combo_grid(train, test, classifier, context, expand_feature,
-                   contextual_fit="train", impute=False):
+                   normalizer="contextual", impute=False):
     """Reference for run_strategy_grid: the full pipeline of each combo run
     from the raw pair.  Returns the cells and the pair each one scored."""
     cells, pairs = [], []
     for combo in STRATEGY_COMBOS:
         normalize, expand, weight = combo
         config = PipelineConfig(
-            normalize="contextual" if normalize else "off",
+            normalize=normalizer if normalize else "none",
             expand=(expand_feature,) if expand else (),
             weight=weight,
             context=context,
-            contextual_fit=contextual_fit,
             impute=impute,
         )
         tr, te = run_pipeline(config, train, test)
@@ -273,7 +272,7 @@ class TestGridMatchesPerComboPipeline:
         train, test = synthetic_vowel_pair
         context = ContextKey("speaker")
         expected, expected_pairs = per_combo_grid(
-            train, test, classifier, context, "sex", contextual_fit="transductive"
+            train, test, classifier, context, "sex", normalizer="contextual-transductive"
         )
         pairs = scored_pairs(monkeypatch)
         assert run_vowel_grid(train, test, classifier).cells == expected

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from ctxclass import data, preprocess
 from ctxclass.data import MISSING, Dataset, Feature, FeatureRole, FeatureSchema
 from ctxclass.preprocess import (
+    NORMALIZERS,
     ContextKey,
     PipelineConfig,
     apply_contextual,
@@ -18,6 +19,7 @@ from ctxclass.preprocess import (
     apply_weights,
     apply_zscore,
     bin_index,
+    column_bins,
     compute_weights,
     encode_numeric,
     equal_freq_bins,
@@ -822,9 +824,8 @@ class TestPipeline:
     def test_determinism(self, synthetic_vowel_pair):
         train, test = synthetic_vowel_pair
         cfg = PipelineConfig(
-            normalize="contextual",
+            normalize="contextual-transductive",
             context=ContextKey("speaker"),
-            contextual_fit="transductive",
             weight=True,
             expand=("sex",),
         )
@@ -835,9 +836,8 @@ class TestPipeline:
     def test_full_combo_shapes(self, synthetic_vowel_pair):
         train, test = synthetic_vowel_pair
         cfg = PipelineConfig(
-            normalize="contextual",
+            normalize="contextual-transductive",
             context=ContextKey("speaker"),
-            contextual_fit="transductive",
             weight=True,
             expand=("sex",),
         )
@@ -872,3 +872,72 @@ class TestPipeline:
         apply_minmax(model, test1)
         out = apply_minmax(model, test2)
         assert out.column(0) == (-10.0,)  # model unchanged by earlier application
+
+
+@pytest.fixture(scope="module")
+def planted_pair():
+    """The planted-context pair, its class-c0 training rows as the baseline
+    set, and the context binned into 4 groups on the training split."""
+    train, test = data.plant_context_dataset(data.PlantedContextParams(), seed=0)
+    baseline = train.subset([i for i, c in enumerate(train.class_labels()) if c == "c0"])
+    key = ContextKey("condition", column_bins(train, train.schema.index_of("condition"), 4))
+    return train, test, baseline, key
+
+
+def normalized_by_hand(name, train, test, baseline, key):
+    """The normalizer `name` as a direct fit_*/apply_* call on its fit set."""
+    if name == "none":
+        return train, test
+    if name == "contextual-transductive":
+        return (apply_contextual(fit_contextual(train, key), train),
+                apply_contextual(fit_contextual(test, key), test))
+    model, apply = {
+        "minmax": lambda: (fit_minmax(train), apply_minmax),
+        "zscore": lambda: (fit_zscore(train), apply_zscore),
+        "percentile": lambda: (fit_percentile(train), apply_percentile),
+        "baseline": lambda: (fit_zscore(baseline), apply_zscore),
+        "contextual": lambda: (fit_contextual(train, key), apply_contextual),
+        "contextual-nn": lambda: (fit_contextual_model(baseline, [key.feature], "nn"),
+                                  apply_contextual),
+        "contextual-linear": lambda: (fit_contextual_model(baseline, [key.feature], "linear"),
+                                      apply_contextual),
+    }[name]()
+    return apply(model, train), apply(model, test)
+
+
+class TestNormalizerMenu:
+    @pytest.mark.parametrize("name", NORMALIZERS)
+    def test_pipeline_matches_the_direct_fit_and_apply(self, planted_pair, name):
+        train, test, baseline, key = planted_pair
+        config = PipelineConfig(normalize=name, context=key, baseline=baseline)
+        expected = normalized_by_hand(name, train, test, baseline, key)
+        assert run_pipeline(config, train, test) == expected
+        assert name == "none" or expected != (train, test)
+
+    @pytest.mark.parametrize("name, fields, message", [
+        ("contextual", {}, "context key"),
+        ("contextual-transductive", {}, "context key"),
+        ("contextual-nn", {"baseline": True}, "context key"),
+        ("contextual-linear", {"baseline": True}, "context key"),
+        ("baseline", {"context": True}, "requires a baseline set"),
+        ("contextual-nn", {"context": True}, "requires a baseline set"),
+        ("contextual-linear", {"context": True}, "requires a baseline set"),
+        ("off", {}, "unknown normalizer 'off'"),
+        ("contextual-groups", {"context": True, "baseline": True}, "unknown normalizer"),
+    ])
+    def test_config_validation(self, planted_pair, name, fields, message):
+        _, _, baseline, key = planted_pair
+        given = {"context": key, "baseline": baseline}
+        with pytest.raises(ValueError, match=message):
+            PipelineConfig(normalize=name, **{f: given[f] for f in fields})
+
+    @pytest.mark.parametrize("name", ["baseline", "contextual-nn", "contextual-linear"])
+    def test_baseline_with_missing_cells_is_imputed(self, planted_pair, name):
+        train, test, baseline, key = planted_pair
+        values = baseline.values.copy()
+        values[0, baseline.schema.index_of("p1")] = np.nan
+        values[1, baseline.schema.index_of("condition")] = np.nan
+        holed = Dataset(baseline.schema, values)
+        config = PipelineConfig(normalize=name, context=key, baseline=holed, impute=True)
+        expected = normalized_by_hand(name, train, test, impute_missing(holed, holed), key)
+        assert run_pipeline(config, train, test) == expected
