@@ -1,10 +1,10 @@
 """Context-sensitive feature classification toolkit.
 
-Subpackages: ``data`` (datasets, loaders, splits, synthetic generation),
-``taxonomy`` (primary/contextual/irrelevant feature tests), ``preprocess``
-(normalization, weighting, expansion, imputation), ``classify`` (nearest
-neighbor and linear discriminant), ``harness`` (experiment grids), and
-``cli`` (command line).
+Subpackages: ``data`` (datasets, loaders, splits, joint distributions,
+synthetic generation), ``taxonomy`` (primary/contextual/irrelevant feature
+tests), ``preprocess`` (normalization, weighting, expansion, imputation),
+``classify`` (nearest neighbor and linear discriminant), ``harness``
+(experiment grids), and ``cli`` (command line).
 """
 
 from .data import (
@@ -13,7 +13,7 @@ from .data import (
     Feature,
     FeatureRole,
     FeatureSchema,
-    JointSpec,
+    JointDistribution,
     LoadError,
     PlantedContextParams,
     load_hepatitis,
@@ -25,7 +25,6 @@ from .data import (
     write_table,
 )
 from .taxonomy import (
-    JointDistribution,
     classify_features,
     cond_prob,
     estimate_distribution,

@@ -139,11 +139,10 @@ def _cmd_taxonomy(args) -> int:
         return EXIT_USAGE
     if args.spec:
         try:
-            spec = data.JointSpec.from_json(Path(args.spec).read_text())
+            dist = data.JointDistribution.from_json(Path(args.spec).read_text())
         except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
             sys.stderr.write(f"taxonomy: cannot load {args.spec}: {exc}\n")
             return EXIT_LOAD
-        dist = taxonomy.JointDistribution.from_spec(spec)
         eps = args.eps if args.eps is not None else taxonomy.EXACT_EPS
     else:
         if not args.schema:

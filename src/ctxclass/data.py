@@ -1,4 +1,5 @@
-"""Dataset representation, schemas with feature roles, loaders, and splits.
+"""Dataset representation, schemas with feature roles, loaders, splits, and
+joint distributions.
 
 A Dataset is one read-only float matrix with a column per feature: a
 continuous cell holds its float, a discrete cell the index of its symbol in
@@ -6,6 +7,11 @@ the feature's alphabet, and NaN marks a MISSING cell.  Loaders and
 generators check each cell once as they parse it straight into the matrix;
 transforms read and write whole columns of it.  Rows of symbols, floats and
 the MISSING sentinel are derived views for callers that want Python cells.
+
+A JointDistribution is an explicit table of tuple probabilities over
+discrete variables, one of them the class.  Its ``support`` is the same
+tuples encoded once as a Dataset, the table that sampling subsets and the
+taxonomy tests sum marginals from.
 """
 
 from __future__ import annotations
@@ -15,9 +21,11 @@ import json
 import math
 import random
 import warnings
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from itertools import accumulate
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -281,27 +289,22 @@ def _parse_vowel_file(path) -> list[tuple[int, int, list[str]]]:
 def load_vowel(train_path, test_path) -> tuple[Dataset, Dataset]:
     """Load the vowel benchmark (whitespace layout: flag, speaker, sex, 10 reals, class).
 
-    Accepts either pre-split files or the combined file passed for both paths;
-    when a file mixes train and test flags, rows are filtered by flag
-    (0 = train, 1 = test).
+    The training set is the flag-0 rows of ``train_path`` and the test set
+    the flag-1 rows of ``test_path``; the combined file may be passed for
+    both.  A side with no rows of its flag is a LoadError.
     """
-    raw_train = _parse_vowel_file(train_path)
-    raw_test = _parse_vowel_file(test_path)
-
-    def select(raw, wanted_flag):
-        flags = {r[0] for r in raw}
-        if len(flags) > 1:
-            return [r for r in raw if r[0] == wanted_flag]
-        return raw
-
-    tr = select(raw_train, 0)
-    te = select(raw_test, 1)
-    speakers = sorted({r[2][0] for r in tr} | {r[2][0] for r in te}, key=lambda s: (len(s), s))
+    sides = []
+    for path, flag, side in ((train_path, 0, "training"), (test_path, 1, "test")):
+        raw = [r for r in _parse_vowel_file(path) if r[0] == flag]
+        if not raw:
+            raise LoadError(f"{path}: no {side} rows (flag {flag})")
+        sides.append((raw, path))
+    speakers = sorted({r[2][0] for raw, _ in sides for r in raw}, key=lambda s: (len(s), s))
     schema = _vowel_schema(speakers)
 
     train, test = (
         _from_cells(schema, [_parse_row(schema, cells, (), path, n) for _, n, cells in raw])
-        for raw, path in ((tr, train_path), (te, test_path))
+        for raw, path in sides
     )
     if train.n_rows != VOWEL_TRAIN_ROWS:
         warnings.warn(f"vowel train has {train.n_rows} rows, expected {VOWEL_TRAIN_ROWS}")
@@ -456,49 +459,52 @@ def split_random(dataset: Dataset, n_train: int, seed: int) -> tuple[Dataset, Da
 # ---------------------------------------------------------------------------
 # Joint distributions and synthetic generation
 
-def validate_joint(
-    variables: Sequence[str],
-    alphabets: Sequence[Sequence[str]],
-    probs: Mapping[tuple[str, ...], float],
-) -> None:
-    """Check an explicit joint distribution; raise ValueError on the first fault.
-
-    One alphabet per variable, one symbol per variable in every tuple, each
-    symbol in its variable's alphabet, every probability a non-negative
-    number, and the probabilities summing to 1 within 1e-12.
-    """
-    if len(variables) != len(alphabets):
-        raise ValueError("one alphabet per variable required")
-    total = 0.0
-    for tup, p in probs.items():
-        if len(tup) != len(variables):
-            raise ValueError(f"tuple {tup!r} does not match variable count")
-        for sym, var, alpha in zip(tup, variables, alphabets):
-            if sym not in alpha:
-                raise ValueError(f"symbol {sym!r} not in alphabet of {var!r}")
-        if not p >= 0:
-            raise ValueError(f"probability {p!r} for {tup!r} is negative or not a number")
-        total += p
-    if not abs(total - 1.0) <= 1e-12:
-        raise ValueError(f"probabilities sum to {total!r}, not 1")
-
-
 @dataclass(frozen=True)
-class JointSpec:
-    """Explicit discrete joint distribution: variables, alphabets, tuple -> prob.
+class JointDistribution:
+    """Explicit discrete joint distribution of a class and its features.
 
-    The first variable is taken as the class when sampling.
+    ``probs`` maps tuples, one symbol per variable, to probabilities;
+    ``class_var`` names the class variable (default: the first variable).
+    The constructor raises ValueError on the first fault: at least one
+    variable, one alphabet per variable, unique variable names, one symbol
+    per variable in every tuple, each symbol in its variable's alphabet,
+    every probability a non-negative number, the probabilities summing to 1
+    within 1e-12, and a known class variable.  The same type is read from
+    JSON, sampled from and estimated from data
+    (``taxonomy.estimate_distribution``).
     """
 
     variables: tuple[str, ...]
     alphabets: tuple[tuple[str, ...], ...]
     probs: Mapping[tuple[str, ...], float] = field(hash=False)
+    class_var: str = ""
 
     def __post_init__(self):
-        validate_joint(self.variables, self.alphabets, self.probs)
+        if not self.variables:
+            raise ValueError("a joint distribution needs at least one variable")
+        if len(self.variables) != len(self.alphabets):
+            raise ValueError("one alphabet per variable required")
+        if len(set(self.variables)) != len(self.variables):
+            raise ValueError(f"variable names {self.variables!r} are not unique")
+        total = 0.0
+        for tup, p in self.probs.items():
+            if len(tup) != len(self.variables):
+                raise ValueError(f"tuple {tup!r} does not match variable count")
+            for sym, var, alpha in zip(tup, self.variables, self.alphabets):
+                if sym not in alpha:
+                    raise ValueError(f"symbol {sym!r} not in alphabet of {var!r}")
+            if not p >= 0:
+                raise ValueError(f"probability {p!r} for {tup!r} is negative or not a number")
+            total += p
+        if not abs(total - 1.0) <= 1e-12:
+            raise ValueError(f"probabilities sum to {total!r}, not 1")
+        if not self.class_var:
+            object.__setattr__(self, "class_var", self.variables[0])
+        elif self.class_var not in self.variables:
+            raise ValueError(f"unknown class variable {self.class_var!r}")
 
     @classmethod
-    def from_json(cls, text: str) -> "JointSpec":
+    def from_json(cls, text: str) -> "JointDistribution":
         doc = json.loads(text)
         variables = tuple(v["name"] for v in doc["variables"])
         alphabets = tuple(tuple(v["values"]) for v in doc["variables"])
@@ -506,6 +512,7 @@ class JointSpec:
         return cls(variables, alphabets, probs)
 
     def to_json(self) -> str:
+        """The JSON layout ``from_json`` reads, which takes the first variable as the class."""
         doc = {
             "variables": [
                 {"name": n, "values": list(a)} for n, a in zip(self.variables, self.alphabets)
@@ -517,39 +524,57 @@ class JointSpec:
         return json.dumps(doc, indent=2)
 
     def schema(self) -> FeatureSchema:
-        feats = [Feature(self.variables[0], FeatureRole.CLASS, "discrete", self.alphabets[0])]
-        feats += [
-            Feature(n, FeatureRole.PRIMARY, "discrete", a)
-            for n, a in zip(self.variables[1:], self.alphabets[1:])
-        ]
-        return FeatureSchema(tuple(feats))
+        """One discrete feature per variable, the class role on ``class_var``
+        and the primary role on the others."""
+        return FeatureSchema(tuple(
+            Feature(n, FeatureRole.CLASS if n == self.class_var else FeatureRole.PRIMARY,
+                    "discrete", a)
+            for n, a in zip(self.variables, self.alphabets)
+        ))
+
+    @cached_property
+    def support(self) -> Dataset:
+        """The tuples of ``probs``, in its order, as the rows of a Dataset under ``schema()``."""
+        schema = self.schema()
+        return _from_cells(schema, [[f.codes[s] for f, s in zip(schema, t)] for t in self.probs])
+
+    def index_of(self, var: str) -> int:
+        try:
+            return self.variables.index(var)
+        except ValueError:
+            raise KeyError(f"unknown variable {var!r}") from None
+
+    def alphabet_of(self, var: str) -> tuple[str, ...]:
+        return self.alphabets[self.index_of(var)]
+
+    def _check(self, var: str, value: str) -> None:
+        if value not in self.alphabet_of(var):
+            raise KeyError(f"value {value!r} not in alphabet of {var!r}")
+
+    def marginal(self, assignment: Mapping[str, str]) -> float:
+        """Probability that every variable in ``assignment`` takes its value."""
+        idx = {}
+        for var, val in assignment.items():
+            self._check(var, val)
+            idx[self.index_of(var)] = val
+        total = 0.0
+        for tup, p in self.probs.items():
+            if all(tup[i] == v for i, v in idx.items()):
+                total += p
+        return total
 
 
-def sample_from(spec: JointSpec, n: int, seed: int) -> Dataset:
-    """Draw n i.i.d. rows from an explicit joint distribution."""
+def sample_from(dist: JointDistribution, n: int, seed: int) -> Dataset:
+    """Draw n i.i.d. rows of ``dist.support``: one uniform draw per row,
+    located in the cumulative probabilities of the tuples in sorted order."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    tuples = sorted(spec.probs)
-    cumulative = []
-    total = 0.0
-    for t in tuples:
-        total += spec.probs[t]
-        cumulative.append(total)
+    tuples = list(dist.probs)
+    order = sorted(range(len(tuples)), key=tuples.__getitem__)
+    cumulative = list(accumulate(dist.probs[tuples[k]] for k in order))
     rng = random.Random(seed)
-    picks = []
-    for _ in range(n):
-        u = rng.random() * total
-        lo, hi = 0, len(tuples) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if u <= cumulative[mid]:
-                hi = mid
-            else:
-                lo = mid + 1
-        picks.append(lo)
-    schema = spec.schema()
-    codes = [[f.codes[s] for f, s in zip(schema, t)] for t in tuples]
-    return _from_cells(schema, codes).subset(picks)
+    picks = [order[bisect_left(cumulative, rng.random() * cumulative[-1])] for _ in range(n)]
+    return dist.support.subset(picks)
 
 
 @dataclass(frozen=True)

@@ -218,22 +218,26 @@ def run_normalization_comparison(
     Each name in ``normalizers`` is a PipelineConfig normalizer: fitted on
     the training split, or, for "baseline", "contextual-nn" and
     "contextual-linear", on ``baseline``, the reference set; the contextual
-    ones read ``context_feature`` (default: the first contextual feature)."""
+    ones read ``context_feature`` (default: the first contextual feature).
+    Each normalizer's pipeline runs once and feeds every classifier; the
+    cells are listed classifier by classifier."""
     if context_feature is None:
         ctx_idx = train.schema.contextual_indices
         if not ctx_idx:
             raise ValueError("dataset has no contextual features")
         context_feature = train.schema.features[ctx_idx[0]].name
-    cells = []
-    for classifier in classifiers:
-        for norm in normalizers:
-            config = PipelineConfig(
-                normalize=norm, context=ContextKey(context_feature), baseline=baseline
-            )
-            tr, te = run_pipeline(config, train, test)
-            correct = evaluate(classifier, tr, te)
-            cells.append(CellResult((classifier, norm), correct, test.n_rows))
-    return ExperimentReport("normalization-comparison", "+".join(classifiers), tuple(cells))
+    correct = {}
+    for norm in normalizers:
+        config = PipelineConfig(
+            normalize=norm, context=ContextKey(context_feature), baseline=baseline
+        )
+        tr, te = run_pipeline(config, train, test)
+        for classifier in classifiers:
+            correct[classifier, norm] = evaluate(classifier, tr, te)
+        del tr, te  # one normalized pair alive at a time
+    cells = tuple(CellResult((c, n), correct[c, n], test.n_rows)
+                  for c in classifiers for n in normalizers)
+    return ExperimentReport("normalization-comparison", "+".join(classifiers), cells)
 
 
 def synergy(report: ExperimentReport) -> tuple[int, int]:

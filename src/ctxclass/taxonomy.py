@@ -1,4 +1,4 @@
-"""Joint distributions over discrete features and the primary/contextual/irrelevant tests.
+"""The primary/contextual/irrelevant feature tests on a discrete joint distribution.
 
 A feature is *primary* if its value alone shifts the class distribution,
 *contextual* if it is not primary but knowing it sharpens the prediction
@@ -10,12 +10,13 @@ All tests compare conditional probabilities with a tolerance ``eps``;
 conditioning events of probability zero are skipped (they provide no
 witness, and the conditional is undefined there).
 
-The tests run on the support, not on the product of the alphabets: the
-distribution's tuples are encoded once as integer codes, and every
-probability a test compares is a cell of a marginal table summed from those
-codes with ``np.bincount``.  ``bincount`` adds the weights one after another
-in ``probs`` order, as :meth:`JointDistribution.marginal` does, so each cell
-is bit for bit the float ``marginal`` returns, and a feature costs
+The distribution is ``data.JointDistribution``, read from a JSON spec or
+estimated here from a dataset.  The tests run on its support, not on the
+product of the alphabets: every probability a test compares is a cell of a
+marginal table summed with ``np.bincount`` from the codes of
+``JointDistribution.support``.  ``bincount`` adds the weights one after
+another in ``probs`` order, as :meth:`JointDistribution.marginal` does, so
+each cell is bit for bit the float ``marginal`` returns, and a feature costs
 O(support · d) instead of the product of every alphabet size.
 """
 
@@ -28,62 +29,12 @@ from typing import Mapping
 
 import numpy as np
 
-from .data import Dataset, JointSpec, validate_joint
+from .data import Dataset, JointDistribution
 
 #: suggested tolerance for distributions estimated from ~10^4 samples
 EMPIRICAL_EPS = 0.03
 #: tolerance for exact, analytically specified distributions
 EXACT_EPS = 1e-9
-
-
-@dataclass(frozen=True)
-class JointDistribution:
-    """Discrete joint distribution with marginal / conditional queries.
-
-    ``class_var`` names the variable playing the role of the class in the
-    feature tests; by convention it is the first variable.
-    """
-
-    variables: tuple[str, ...]
-    alphabets: tuple[tuple[str, ...], ...]
-    probs: Mapping[tuple[str, ...], float]
-    class_var: str = ""
-
-    def __post_init__(self):
-        validate_joint(self.variables, self.alphabets, self.probs)
-        if not self.class_var:
-            object.__setattr__(self, "class_var", self.variables[0])
-        elif self.class_var not in self.variables:
-            raise ValueError(f"unknown class variable {self.class_var!r}")
-
-    @classmethod
-    def from_spec(cls, spec: JointSpec) -> "JointDistribution":
-        return cls(spec.variables, spec.alphabets, dict(spec.probs))
-
-    def index_of(self, var: str) -> int:
-        try:
-            return self.variables.index(var)
-        except ValueError:
-            raise KeyError(f"unknown variable {var!r}") from None
-
-    def alphabet_of(self, var: str) -> tuple[str, ...]:
-        return self.alphabets[self.index_of(var)]
-
-    def _check(self, var: str, value: str) -> None:
-        if value not in self.alphabet_of(var):
-            raise KeyError(f"value {value!r} not in alphabet of {var!r}")
-
-    def marginal(self, assignment: Mapping[str, str]) -> float:
-        """Probability that every variable in ``assignment`` takes its value."""
-        idx = {}
-        for var, val in assignment.items():
-            self._check(var, val)
-            idx[self.index_of(var)] = val
-        total = 0.0
-        for tup, p in self.probs.items():
-            if all(tup[i] == v for i, v in idx.items()):
-                total += p
-        return total
 
 
 @dataclass(frozen=True)
@@ -182,17 +133,14 @@ def _first_hit(joint: np.ndarray, given: np.ndarray, other: np.ndarray, eps: flo
 class _Support:
     """A distribution's tuples as integer codes, the source of every marginal table.
 
-    ``codes[k, j]`` is the index of tuple k's value in the alphabet of
-    variable j (the first index, as ``tuple.index`` gives) and ``p[k]`` is
-    tuple k's probability, both in ``probs`` order.
+    ``codes[k, j]`` is the code of tuple k's value of variable j, read from
+    ``dist.support`` (``Feature.codes``), and ``p[k]`` is tuple k's
+    probability, both in ``probs`` order.
     """
 
     def __init__(self, dist: JointDistribution):
         self.dist = dist
-        index = [{s: k for k, s in reversed(tuple(enumerate(a)))} for a in dist.alphabets]
-        self.codes = np.array(
-            [[idx[s] for idx, s in zip(index, tup)] for tup in dist.probs], dtype=np.intp
-        )
+        self.codes = dist.support.values.astype(np.intp)
         self.p = np.fromiter(dist.probs.values(), dtype=float, count=len(dist.probs))
         self.sizes = tuple(len(a) for a in dist.alphabets)
         self.c = dist.index_of(dist.class_var)

@@ -41,8 +41,8 @@ WORKED_PROBS = {
 }
 
 
-def worked_spec() -> data.JointSpec:
-    return data.JointSpec(
+def worked_spec() -> data.JointDistribution:
+    return data.JointDistribution(
         variables=("x0", "x1", "x2", "x3"),
         alphabets=(("0", "1"),) * 4,
         probs=dict(WORKED_PROBS),
@@ -50,15 +50,13 @@ def worked_spec() -> data.JointSpec:
 
 
 @pytest.fixture(scope="session")
-def table_spec() -> data.JointSpec:
+def table_spec() -> data.JointDistribution:
     return worked_spec()
 
 
 @pytest.fixture(scope="session")
 def worked_dist(table_spec):
-    from ctxclass import taxonomy
-
-    return taxonomy.JointDistribution.from_spec(table_spec)
+    return table_spec
 
 
 # ---------------------------------------------------------------------------

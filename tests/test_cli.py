@@ -90,6 +90,17 @@ class TestTaxonomyCommand:
     def test_missing_spec_file(self, tmp_path):
         assert cli.main(["taxonomy", "--spec", str(tmp_path / "nope.json")]) == 2
 
+    @pytest.mark.parametrize("variables, tuples", [([], [[]]), (["c", "c"], [["0", "0"]])])
+    def test_spec_without_distinct_variables_is_load_error(self, tmp_path, variables, tuples,
+                                                           capsys):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps({
+            "variables": [{"name": v, "values": ["0"]} for v in variables],
+            "probabilities": [{"tuple": t, "prob": 1.0} for t in tuples],
+        }))
+        assert cli.main(["taxonomy", "--spec", str(p)]) == 2
+        assert f"cannot load {p}" in capsys.readouterr().err
+
     def test_continuous_needs_bins(self, small_table, capsys):
         dp, sp = small_table
         code = cli.main(["taxonomy", "--data", str(dp), "--schema", str(sp)])
@@ -142,6 +153,15 @@ class TestRunGrid:
         assert code == 0
         out = capsys.readouterr().out
         assert "synergy" in out and "normalize" in out
+
+    def test_vowel_training_rows_only_is_load_error(self, tmp_path, capsys):
+        lines = make_vowel_text().splitlines()
+        p = tmp_path / "v0.data"
+        p.write_text("\n".join(l for l in lines if l.startswith("0 ")) + "\n")
+        assert cli.main(["run-grid", "--dataset", "vowel", "--train", str(p)]) == 2
+        captured = capsys.readouterr()
+        assert f"{p}: no test rows (flag 1)" in captured.err
+        assert captured.out == ""
 
     def test_missing_files_without_env(self, monkeypatch, capsys):
         monkeypatch.delenv("CTXCLASS_DATA_DIR", raising=False)

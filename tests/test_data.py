@@ -1,5 +1,7 @@
+import hashlib
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -61,8 +63,26 @@ class TestVowelLoader:
         with pytest.raises(LoadError, match=r"line 4: symbol '11' not valid for 'vowel'"):
             data.load_vowel(p, p)
 
+    def test_rows_are_selected_by_flag(self, vowel_file, tmp_path):
+        lines = make_vowel_text().splitlines()
+        train_only, test_only = tmp_path / "v0.data", tmp_path / "v1.data"
+        train_only.write_text("\n".join(l for l in lines if l.startswith("0 ")))
+        test_only.write_text("\n".join(l for l in lines if l.startswith("1 ")))
+        assert data.load_vowel(train_only, test_only) == data.load_vowel(vowel_file, vowel_file)
+
+    @pytest.mark.parametrize("flag", ["0", "1"])
+    def test_side_without_its_flag_is_error(self, tmp_path, flag):
+        # the training rows alone must not be scored as their own test set
+        lines = make_vowel_text().splitlines()
+        p = tmp_path / "one-flag.data"
+        p.write_text("\n".join(l for l in lines if l.startswith(f"{flag} ")))
+        side = "test rows (flag 1)" if flag == "0" else "training rows (flag 0)"
+        with pytest.raises(LoadError, match=re.escape(f"one-flag.data: no {side}")):
+            data.load_vowel(p, p)
+
     def test_wrong_counts_warn_not_error(self, tmp_path):
-        lines = make_vowel_text().splitlines()[:100]
+        lines = make_vowel_text().splitlines()
+        lines = lines[:100] + lines[-100:]  # 100 training and 100 test rows
         p = tmp_path / "short.data"
         p.write_text("\n".join(lines))
         with pytest.warns(UserWarning):
@@ -265,7 +285,7 @@ class TestSampleFrom:
             assert abs(counts.get(tup, 0) / n - p) <= bound
 
     def test_point_mass(self):
-        spec = data.JointSpec(("c", "x"), (("0",), ("1",)), {("0", "1"): 1.0})
+        spec = data.JointDistribution(("c", "x"), (("0",), ("1",)), {("0", "1"): 1.0})
         ds = data.sample_from(spec, 25, seed=0)
         assert set(ds.rows) == {("0", "1")}
 
@@ -277,27 +297,54 @@ class TestSampleFrom:
     def test_deterministic(self, table_spec):
         assert data.sample_from(table_spec, 500, 5).rows == data.sample_from(table_spec, 500, 5).rows
 
+    def test_rows_do_not_depend_on_insertion_order(self, table_spec):
+        # support rows follow probs order; the draws follow the sorted tuples
+        shuffled = data.JointDistribution(table_spec.variables, table_spec.alphabets,
+                                          dict(reversed(table_spec.probs.items())))
+        assert shuffled.support.rows == tuple(reversed(table_spec.support.rows))
+        assert data.sample_from(shuffled, 500, 3).rows == data.sample_from(table_spec, 500, 3).rows
 
-class TestJointSpecValidation:
+    @pytest.mark.parametrize("seed, digest", [
+        (0, "e0a2a5e4ff4ff87028dbdc9a4729e0de64082ab9f3035fd7e802bc6e60dc828b"),
+        (1, "b2b8624817e4c292157a64f3456daac1e701e2b385b359c39818440871c4d5cb"),
+        (2, "933f986cfd8233b511972b0bb90d7570f2cf77a45d142963d9df0bda1a7d218a"),
+        (3, "fb79e4f76a15881d606e65b2f44f8c01d0da2c76d639deb81f61a59dd4e7aba5"),
+    ])
+    def test_rows_pinned(self, seed, digest):
+        # the rows of the sorted-tuple cumulative search, one draw per row
+        rows = data.sample_from(worked_spec(), 200, seed).rows
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
+
+
+class TestJointDistributionValidation:
     def test_rejects_bad_sum(self):
         with pytest.raises(ValueError):
-            data.JointSpec(("c",), (("0", "1"),), {("0",): 0.6, ("1",): 0.5})
+            data.JointDistribution(("c",), (("0", "1"),), {("0",): 0.6, ("1",): 0.5})
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
-            data.JointSpec(("c",), (("0", "1"),), {("0",): 1.5, ("1",): -0.5})
+            data.JointDistribution(("c",), (("0", "1"),), {("0",): 1.5, ("1",): -0.5})
 
     def test_rejects_out_of_alphabet_symbol(self):
         with pytest.raises(ValueError, match="not in alphabet of 'c'"):
-            data.JointSpec(("c",), (("0", "1"),), {("0",): 0.5, ("2",): 0.5})
+            data.JointDistribution(("c",), (("0", "1"),), {("0",): 0.5, ("2",): 0.5})
 
     def test_rejects_nan_probability(self):
         with pytest.raises(ValueError):
-            data.JointSpec(("c",), (("0", "1"),), {("0",): float("nan"), ("1",): 1.0})
+            data.JointDistribution(("c",), (("0", "1"),), {("0",): float("nan"), ("1",): 1.0})
+
+    def test_rejects_duplicate_variable_names(self):
+        with pytest.raises(ValueError, match="not unique"):
+            data.JointDistribution(("c", "c"), (("0",), ("0",)), {("0", "0"): 1.0})
+
+    def test_rejects_unknown_class_variable(self):
+        with pytest.raises(ValueError, match="unknown class variable 'z'"):
+            data.JointDistribution(("c",), (("0",),), {("0",): 1.0}, class_var="z")
 
     def test_json_round_trip(self, table_spec):
-        back = data.JointSpec.from_json(table_spec.to_json())
-        assert back == data.JointSpec(table_spec.variables, table_spec.alphabets, dict(table_spec.probs))
+        back = data.JointDistribution.from_json(table_spec.to_json())
+        assert back == data.JointDistribution(table_spec.variables, table_spec.alphabets,
+                                              dict(table_spec.probs))
 
 
 class TestPlantedContext:

@@ -210,6 +210,26 @@ class TestNormalizationComparison:
         with pytest.raises(ValueError, match="baseline"):
             run_normalization_comparison(train, test, classifiers=("nn",), baseline=None)
 
+    def test_one_pipeline_per_normalizer(self, planted, monkeypatch):
+        train, test, baseline = planted
+        calls = []
+
+        def counting_run_pipeline(config, *args):
+            calls.append(config.normalize)
+            return run_pipeline(config, *args)
+
+        monkeypatch.setattr(harness, "run_pipeline", counting_run_pipeline)
+        report = run_normalization_comparison(train, test, baseline=baseline)
+        assert calls == list(harness.NORMALIZER_MENU)
+        assert [c.combo for c in report.cells] == [
+            (c, n) for c in harness.CLASSIFIERS for n in harness.NORMALIZER_MENU
+        ]
+        # the same cells as one comparison per classifier
+        monkeypatch.undo()
+        single = [cell for c in harness.CLASSIFIERS for cell in run_normalization_comparison(
+            train, test, classifiers=(c,), baseline=baseline).cells]
+        assert report.cells == tuple(single)
+
 
 class TestEvaluate:
     def test_unknown_classifier(self, synthetic_vowel_pair):

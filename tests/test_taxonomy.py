@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 
@@ -308,6 +309,25 @@ def small_distributions(draw):
     total = sum(weights)
     probs = {t: w / total for t, w in zip(support, weights)}
     return taxonomy.JointDistribution(names, alphabets, probs, draw(st.sampled_from(names)))
+
+
+class TestSupport:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(dist=small_distributions())
+    def test_support_is_probs_under_schema(self, dist):
+        assert dist.support.rows == tuple(dist.probs)
+        assert dist.support.schema == dist.schema()
+        assert dist.schema().class_feature.name == dist.class_var
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(dist=small_distributions())
+    def test_json_round_trip(self, dist):
+        # the JSON layout takes the first variable as the class
+        back = taxonomy.JointDistribution.from_json(dist.to_json())
+        assert back == dataclasses.replace(dist, class_var=dist.variables[0])
+
+    def test_one_type(self):
+        assert taxonomy.JointDistribution is data.JointDistribution
 
 
 class TestMatchesEnumerationOracle:
