@@ -137,12 +137,14 @@ def _sweep(b: np.ndarray, z: np.ndarray) -> np.ndarray:
 def _fit_full(x: np.ndarray, y: np.ndarray) -> tuple[float, tuple, tuple, tuple]:
     """Least squares on the columns that column-pivoted Gram-Schmidt keeps: the largest
     residual norm first (Businger-Golub; the lowest index among norms equal within
-    rounding), while that norm is above PIVOT_TOL of the first."""
+    rounding), while that norm is above PIVOT_TOL of the first.  As in _fit_forward,
+    a column whose residual norm is at most PIVOT_TOL of its own uncentered norm is
+    dependent: a constant column centers to rounding noise alone."""
     z, selected = x - x.mean(axis=0), []  # centered: the intercept is in every fit
     zz = (z * z).sum(axis=0)
-    stop = PIVOT_TOL ** 2 * zz.max(initial=0.0)
-    while zz.max(initial=0.0) > stop:
-        selected.append(j := int(np.argmax(zz)))
+    floor = PIVOT_TOL ** 2 * np.maximum(zz.max(initial=0.0), (x * x).sum(axis=0))
+    while (live := zz > floor).any():
+        selected.append(j := int(np.argmax(np.where(live, zz, 0.0))))
         zz = _sweep(z[:, j] / np.sqrt(zz[j]), z)
         zz[selected] = 0.0
     return _fit_selected(x, y, tuple(sorted(selected)))

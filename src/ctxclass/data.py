@@ -3,10 +3,13 @@ joint distributions.
 
 A Dataset is one read-only float matrix with a column per feature: a
 continuous cell holds its float, a discrete cell the index of its symbol in
-the feature's alphabet, and NaN marks a MISSING cell.  Loaders and
-generators check each cell once as they parse it straight into the matrix;
-transforms read and write whole columns of it.  Rows of symbols, floats and
-the MISSING sentinel are derived views for callers that want Python cells.
+the feature's alphabet, and NaN marks a MISSING cell.  Loaders parse a file
+a column at a time: a discrete column maps through ``Feature.codes`` in one
+pass, a continuous one through ``float`` and is checked with ``isfinite``,
+and only a faulty column is walked again to name the first faulty cell's
+line.  Generators write the matrix directly; transforms read and write whole
+columns of it.  Rows of symbols, floats and the MISSING sentinel are derived
+views for callers that want Python cells.
 
 A JointDistribution is an explicit table of tuple probabilities over
 discrete variables, one of them the class.  Its ``support`` is the same
@@ -214,36 +217,59 @@ def _from_cells(schema: FeatureSchema, rows: list[list[float]]) -> Dataset:
     return Dataset(schema, np.array(rows, dtype=float).reshape(len(rows), len(schema)))
 
 
-def _parse_number(raw: str, name: str, path, lineno: int) -> float:
-    """The finite float in one cell of a data file; LoadError naming the line otherwise."""
+def _cell_fault(feat: Feature, raw: str, missing: tuple[str, ...]) -> str | None:
+    """What is wrong with one stripped cell of a data line, or None: a MISSING
+    class, a symbol outside the alphabet, a bad or non-finite number."""
+    if raw in missing:
+        return "class cell is MISSING" if feat.role is FeatureRole.CLASS else None
+    if feat.kind == "discrete":
+        return None if raw in feat.codes else f"symbol {raw!r} not valid for {feat.name!r}"
     try:
         value = float(raw)
     except ValueError:
-        raise LoadError(f"{path}: line {lineno}: bad number {raw!r} for {name!r}") from None
-    if not math.isfinite(value):
-        raise LoadError(f"{path}: line {lineno}: non-finite number {raw!r} for {name!r}")
-    return value
+        return f"bad number {raw!r} for {feat.name!r}"
+    return None if math.isfinite(value) else f"non-finite number {raw!r} for {feat.name!r}"
 
 
-def _parse_row(schema: FeatureSchema, fields: Sequence[str], missing: tuple[str, ...],
-               path, lineno: int) -> list[float]:
-    """One data line as a matrix row: NaN for a token in ``missing``, a symbol's
-    code, a finite float.  The first bad cell is a LoadError naming the line."""
-    row = []
-    for feat, raw in zip(schema, fields):
-        raw = raw.strip()
-        if raw in missing:
-            if feat.role is FeatureRole.CLASS:
-                raise LoadError(f"{path}: line {lineno}: class cell is MISSING")
-            row.append(math.nan)
-        elif feat.kind == "discrete":
-            if raw not in feat.codes:
-                raise LoadError(f"{path}: line {lineno}: "
-                                f"symbol {raw!r} not valid for {feat.name!r}")
-            row.append(feat.codes[raw])
+def _parse_columns(schema: FeatureSchema, lines: list[tuple[int, Sequence[str]]],
+                   missing: tuple[str, ...], path, fault: Exception | None = None) -> Dataset:
+    """Data lines, (line number, fields), parsed a column at a time: a token in
+    ``missing`` is NaN, a discrete cell its symbol's code, a continuous cell a
+    finite float.  The first faulty cell in line order, then column order, is
+    a LoadError naming its line; a line with a field count other than the
+    schema's counts as faulty in its first cell.  ``fault``, the error that
+    ended the read after the last line, is raised when no cell is faulty."""
+    rows, width = [fields for _, fields in lines], len(schema)
+    if set(map(len, rows)) - {width}:
+        short = next(k for k, fields in enumerate(rows) if len(fields) != width)
+        fault = LoadError(f"{path}: line {lines[short][0]}: "
+                          f"expected {width} fields, got {len(rows[short])}")
+        rows = rows[:short]
+    values, faults = np.empty((len(rows), width)), []
+    for c, (feat, column) in enumerate(zip(schema, zip(*rows))):
+        cells = list(map(str.strip, column))
+        if feat.kind == "discrete":  # a MISSING class maps to None, as a bad symbol does
+            lookup = {s: float(k) for s, k in feat.codes.items()}
+            lookup.update(dict.fromkeys(missing, None if feat.role is FeatureRole.CLASS else math.nan))
+            parsed = list(map(lookup.get, cells))
+            faulty = None in parsed
         else:
-            row.append(_parse_number(raw, feat.name, path, lineno))
-    return row
+            try:  # a NaN that is no MISSING token, or an infinity, is faulty too
+                parsed = [math.nan if s in missing else float(s) for s in cells]
+                faulty = any(cells[r] not in missing for r in np.flatnonzero(~np.isfinite(parsed)))
+            except ValueError:
+                faulty = True
+        if faulty:
+            faults.append((next(r for r, raw in enumerate(cells) if _cell_fault(feat, raw, missing)), c))
+        else:
+            values[:, c] = parsed
+    if faults:
+        r, c = min(faults)
+        message = _cell_fault(schema.features[c], rows[r][c].strip(), missing)
+        raise LoadError(f"{path}: line {lines[r][0]}: {message}")
+    if fault is not None:
+        raise fault
+    return Dataset(schema, values)
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +329,7 @@ def load_vowel(train_path, test_path) -> tuple[Dataset, Dataset]:
     schema = _vowel_schema(speakers)
 
     train, test = (
-        _from_cells(schema, [_parse_row(schema, cells, (), path, n) for _, n, cells in raw])
+        _parse_columns(schema, [(n, cells) for _, n, cells in raw], (), path)
         for raw, path in sides
     )
     if train.n_rows != VOWEL_TRAIN_ROWS:
@@ -349,26 +375,23 @@ def hepatitis_schema() -> FeatureSchema:
 def load_hepatitis(path) -> Dataset:
     """Load the UCI hepatitis file (comma layout, "?" for missing, class first)."""
     schema = hepatitis_schema()
-    rows = []
+    lines, fault = [], None
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             fields = line.split(",")
-            if len(fields) != len(schema):
-                raise LoadError(
-                    f"{path}: line {lineno}: expected {len(schema)} fields, got {len(fields)}"
-                )
             raw = fields[0].strip()
-            if raw != "?":
+            if raw != "?" and len(fields) == len(schema):  # else a field-count fault
                 if raw not in HEPATITIS_CLASS_MAP:
-                    raise LoadError(f"{path}: line {lineno}: unknown class symbol {raw!r}")
+                    fault = LoadError(f"{path}: line {lineno}: unknown class symbol {raw!r}")
+                    break
                 fields[0] = HEPATITIS_CLASS_MAP[raw]
-            rows.append(_parse_row(schema, fields, ("?",), path, lineno))
-    if not rows:
+            lines.append((lineno, fields))
+    if not lines and fault is None:
         raise LoadError(f"{path}: file contains no data rows")
-    return _from_cells(schema, rows)
+    return _parse_columns(schema, lines, ("?",), path, fault)
 
 
 # ---------------------------------------------------------------------------
@@ -412,17 +435,15 @@ def schema_to_json(schema: FeatureSchema) -> str:
 def load_table(path, schema_path) -> Dataset:
     """Load a comma-separated data file against its JSON schema sidecar."""
     schema = load_schema(schema_path)
-    rows = []
+    lines, fault = [], None
     with open(path, newline="") as fh:
-        for lineno, fields in enumerate(csv.reader(fh), start=1):
-            if not fields:
-                continue
-            if len(fields) != len(schema):
-                raise LoadError(
-                    f"{path}: line {lineno}: expected {len(schema)} fields, got {len(fields)}"
-                )
-            rows.append(_parse_row(schema, fields, ("?", ""), path, lineno))
-    return _from_cells(schema, rows)
+        try:
+            for lineno, fields in enumerate(csv.reader(fh), start=1):
+                if fields:
+                    lines.append((lineno, fields))
+        except csv.Error as exc:
+            fault = exc
+    return _parse_columns(schema, lines, ("?", ""), path, fault)
 
 
 def write_table(dataset: Dataset, path, schema_path=None) -> None:
@@ -509,10 +530,12 @@ class JointDistribution:
         variables = tuple(v["name"] for v in doc["variables"])
         alphabets = tuple(tuple(v["values"]) for v in doc["variables"])
         probs = {tuple(entry["tuple"]): float(entry["prob"]) for entry in doc["probabilities"]}
-        return cls(variables, alphabets, probs)
+        return cls(variables, alphabets, probs, doc.get("class", ""))
 
     def to_json(self) -> str:
-        """The JSON layout ``from_json`` reads, which takes the first variable as the class."""
+        """The JSON layout ``from_json`` reads.  Its "class" key names the class
+        variable, and is written only when that is not the first variable,
+        which is the default."""
         doc = {
             "variables": [
                 {"name": n, "values": list(a)} for n, a in zip(self.variables, self.alphabets)
@@ -521,6 +544,8 @@ class JointDistribution:
                 {"tuple": list(t), "prob": p} for t, p in sorted(self.probs.items())
             ],
         }
+        if self.class_var != self.variables[0]:
+            doc["class"] = self.class_var
         return json.dumps(doc, indent=2)
 
     def schema(self) -> FeatureSchema:

@@ -54,20 +54,71 @@ def _require_numeric(dataset: Dataset, indices: Sequence[int]) -> np.ndarray:
     return _check_numeric(dataset.schema, indices, dataset.values.take(indices, axis=1))
 
 
+def _pairwise_sum(term, lo: int, hi: int, acc: np.ndarray) -> np.ndarray:
+    """acc[0] set to the sum of the terms term(j, out) writes into out and returns,
+    for j in lo..hi-1, added as numpy's pairwise summation (add.reduce along a
+    contiguous axis) adds them: fewer than 8 in sequence; up to 128 round 8 lanes,
+    joined as ((a0+a1)+(a2+a3))+((a4+a5)+(a6+a7)) before the rest add in order;
+    more as two halves split at n/2 rounded down to a multiple of 8, the second
+    summed from acc[1].  acc[-1] is scratch."""
+    n = hi - lo
+    if n > 128:
+        mid = lo + n // 2 - n // 2 % 8
+        return np.add(_pairwise_sum(term, lo, mid, acc), _pairwise_sum(term, mid, hi, acc[1:]),
+                      out=acc[0])
+    lanes, tail = (8, hi - n % 8) if n >= 8 else (1, hi)
+    if n == 0:
+        acc[0].fill(0.0)
+    for j in range(lo, tail):
+        if j < lo + lanes:
+            term(j, acc[j - lo])
+        else:
+            acc[(j - lo) % lanes] += term(j, acc[-1])
+    if lanes == 8:
+        for a, b in ((0, 1), (2, 3), (0, 2), (4, 5), (6, 7), (4, 6), (0, 4)):
+            acc[a] += acc[b]
+    for j in range(tail, hi):
+        acc[0] += term(j, acc[-1])
+    return acc[0]
+
+
+def _column_sums(n_queries: int, n_ref: int, d: int, term):
+    """Yield (start, sums) for each block of _NN_BLOCK_ROWS queries from start:
+    sums is _pairwise_sum over the d columns of term(j, rows, out), the block x
+    n_ref terms of the query rows in the slice rows, and is overwritten by the
+    next block.  The lanes, one more per split and scratch are allocated once."""
+    splits, n = 0, d
+    while n > 128:
+        splits, n = splits + 1, n - (n // 2 - n // 2 % 8)
+    buffers = np.empty((splits + (9 if d >= 8 else 2), min(n_queries, _NN_BLOCK_ROWS), n_ref))
+    for start in range(0, n_queries, _NN_BLOCK_ROWS):
+        rows = slice(start, min(start + _NN_BLOCK_ROWS, n_queries))
+        acc = buffers[:, :rows.stop - start]
+        yield start, _pairwise_sum(lambda j, out: term(j, rows, out), 0, d, acc)
+
+
 def _nearest_rows(queries: np.ndarray, reference: np.ndarray,
                   leave_one_out: bool = False) -> np.ndarray:
     """Index of the L1-nearest reference row for every query row, walking
     the queries in blocks; the earliest reference row wins ties.  With
     leave_one_out the queries are the reference rows and none matches itself
-    (a lone row, with nothing else to match, gets 0)."""
+    (a lone row, with nothing else to match, gets 0).
+
+    Distances add their |q_j - r_j| terms a feature column at a time in
+    numpy's pairwise order (_pairwise_sum), not in sequence: equal distances
+    tie only if they round alike, so each stays bit-equal to the one
+    np.abs(q - r).sum() gives, and every tie breaks as it did."""
+    columns = np.ascontiguousarray(reference.T)
+
+    def term(j, rows, out):
+        return np.abs(np.subtract(queries[rows, j, None], columns[j], out=out), out=out)
+
     nearest = np.empty(len(queries), dtype=np.intp)
-    for start in range(0, len(queries), _NN_BLOCK_ROWS):
-        block = queries[start:start + _NN_BLOCK_ROWS]
-        dists = np.abs(block[:, None, :] - reference).sum(axis=2)
+    for start, dists in _column_sums(len(queries), len(reference), queries.shape[1], term):
         if leave_one_out:
-            rows = np.arange(len(block))
+            rows = np.arange(len(dists))
             dists[rows, start + rows] = np.inf
-        nearest[start:start + len(block)] = dists.argmin(axis=1)  # first minimum
+        nearest[start:start + len(dists)] = dists.argmin(axis=1)  # first minimum
     return nearest
 
 
@@ -536,16 +587,24 @@ def impute_missing(train: Dataset, target: Dataset) -> Dataset:
     cols = np.asarray(indices)
     values = target.values.copy()
     incomplete = np.flatnonzero(np.isnan(values).any(axis=1))
-    for start in range(0, len(incomplete), _NN_BLOCK_ROWS):
-        rows = incomplete[start:start + _NN_BLOCK_ROWS]
-        q = target_m[rows][:, None, :]
-        shared = train_present & ~np.isnan(q)
-        sims = np.where(shared, 1.0 - np.abs(train_m - q), 0.0).sum(axis=2)
+    queries = target_m[incomplete]
+    train_columns = train_m.T.copy()
+    train_absent, query_absent = np.isnan(train_columns), np.isnan(queries)
+
+    def similarity(j, rows, out):  # 1 - |difference| where both cells are present, else 0
+        np.subtract(train_columns[j], queries[rows, j, None], out=out)
+        np.subtract(1.0, np.abs(out, out=out), out=out)
+        np.copyto(out, 0.0, where=train_absent[j])
+        np.copyto(out, 0.0, where=query_absent[rows, j, None])
+        return out
+
+    for start, sims in _column_sums(len(queries), train.n_rows, len(indices), similarity):
+        rows = incomplete[start:start + len(sims)]
         # stable ranking: best similarity first, earliest row wins ties
         order = np.argsort(-sims, axis=1, kind="stable")
         # each MISSING cell's donor is the best-ranked row with that cell
         # present; every column has one, as none is entirely MISSING
-        r, j = np.nonzero(np.isnan(target_m[rows]))
+        r, j = np.nonzero(query_absent[start:start + len(sims)])
         ranked = order[r]
         donors = ranked[np.arange(len(r)), train_present[ranked, j[:, None]].argmax(axis=1)]
         values[rows[r], cols[j]] = train.values[donors, cols[j]]

@@ -358,11 +358,18 @@ class TestForwardSelectionMatchesOracle:
 
 def _oracle_full_columns(x):
     """The columns scipy's pivoted Householder QR of the centered design keeps:
-    those whose pivot |R_jj| exceeds PIVOT_TOL of the leading one."""
-    _, r, piv = scipy.linalg.qr(x - x.mean(axis=0), mode="economic", pivoting=True)
+    those whose pivot |R_jj| exceeds PIVOT_TOL of the leading one.  A column
+    whose centered norm is at most PIVOT_TOL of its own norm is constant, in
+    the intercept's span, and stays out of the QR, which on an all-constant
+    design would pivot on rounding noise."""
+    centered = x - x.mean(axis=0)
+    live = np.flatnonzero((centered ** 2).sum(axis=0) > classify.PIVOT_TOL ** 2 * (x ** 2).sum(axis=0))
+    if not live.size:
+        return ()
+    _, r, piv = scipy.linalg.qr(centered[:, live], mode="economic", pivoting=True)
     diag = np.abs(np.diag(np.atleast_2d(r)))
-    lead = diag[0] if diag.size else 0.0
-    return tuple(sorted(int(piv[j]) for j in range(len(diag)) if diag[j] > classify.PIVOT_TOL * lead))
+    return tuple(sorted(int(live[piv[j]]) for j in range(len(diag))
+                        if diag[j] > classify.PIVOT_TOL * diag[0]))
 
 
 @st.composite
@@ -432,6 +439,15 @@ class TestFullFitMatchesPivotedQR:
         labels = [rng.choice("ab") for _ in range(12)]
         x = np.column_stack([b, a, a, b])
         assert _full_fit_columns(x, labels) == (0, 1)
+
+    @settings(max_examples=1000, deadline=None, derandomize=True)
+    @given(n=st.integers(2, 24), d=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    def test_all_constant_design_keeps_nothing(self, n, d, seed):
+        # centering leaves each column rounding noise, at most PIVOT_TOL of its own norm
+        rng = np.random.default_rng(seed)
+        x = np.tile(rng.normal(size=d) * 10.0 ** rng.integers(-2, 3, size=d), (n, 1))
+        y = rng.integers(0, 2, size=n).astype(float)
+        assert classify._fit_full(x, y)[1] == ()
 
     def test_exactly_centered_constant_design_keeps_nothing(self):
         x = np.column_stack([np.full(5, 2.0), np.zeros(5)])

@@ -1,10 +1,14 @@
+import csv
 import hashlib
+import json
 import math
 import random
 import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ctxclass import data
 from ctxclass.data import MISSING, FeatureRole, LoadError
@@ -170,6 +174,19 @@ class TestGenericTable:
         (tmp_path / "t.schema.json").write_text(self.SCHEMA)
         (tmp_path / "t.csv").write_text("a,1.5\n")
         with pytest.raises(LoadError):
+            data.load_table(tmp_path / "t.csv", tmp_path / "t.schema.json")
+
+    def test_faulty_cell_before_a_csv_error_is_reported(self, tmp_path):
+        # the whole file is read before any cell is parsed; a line the csv
+        # reader rejects (a field over its size limit) still only counts if
+        # no earlier cell is faulty
+        (tmp_path / "t.schema.json").write_text(self.SCHEMA)
+        big = "1" * (csv.field_size_limit() + 1)
+        (tmp_path / "t.csv").write_text(f"a,x,0\nb,{big},1\n")
+        with pytest.raises(LoadError, match="line 1: bad number 'x' for 'x'"):
+            data.load_table(tmp_path / "t.csv", tmp_path / "t.schema.json")
+        (tmp_path / "t.csv").write_text(f"a,1.5,0\nb,{big},1\n")
+        with pytest.raises(csv.Error):
             data.load_table(tmp_path / "t.csv", tmp_path / "t.schema.json")
 
     @pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-inf", "Infinity"])
@@ -404,3 +421,191 @@ def _encoded(train, test):
 
     cfg = preprocess.PipelineConfig()
     return preprocess.run_pipeline(cfg, train, test)
+
+
+# ---------------------------------------------------------------------------
+# The column-wise loaders against the row walk they replaced
+
+def parse_row_oracle(schema, fields, missing, path, lineno):
+    """One data line as a matrix row, a cell at a time: the parse the loaders
+    did before they parsed whole columns, kept as their reference."""
+    row = []
+    for feat, raw in zip(schema, fields):
+        raw = raw.strip()
+        if raw in missing:
+            if feat.role is FeatureRole.CLASS:
+                raise LoadError(f"{path}: line {lineno}: class cell is MISSING")
+            row.append(math.nan)
+        elif feat.kind == "discrete":
+            if raw not in feat.codes:
+                raise LoadError(f"{path}: line {lineno}: "
+                                f"symbol {raw!r} not valid for {feat.name!r}")
+            row.append(feat.codes[raw])
+        else:
+            try:
+                value = float(raw)
+            except ValueError:
+                raise LoadError(f"{path}: line {lineno}: bad number {raw!r} for {feat.name!r}") from None
+            if not math.isfinite(value):
+                raise LoadError(f"{path}: line {lineno}: non-finite number {raw!r} for {feat.name!r}")
+            row.append(value)
+    return row
+
+
+def load_table_oracle(path, schema_path):
+    schema = data.load_schema(schema_path)
+    rows = []
+    with open(path, newline="") as fh:
+        for lineno, fields in enumerate(csv.reader(fh), start=1):
+            if not fields:
+                continue
+            if len(fields) != len(schema):
+                raise LoadError(
+                    f"{path}: line {lineno}: expected {len(schema)} fields, got {len(fields)}"
+                )
+            rows.append(parse_row_oracle(schema, fields, ("?", ""), path, lineno))
+    return data._from_cells(schema, rows)
+
+
+def load_hepatitis_oracle(path):
+    schema = data.hepatitis_schema()
+    rows = []
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            fields = line.split(",")
+            if len(fields) != len(schema):
+                raise LoadError(
+                    f"{path}: line {lineno}: expected {len(schema)} fields, got {len(fields)}"
+                )
+            raw = fields[0].strip()
+            if raw != "?":
+                if raw not in data.HEPATITIS_CLASS_MAP:
+                    raise LoadError(f"{path}: line {lineno}: unknown class symbol {raw!r}")
+                fields[0] = data.HEPATITIS_CLASS_MAP[raw]
+            rows.append(parse_row_oracle(schema, fields, ("?",), path, lineno))
+    if not rows:
+        raise LoadError(f"{path}: file contains no data rows")
+    return data._from_cells(schema, rows)
+
+
+def load_vowel_oracle(train_path, test_path):
+    sides = []
+    for path, flag, side in ((train_path, 0, "training"), (test_path, 1, "test")):
+        raw = [r for r in data._parse_vowel_file(path) if r[0] == flag]
+        if not raw:
+            raise LoadError(f"{path}: no {side} rows (flag {flag})")
+        sides.append((raw, path))
+    speakers = sorted({r[2][0] for raw, _ in sides for r in raw}, key=lambda s: (len(s), s))
+    schema = data._vowel_schema(speakers)
+    return tuple(
+        data._from_cells(schema, [parse_row_oracle(schema, cells, (), path, n) for _, n, cells in raw])
+        for raw, path in sides
+    )
+
+
+NUMBERS = ["0", "1.5", "-2", "3.25", "1e3", "0.1"]
+BAD_NUMBERS = ["x", "1.2.3", "--1", "inf", "-inf", "nan", "NaN", "1e999"]
+
+
+@st.composite
+def faulty_lines(draw, pools, faults, separator):
+    """1-8 data lines of cells drawn from one pool per column, some blank
+    lines between them, and 0-3 injected faults: a cell drawn from its
+    column's faults, or a line with one field too few or too many."""
+    lines = [[draw(st.sampled_from(pool)) for pool in pools] for _ in range(draw(st.integers(1, 8)))]
+    for _ in range(draw(st.integers(0, 3))):
+        line = lines[draw(st.integers(0, len(lines) - 1))]
+        if not line:
+            continue
+        c = draw(st.integers(0, min(len(line), len(pools)) - 1))  # a faulty line may be short
+        kind = draw(st.sampled_from(["cell", "cell", "fewer", "more"]))
+        if kind == "fewer":
+            del line[c]
+        elif kind == "more":
+            line.insert(c, draw(st.sampled_from(pools[c])))
+        elif faults[c]:
+            line[c] = draw(st.sampled_from(faults[c]))
+    text = [separator.join(line) for line in lines]
+    for _ in range(draw(st.integers(0, 2))):
+        text.insert(draw(st.integers(0, len(text))), "")
+    return "\n".join(text) + "\n"
+
+
+@st.composite
+def faulty_tables(draw):
+    """A schema sidecar of 1-4 features besides the class, and a CSV file of
+    faulty_lines under it, with padded cells and both MISSING tokens."""
+    entries, pools, faults = [], [], []
+    for j in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            entries.append({"name": f"d{j}", "role": "primary", "kind": "discrete",
+                            "alphabet": ["u", "v", "w"]})
+            pools.append(["u", "v", " w", "?", ""])
+            faults.append(["z", "U"])
+        else:
+            entries.append({"name": f"x{j}", "role": "primary", "kind": "continuous"})
+            pools.append(NUMBERS + [" 2.5 ", "?", ""])
+            faults.append(BAD_NUMBERS)
+    at = draw(st.integers(0, len(entries)))
+    entries.insert(at, {"name": "cls", "role": "class", "kind": "discrete", "alphabet": ["a", "b"]})
+    pools.insert(at, ["a", "b", " b"])
+    faults.insert(at, ["?", "", "c"])
+    return json.dumps(entries), draw(faulty_lines(pools, faults, ","))
+
+
+def _hepatitis_pools():
+    pools, faults = [["1", "2"]], [["?", "3", "die"]]
+    for name, role, kind, alphabet in data.HEPATITIS_COLUMNS[1:]:
+        if kind == "discrete":
+            pools.append(["1", "2", "?"])
+            faults.append(["0", "3"])
+        else:
+            pools.append(NUMBERS + ["?"])
+            faults.append(BAD_NUMBERS)
+    return pools, faults
+
+
+def _vowel_pools():
+    pools = [["0", "1"], ["0", "1", "2", "3"], ["0", "1"]] + [NUMBERS] * 10 + [["0", "4", "10"]]
+    faults = [["x"], ["1.5"], ["2"]] + [BAD_NUMBERS] * 10 + [["11", "v"]]
+    return pools, faults
+
+
+def _outcome(load, *args):
+    """What a loader returns, or the text of the LoadError it raises."""
+    try:
+        return load(*args)
+    except LoadError as exc:
+        return f"LoadError: {exc}"
+
+
+class TestColumnLoadersMatchTheRowWalk:
+    SETTINGS = settings(max_examples=200, deadline=None, derandomize=True,
+                        suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+    @SETTINGS
+    @given(table=faulty_tables())
+    def test_load_table(self, tmp_path, table):
+        schema_text, text = table
+        (tmp_path / "t.schema.json").write_text(schema_text)
+        (tmp_path / "t.csv").write_text(text)
+        args = (tmp_path / "t.csv", tmp_path / "t.schema.json")
+        assert _outcome(data.load_table, *args) == _outcome(load_table_oracle, *args)
+
+    @SETTINGS
+    @given(text=faulty_lines(*_hepatitis_pools(), ","))
+    def test_load_hepatitis(self, tmp_path, text):
+        (tmp_path / "h.data").write_text(text)
+        path = tmp_path / "h.data"
+        assert _outcome(data.load_hepatitis, path) == _outcome(load_hepatitis_oracle, path)
+
+    @SETTINGS
+    @given(text=faulty_lines(*_vowel_pools(), " "))
+    @pytest.mark.filterwarnings("ignore:vowel")
+    def test_load_vowel(self, tmp_path, text):
+        (tmp_path / "v.data").write_text(text)
+        path = tmp_path / "v.data"
+        assert _outcome(data.load_vowel, path, path) == _outcome(load_vowel_oracle, path, path)

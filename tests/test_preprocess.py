@@ -218,6 +218,61 @@ class TestNearestRows:
         assert preprocess._nearest_rows(rows, rows, leave_one_out=True).tolist() == [0]
 
 
+def nearest_rows_oracle(queries, reference, leave_one_out=False):
+    """The kernel before it added one feature column at a time: numpy sums a
+    block x n_ref x d tensor of |differences|.  Kept as its reference."""
+    nearest = np.empty(len(queries), dtype=np.intp)
+    for start in range(0, len(queries), preprocess._NN_BLOCK_ROWS):
+        block = queries[start:start + preprocess._NN_BLOCK_ROWS]
+        dists = np.abs(block[:, None, :] - reference).sum(axis=2)
+        if leave_one_out:
+            rows = np.arange(len(block))
+            dists[rows, start + rows] = np.inf
+        nearest[start:start + len(block)] = dists.argmin(axis=1)
+    return nearest
+
+
+# every order of numpy's pairwise sum: in sequence (d < 8), round 8
+# accumulators (8-128), split in halves once or twice (above 128)
+KERNEL_WIDTHS = st.integers(0, 30) | st.sampled_from([64, 127, 128, 129, 136, 200, 255, 257, 300, 520])
+
+
+class TestColumnKernelMatchesTheTensorSum:
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(d=KERNEL_WIDTHS, n_queries=st.integers(1, 9), n_ref=st.integers(1, 9),
+           block=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+    def test_distances_are_bit_equal(self, monkeypatch, d, n_queries, n_ref, block, seed):
+        monkeypatch.setattr(preprocess, "_NN_BLOCK_ROWS", block)
+        rng = np.random.default_rng(seed)
+        queries, reference = (rng.normal(size=(n, d)) * 10.0 ** rng.integers(-3, 4, size=d)
+                              for n in (n_queries, n_ref))
+
+        def term(j, rows, out):
+            return np.abs(np.subtract(queries[rows, j, None], reference[:, j], out=out), out=out)
+
+        got = [(start, sums.copy())
+               for start, sums in preprocess._column_sums(n_queries, n_ref, d, term)]
+        assert [start for start, _ in got] == list(range(0, n_queries, block))
+        want = np.abs(queries[:, None] - reference).sum(axis=2)
+        assert np.array_equal(np.concatenate([sums for _, sums in got]), want)
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(d=KERNEL_WIDTHS, n_queries=st.integers(1, 12), n_ref=st.integers(1, 12),
+           block=st.integers(1, 5), leave_one_out=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_nearest_rows_on_tie_heavy_grids(self, monkeypatch, d, n_queries, n_ref, block,
+                                             leave_one_out, seed):
+        # cells in tenths: many distances equal in exact arithmetic, which
+        # tie or not as their sums round
+        monkeypatch.setattr(preprocess, "_NN_BLOCK_ROWS", block)
+        rng = np.random.default_rng(seed)
+        reference = rng.integers(-3, 4, size=(n_ref, d)) / 10
+        queries = reference if leave_one_out else rng.integers(-3, 4, size=(n_queries, d)) / 10
+        got = preprocess._nearest_rows(queries, reference, leave_one_out)
+        assert got.tolist() == nearest_rows_oracle(queries, reference, leave_one_out).tolist()
+
+
 class TestContextualGroups:
     def test_group_statistics(self):
         ds = numeric_dataset([[2.0, 4.0, 6.0]], ["a", "b", "a"], context=["g", "g", "g"])
