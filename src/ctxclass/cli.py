@@ -1,13 +1,16 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 1 usage error, 2 input/load error, 3 precondition
-failure, 4 runtime failure.  Dataset paths come from flags or the
-CTXCLASS_DATA_DIR environment variable; nothing is fetched from the network.
+Exit codes: 0 success, 1 usage error, 2 a file that cannot be read,
+decoded, parsed or written, 3 precondition failure, 4 runtime failure; a
+failing command writes one line, "<command>: <message>", to stderr.  Dataset
+paths come from flags or the CTXCLASS_DATA_DIR environment variable; nothing
+is fetched from the network.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -22,8 +25,22 @@ EXIT_PRECONDITION = 3
 EXIT_RUNTIME = 4
 
 
-class _UsageError(SystemExit):
-    pass
+class _Refusal(Exception):
+    """A command's refusal to run: ``main`` reports the message and exits
+    with the code."""
+
+    def __init__(self, code: int, message: str):
+        super().__init__(message)
+        self.code = code
+
+
+@contextlib.contextmanager
+def _mapped(code: int):
+    """Turn a ValueError raised in the block into a refusal with ``code``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise _Refusal(code, str(exc)) from exc
 
 
 class _Parser(argparse.ArgumentParser):
@@ -133,45 +150,32 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _cmd_taxonomy(args) -> int:
+def _cmd_taxonomy(args) -> None:
     if bool(args.spec) == bool(args.data):
-        sys.stderr.write("taxonomy: exactly one of --spec or --data is required\n")
-        return EXIT_USAGE
+        raise _Refusal(EXIT_USAGE, "exactly one of --spec or --data is required")
     if args.spec:
         try:
             dist = data.JointDistribution.from_json(Path(args.spec).read_text())
-        except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-            sys.stderr.write(f"taxonomy: cannot load {args.spec}: {exc}\n")
-            return EXIT_LOAD
+        except (OSError, ValueError, KeyError) as exc:
+            raise _Refusal(EXIT_LOAD, f"cannot load {args.spec}: {exc}") from None
         eps = args.eps if args.eps is not None else taxonomy.EXACT_EPS
     else:
         if not args.schema:
-            sys.stderr.write("taxonomy: --data requires --schema\n")
-            return EXIT_USAGE
-        try:
-            ds = data.load_table(args.data, args.schema)
-        except (data.LoadError, OSError) as exc:
-            sys.stderr.write(f"taxonomy: {exc}\n")
-            return EXIT_LOAD
+            raise _Refusal(EXIT_USAGE, "--data requires --schema")
+        ds = data.load_table(args.data, args.schema)
         continuous = [f.name for f in ds.schema if f.kind == "continuous"]
         if continuous and args.bins is None:
-            sys.stderr.write(
-                f"taxonomy: continuous features {continuous} need --bins to discretize\n"
-            )
-            return EXIT_PRECONDITION
-        try:
+            raise _Refusal(EXIT_PRECONDITION,
+                           f"continuous features {continuous} need --bins to discretize")
+        with _mapped(EXIT_PRECONDITION):
             if continuous:
                 ds = _discretize(ds, args.bins)
             dist = taxonomy.estimate_distribution(ds)
-        except ValueError as exc:
-            sys.stderr.write(f"taxonomy: {exc}\n")
-            return EXIT_PRECONDITION
         eps = args.eps if args.eps is not None else taxonomy.EMPIRICAL_EPS
     verdict = taxonomy.classify_features(dist, eps)
     print(taxonomy.verdict_table(verdict))
     if args.json_out:
         Path(args.json_out).write_text(json.dumps(taxonomy.verdict_json(verdict), indent=2) + "\n")
-    return EXIT_OK
 
 
 def _discretize(ds: data.Dataset, k: int) -> data.Dataset:
@@ -184,41 +188,30 @@ def _discretize(ds: data.Dataset, k: int) -> data.Dataset:
     return data.Dataset(data.FeatureSchema(tuple(feats)), values)
 
 
-def _cmd_run_grid(args) -> int:
-    try:
+def _cmd_run_grid(args) -> None:
+    with _mapped(EXIT_RUNTIME):
         if args.dataset == "vowel":
             train_path = args.train or _default_path("vowel-context.data")
             test_path = args.test or train_path
             if train_path is None:
-                sys.stderr.write(
-                    "run-grid: vowel files not found; pass --train/--test or set CTXCLASS_DATA_DIR\n"
-                )
-                return EXIT_LOAD
+                raise _Refusal(EXIT_LOAD, "vowel files not found; "
+                               "pass --train/--test or set CTXCLASS_DATA_DIR")
             train, test = data.load_vowel(train_path, test_path)
             report = harness.run_vowel_grid(train, test, args.classifier)
         else:
             path = args.data or _default_path("hepatitis.data")
             if path is None:
-                sys.stderr.write(
-                    "run-grid: hepatitis file not found; pass --data or set CTXCLASS_DATA_DIR\n"
-                )
-                return EXIT_LOAD
+                raise _Refusal(EXIT_LOAD, "hepatitis file not found; "
+                               "pass --data or set CTXCLASS_DATA_DIR")
             ds = data.load_hepatitis(path)
             report = harness.run_hepatitis_grid(
                 ds, n_splits=args.splits, seed=args.seed, classifier=args.classifier
             )
-    except (data.LoadError, OSError) as exc:
-        sys.stderr.write(f"run-grid: {exc}\n")
-        return EXIT_LOAD
-    except ValueError as exc:
-        sys.stderr.write(f"run-grid: {exc}\n")
-        return EXIT_RUNTIME
     print(harness.emit_table(report, "text"))
     singles, joint = harness.synergy(report)
     print(f"synergy: separate strategies gain {singles} points, together {joint} points")
     if args.out:
         harness.write_report(report, args.out)
-    return EXIT_OK
 
 
 def _check_same_schema(train, test, train_schema, test_schema) -> None:
@@ -228,55 +221,33 @@ def _check_same_schema(train, test, train_schema, test_schema) -> None:
         raise data.LoadError(f"{train_schema} and {test_schema} describe different schemas")
 
 
-def _load_pair(args):
+def _cmd_compare_normalizers(args) -> None:
     if args.train:
         if not (args.train_schema and args.test and args.test_schema):
-            raise _UsageError(EXIT_USAGE)
+            raise _Refusal(EXIT_USAGE, "--train requires --train-schema, --test, --test-schema")
         train = data.load_table(args.train, args.train_schema)
         test = data.load_table(args.test, args.test_schema)
         _check_same_schema(train, test, args.train_schema, args.test_schema)
     else:
-        params = data.PlantedContextParams(shift=args.shift, noise=args.noise)
-        train, test = data.plant_context_dataset(params, args.seed)
-    return train, test
-
-
-def _cmd_compare_normalizers(args) -> int:
-    try:
-        train, test = _load_pair(args)
-    except _UsageError:
-        sys.stderr.write(
-            "compare-normalizers: --train requires --train-schema, --test, --test-schema\n"
-        )
-        return EXIT_USAGE
-    except (data.LoadError, OSError) as exc:
-        sys.stderr.write(f"compare-normalizers: {exc}\n")
-        return EXIT_LOAD
-    except ValueError as exc:  # synthetic-pair parameters
-        sys.stderr.write(f"compare-normalizers: {exc}\n")
-        return EXIT_USAGE
+        with _mapped(EXIT_USAGE):  # synthetic-pair parameters
+            params = data.PlantedContextParams(shift=args.shift, noise=args.noise)
+            train, test = data.plant_context_dataset(params, args.seed)
     if test.n_rows == 0:
-        sys.stderr.write("compare-normalizers: test set has no rows\n")
-        return EXIT_PRECONDITION
+        raise _Refusal(EXIT_PRECONDITION, "test set has no rows")
     label = args.baseline_class or train.schema.class_feature.alphabet[0]
     baseline_rows = [i for i, c in enumerate(train.class_labels()) if c == label]
     if not baseline_rows:
-        sys.stderr.write(f"compare-normalizers: no training rows with class {label!r}\n")
-        return EXIT_PRECONDITION
+        raise _Refusal(EXIT_PRECONDITION, f"no training rows with class {label!r}")
     baseline = train.subset(baseline_rows)
-    try:
+    with _mapped(EXIT_RUNTIME):
         report = harness.run_normalization_comparison(train, test, baseline=baseline)
-    except ValueError as exc:
-        sys.stderr.write(f"compare-normalizers: {exc}\n")
-        return EXIT_RUNTIME
     print(harness.emit_table(report, "text"))
     if args.out:
         harness.write_report(report, args.out)
-    return EXIT_OK
 
 
-def _cmd_synth(args) -> int:
-    try:
+def _cmd_synth(args) -> None:
+    with _mapped(EXIT_USAGE):
         params = data.PlantedContextParams(
             n_classes=args.classes,
             n_primary=args.features,
@@ -285,76 +256,50 @@ def _cmd_synth(args) -> int:
             shift=args.shift,
             noise=args.noise,
         )
-    except ValueError as exc:
-        sys.stderr.write(f"synth: {exc}\n")
-        return EXIT_USAGE
     train, test = data.plant_context_dataset(params, args.seed)
     out = Path(args.out)
     data.write_table(train, out.with_suffix(".train.csv"), out.with_suffix(".train.schema.json"))
     data.write_table(test, out.with_suffix(".test.csv"), out.with_suffix(".test.schema.json"))
     print(f"wrote {out.with_suffix('.train.csv')} and {out.with_suffix('.test.csv')}")
-    return EXIT_OK
 
 
-def _cmd_impute(args) -> int:
-    try:
-        target = data.load_table(args.data, args.schema)
-        if args.train:
-            train_schema = args.train_schema or args.schema
-            train = data.load_table(args.train, train_schema)
-            _check_same_schema(train, target, train_schema, args.schema)
-        else:
-            train = target
-    except (data.LoadError, OSError) as exc:
-        sys.stderr.write(f"impute: {exc}\n")
-        return EXIT_LOAD
-    try:
+def _cmd_impute(args) -> None:
+    target = data.load_table(args.data, args.schema)
+    if args.train:
+        train_schema = args.train_schema or args.schema
+        train = data.load_table(args.train, train_schema)
+        _check_same_schema(train, target, train_schema, args.schema)
+    else:
+        train = target
+    with _mapped(EXIT_PRECONDITION):
         filled = preprocess.impute_missing(train, target)
-    except ValueError as exc:
-        sys.stderr.write(f"impute: {exc}\n")
-        return EXIT_PRECONDITION
     data.write_table(filled, args.out)
     print(f"wrote {args.out} ({target.missing_count()} cells filled)")
-    return EXIT_OK
 
 
-def _cmd_normalize(args) -> int:
-    try:
-        ds = data.load_table(args.data, args.schema)
-    except (data.LoadError, OSError) as exc:
-        sys.stderr.write(f"normalize: {exc}\n")
-        return EXIT_LOAD
+def _cmd_normalize(args) -> None:
+    ds = data.load_table(args.data, args.schema)
     context = None
     if args.mode == "contextual":
         if not args.context:
-            sys.stderr.write("normalize: --mode contextual requires --context\n")
-            return EXIT_USAGE
+            raise _Refusal(EXIT_USAGE, "--mode contextual requires --context")
         if args.context not in ds.schema.names:
-            sys.stderr.write(f"normalize: no feature named {args.context!r}\n")
-            return EXIT_USAGE
+            raise _Refusal(EXIT_USAGE, f"no feature named {args.context!r}")
         boundaries = None
         ctx_idx = ds.schema.index_of(args.context)
         if ds.schema.features[ctx_idx].kind == "continuous":
             if args.bins is None:
-                sys.stderr.write("normalize: continuous context requires --bins\n")
-                return EXIT_PRECONDITION
-            try:
+                raise _Refusal(EXIT_PRECONDITION, "continuous context requires --bins")
+            with _mapped(EXIT_PRECONDITION):
                 boundaries = preprocess.column_bins(ds, ctx_idx, args.bins)
-            except ValueError as exc:
-                sys.stderr.write(f"normalize: {exc}\n")
-                return EXIT_PRECONDITION
         context = preprocess.ContextKey(args.context, boundaries)
-    try:
+    with _mapped(EXIT_RUNTIME):
         config = preprocess.PipelineConfig(
             normalize=args.mode, context=context, impute=ds.missing_count() > 0
         )
         out, _ = preprocess.run_pipeline(config, ds, ds.subset([]))
-    except ValueError as exc:
-        sys.stderr.write(f"normalize: {exc}\n")
-        return EXIT_RUNTIME
     data.write_table(out, args.out)
     print(f"wrote {args.out}")
-    return EXIT_OK
 
 
 _COMMANDS = {
@@ -373,7 +318,16 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    return _COMMANDS[args.command](args)
+    try:
+        _COMMANDS[args.command](args)
+    except _Refusal as exc:
+        code, message = exc.code, exc
+    except (data.LoadError, OSError) as exc:  # unreadable, undecodable, unparsable, unwritable
+        code, message = EXIT_LOAD, exc
+    else:
+        return EXIT_OK
+    sys.stderr.write(f"{args.command}: {message}\n")
+    return code
 
 
 if __name__ == "__main__":

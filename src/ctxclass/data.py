@@ -39,6 +39,15 @@ class LoadError(Exception):
     """Raised when an input file cannot be parsed into a Dataset."""
 
 
+def _text_lines(path, **open_args):
+    """The lines of a text file; text that does not decode is a LoadError."""
+    try:
+        with open(path, **open_args) as fh:
+            yield from fh
+    except UnicodeDecodeError as exc:
+        raise LoadError(f"{path}: {exc}") from None
+
+
 class _Missing:
     """Singleton marker for an absent cell value."""
 
@@ -293,20 +302,19 @@ def _parse_vowel_file(path) -> list[tuple[int, int, list[str]]]:
     """(flag, line number, cells in schema order) of each data line, with
     speaker, sex and class written as plain integers."""
     rows = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split()
-            if len(fields) != 14:
-                raise LoadError(f"{path}: line {lineno}: expected 14 fields, got {len(fields)}")
-            try:
-                flag = int(fields[0])
-                speaker, sex, vowel = (str(int(fields[i])) for i in (1, 2, 13))
-            except ValueError as exc:
-                raise LoadError(f"{path}: line {lineno}: {exc}") from None
-            rows.append((flag, lineno, [speaker, sex, *fields[3:13], vowel]))
+    for lineno, line in enumerate(_text_lines(path), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        fields = line.split()
+        if len(fields) != 14:
+            raise LoadError(f"{path}: line {lineno}: expected 14 fields, got {len(fields)}")
+        try:
+            flag = int(fields[0])
+            speaker, sex, vowel = (str(int(fields[i])) for i in (1, 2, 13))
+        except ValueError as exc:
+            raise LoadError(f"{path}: line {lineno}: {exc}") from None
+        rows.append((flag, lineno, [speaker, sex, *fields[3:13], vowel]))
     if not rows:
         raise LoadError(f"{path}: file contains no data rows")
     return rows
@@ -376,19 +384,18 @@ def load_hepatitis(path) -> Dataset:
     """Load the UCI hepatitis file (comma layout, "?" for missing, class first)."""
     schema = hepatitis_schema()
     lines, fault = [], None
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split(",")
-            raw = fields[0].strip()
-            if raw != "?" and len(fields) == len(schema):  # else a field-count fault
-                if raw not in HEPATITIS_CLASS_MAP:
-                    fault = LoadError(f"{path}: line {lineno}: unknown class symbol {raw!r}")
-                    break
-                fields[0] = HEPATITIS_CLASS_MAP[raw]
-            lines.append((lineno, fields))
+    for lineno, line in enumerate(_text_lines(path), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        fields = line.split(",")
+        raw = fields[0].strip()
+        if raw != "?" and len(fields) == len(schema):  # else a field-count fault
+            if raw not in HEPATITIS_CLASS_MAP:
+                fault = LoadError(f"{path}: line {lineno}: unknown class symbol {raw!r}")
+                break
+            fields[0] = HEPATITIS_CLASS_MAP[raw]
+        lines.append((lineno, fields))
     if not lines and fault is None:
         raise LoadError(f"{path}: file contains no data rows")
     return _parse_columns(schema, lines, ("?",), path, fault)
@@ -404,7 +411,7 @@ def load_schema(schema_path) -> FeatureSchema:
     """Read a JSON sidecar: a list of {name, role, kind, alphabet?} objects."""
     try:
         entries = json.loads(Path(schema_path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # unreadable, undecodable or not JSON
         raise LoadError(f"{schema_path}: {exc}") from None
     if not isinstance(entries, list):
         raise LoadError(f"{schema_path}: schema sidecar must be a JSON list")
@@ -436,13 +443,12 @@ def load_table(path, schema_path) -> Dataset:
     """Load a comma-separated data file against its JSON schema sidecar."""
     schema = load_schema(schema_path)
     lines, fault = [], None
-    with open(path, newline="") as fh:
-        try:
-            for lineno, fields in enumerate(csv.reader(fh), start=1):
-                if fields:
-                    lines.append((lineno, fields))
-        except csv.Error as exc:
-            fault = exc
+    try:
+        for lineno, fields in enumerate(csv.reader(_text_lines(path, newline="")), start=1):
+            if fields:
+                lines.append((lineno, fields))
+    except csv.Error as exc:
+        fault = exc
     return _parse_columns(schema, lines, ("?", ""), path, fault)
 
 

@@ -90,6 +90,12 @@ class TestTaxonomyCommand:
     def test_missing_spec_file(self, tmp_path):
         assert cli.main(["taxonomy", "--spec", str(tmp_path / "nope.json")]) == 2
 
+    def test_missing_data_file(self, tmp_path, small_table, capsys):
+        _, sp = small_table
+        dp = tmp_path / "nope.csv"
+        assert cli.main(["taxonomy", "--data", str(dp), "--schema", str(sp)]) == 2
+        assert capsys.readouterr().err == f"taxonomy: [Errno 2] No such file or directory: '{dp}'\n"
+
     @pytest.mark.parametrize("variables, tuples", [([], [[]]), (["c", "c"], [["0", "0"]])])
     def test_spec_without_distinct_variables_is_load_error(self, tmp_path, variables, tuples,
                                                            capsys):
@@ -167,6 +173,20 @@ class TestRunGrid:
         monkeypatch.delenv("CTXCLASS_DATA_DIR", raising=False)
         assert cli.main(["run-grid", "--dataset", "vowel"]) == 2
         assert "CTXCLASS_DATA_DIR" in capsys.readouterr().err
+
+    def test_missing_hepatitis_file_without_env(self, monkeypatch, capsys):
+        monkeypatch.delenv("CTXCLASS_DATA_DIR", raising=False)
+        assert cli.main(["run-grid", "--dataset", "hepatitis"]) == 2
+        assert capsys.readouterr().err == (
+            "run-grid: hepatitis file not found; pass --data or set CTXCLASS_DATA_DIR\n")
+
+    def test_too_few_hepatitis_rows_is_runtime_error(self, tmp_path, capsys):
+        p = tmp_path / "hepatitis.data"
+        p.write_text("\n".join(make_hepatitis_text().splitlines()[:5]) + "\n")
+        assert cli.main(["run-grid", "--dataset", "hepatitis", "--data", str(p)]) == 4
+        captured = capsys.readouterr()
+        assert captured.err == "run-grid: n_train must be in (0, 5), got 100\n"
+        assert captured.out == ""
 
     def test_env_var_default(self, vowel_file, monkeypatch, capsys):
         target = vowel_file.parent / "vowel-context.data"
@@ -429,6 +449,27 @@ class TestNormalize:
         assert code == 3
         assert "distinct values" in capsys.readouterr().err
 
+    def test_continuous_context_without_bins_is_precondition(self, tmp_path,
+                                                             continuous_context_table, capsys):
+        dp, sp = continuous_context_table
+        code = cli.main(["normalize", "--data", str(dp), "--schema", str(sp),
+                         "--mode", "contextual", "--context", "c",
+                         "--out", str(tmp_path / "o.csv")])
+        assert code == 3
+        assert capsys.readouterr().err == "normalize: continuous context requires --bins\n"
+
+    def test_entirely_missing_context_is_runtime_error(self, tmp_path, small_table, capsys):
+        _, sp = small_table
+        dp = tmp_path / "gmiss.csv"
+        dp.write_text("".join(f"{'a' if i % 2 else 'b'},{i / 10},?\n" for i in range(20)))
+        out = tmp_path / "o.csv"
+        code = cli.main(["normalize", "--data", str(dp), "--schema", str(sp),
+                         "--mode", "contextual", "--context", "g", "--out", str(out)])
+        assert code == 4
+        assert capsys.readouterr().err == (
+            "normalize: feature 'g' is entirely MISSING in the training set\n")
+        assert not out.exists()
+
     def test_binned_continuous_context(self, tmp_path, continuous_context_table):
         dp, sp = continuous_context_table
         out = tmp_path / "norm.csv"
@@ -437,6 +478,68 @@ class TestNormalize:
                          "--out", str(out)])
         assert code == 0
         assert data.load_table(out, sp).n_rows == 20
+
+
+class TestExitPath:
+    """Every failure reaches the user as one stderr line, "<command>: <message>",
+    and its documented exit code; a file that cannot be read, decoded, parsed
+    or written is code 2."""
+
+    @pytest.fixture()
+    def paths(self, tmp_path, small_table, spec_file, hepatitis_file):
+        dp, sp = small_table
+        bad = tmp_path / "bad.bin"  # not UTF-8: 0xff starts the second line
+        bad.write_bytes(b"a,0.1,0\n\xff,0.2,1\n")
+        return dict(table=dp, schema=sp, spec=spec_file, hepatitis=hepatitis_file, bad=bad,
+                    out=tmp_path / "absent" / "out")
+
+    @staticmethod
+    def argv(template, paths):
+        return [word.format(**paths) for word in template.split()]
+
+    @pytest.mark.parametrize("template, printed", [
+        ("synth --train-rows 20 --test-rows 20 --out {out}", ""),
+        ("run-grid --dataset hepatitis --data {hepatitis} --splits 2 --out {out}", "synergy"),
+        ("compare-normalizers --noise 0.05 --out {out}", "zscore"),
+        ("impute --data {table} --schema {schema} --out {out}", ""),
+        ("normalize --data {table} --schema {schema} --out {out}", ""),
+        ("taxonomy --spec {spec} --json {out}", "primary"),
+    ], ids=["synth", "run-grid", "compare-normalizers", "impute", "normalize", "taxonomy"])
+    def test_unwritable_output_is_load_error(self, paths, template, printed, capsys):
+        argv = self.argv(template, paths)
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"{argv[0]}: [Errno 2] No such file or directory: ")
+        assert captured.err.count("\n") == 1
+        assert printed in captured.out  # what was printed before the write stays
+
+    @pytest.mark.parametrize("template", [
+        "taxonomy --data {bad} --schema {schema}",
+        "taxonomy --data {table} --schema {bad}",
+        "run-grid --dataset hepatitis --data {bad}",
+        "run-grid --dataset vowel --train {bad}",
+        "compare-normalizers --train {bad} --train-schema {schema} --test {table} "
+        "--test-schema {schema}",
+        "impute --data {bad} --schema {schema} --out {out}",
+        "normalize --data {bad} --schema {schema} --out {out}",
+    ], ids=["taxonomy-data", "taxonomy-schema", "run-grid-hepatitis", "run-grid-vowel",
+            "compare-normalizers", "impute", "normalize"])
+    def test_undecodable_input_is_load_error(self, paths, template, capsys):
+        argv = self.argv(template, paths)
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"{argv[0]}: {paths['bad']}: ")
+        assert "can't decode byte 0xff" in err and err.count("\n") == 1
+
+    def test_value_error_outside_a_mapped_region_is_not_reported(self, tmp_path, monkeypatch):
+        # a ValueError that no command maps to an exit code is a bug, so it
+        # keeps its traceback
+        def broken(params, seed):
+            raise ValueError("a bug")
+
+        monkeypatch.setattr(data, "plant_context_dataset", broken)
+        with pytest.raises(ValueError, match="a bug"):
+            cli.main(["synth", "--out", str(tmp_path / "x")])
 
 
 class TestParser:

@@ -221,6 +221,53 @@ class TestGenericTable:
         assert back.rows == ds.rows  # floats round-trip bit-exactly via repr
 
 
+def _with_undecodable_line(text: str, index: int) -> bytes:
+    """The text as bytes with 0xff, which is not UTF-8, starting one line."""
+    lines = text.encode().splitlines()
+    lines[index] = b"\xff" + lines[index]
+    return b"\n".join(lines) + b"\n"
+
+
+class TestUndecodableInput:
+    """A file that does not decode is a LoadError naming the file; LoadError
+    is no ValueError, so no caller mistakes it for a bad parameter."""
+
+    @staticmethod
+    def expect(path):
+        return pytest.raises(LoadError, match=rf"^{re.escape(str(path))}: .*can't decode byte 0xff")
+
+    def test_load_error_is_no_value_error(self):
+        # UnicodeDecodeError and JSONDecodeError are ValueErrors, which the CLI
+        # maps to other exit codes in some regions
+        assert not issubclass(LoadError, ValueError)
+
+    def test_vowel(self, tmp_path):
+        p = tmp_path / "vowel.data"
+        p.write_bytes(_with_undecodable_line(make_vowel_text(), 3))
+        with self.expect(p):
+            data.load_vowel(p, p)
+
+    def test_hepatitis(self, tmp_path):
+        p = tmp_path / "hepatitis.data"
+        p.write_bytes(_with_undecodable_line(make_hepatitis_text(), 3))
+        with self.expect(p):
+            data.load_hepatitis(p)
+
+    def test_table(self, tmp_path):
+        (tmp_path / "t.schema.json").write_text(TestGenericTable.SCHEMA)
+        p = tmp_path / "t.csv"
+        p.write_bytes(_with_undecodable_line("a,1.5,0\nb,2.5,1", 1))
+        with self.expect(p):
+            data.load_table(p, tmp_path / "t.schema.json")
+
+    def test_schema_sidecar(self, tmp_path):
+        p = tmp_path / "t.schema.json"
+        p.write_bytes(_with_undecodable_line(TestGenericTable.SCHEMA, 1))
+        (tmp_path / "t.csv").write_text("a,1.5,0\n")
+        with self.expect(p):
+            data.load_table(tmp_path / "t.csv", p)
+
+
 class TestDatasetMatrix:
     def test_values_are_read_only(self, synthetic_hepatitis):
         values = synthetic_hepatitis.values
