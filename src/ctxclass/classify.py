@@ -14,8 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import MISSING, Dataset, FeatureSchema
-from .preprocess import _check_numeric, _nearest_rows, _require_numeric
+from .data import Dataset
+from .preprocess import _nearest_rows, _require_numeric
 
 PIVOT_TOL = 1e-10
 
@@ -32,21 +32,11 @@ def similarity(x: Sequence[float], y: Sequence[float]) -> float:
     return float(len(x) - sum(abs(a - b) for a, b in zip(x, y)))
 
 
-def _query_matrix(schema: FeatureSchema, query) -> np.ndarray:
-    """A single query as a one-row feature matrix: either a full row of the
-    schema or a bare vector of primary-feature values."""
-    if isinstance(query, (tuple, list)) and len(query) == len(schema):
-        cells = [np.nan if query[i] is MISSING else query[i] for i in schema.primary_indices]
-        return _check_numeric(schema, schema.primary_indices, np.array([cells], dtype=float))
-    return np.asarray(query, dtype=float).reshape(1, -1)
-
-
 # ---------------------------------------------------------------------------
 # Single-nearest neighbor
 
 @dataclass(frozen=True)
 class NearestNeighborModel:
-    schema: FeatureSchema
     features: np.ndarray
     labels: tuple[str, ...]
 
@@ -61,21 +51,14 @@ def nn_fit(train: Dataset) -> NearestNeighborModel:
     if train.n_rows == 0:
         raise ValueError("empty training set")
     x = _require_numeric(train, train.schema.primary_indices)
-    return NearestNeighborModel(train.schema, x, train.class_labels())
-
-
-def _nn_labels(model: NearestNeighborModel, queries: np.ndarray) -> tuple[str, ...]:
-    return tuple(model.labels[i] for i in _nearest_rows(queries, model.features))
-
-
-def nn_predict(model: NearestNeighborModel, query) -> str:
-    """Class of the L1-nearest stored row; earliest row wins ties."""
-    return _nn_labels(model, _query_matrix(model.schema, query))[0]
+    return NearestNeighborModel(x, train.class_labels())
 
 
 def nn_predict_dataset(model: NearestNeighborModel, dataset: Dataset) -> tuple[str, ...]:
-    """Vectorized prediction for every row of a dataset."""
-    return _nn_labels(model, _require_numeric(dataset, dataset.schema.primary_indices))
+    """Class of the L1-nearest stored row for every row of a dataset; the
+    earliest stored row wins ties."""
+    queries = _require_numeric(dataset, dataset.schema.primary_indices)
+    return tuple(model.labels[i] for i in _nearest_rows(queries, model.features))
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +82,6 @@ class ClassEquation:
 
 @dataclass(frozen=True)
 class LinearDiscriminantModel:
-    schema: FeatureSchema
     equations: tuple[ClassEquation, ...]  # in class alphabet order
 
     def describe(self) -> str:
@@ -225,10 +207,13 @@ def mlr_fit(train: Dataset, selection: SelectionParams | None = None) -> LinearD
         else:
             intercept, sel, coefs, dropped = _fit_full(x, y)
         equations.append(ClassEquation(cls, sel, intercept, coefs, dropped))
-    return LinearDiscriminantModel(train.schema, tuple(equations))
+    return LinearDiscriminantModel(tuple(equations))
 
 
-def _mlr_labels(model: LinearDiscriminantModel, queries: np.ndarray) -> tuple[str, ...]:
+def mlr_predict_dataset(model: LinearDiscriminantModel, dataset: Dataset) -> tuple[str, ...]:
+    """For every row of a dataset, the class whose equation yields the
+    largest value; the lowest class index wins ties."""
+    queries = _require_numeric(dataset, dataset.schema.primary_indices)
     scores = np.empty((queries.shape[0], len(model.equations)))
     for k, eq in enumerate(model.equations):
         scores[:, k] = eq.intercept
@@ -237,11 +222,3 @@ def _mlr_labels(model: LinearDiscriminantModel, queries: np.ndarray) -> tuple[st
     winners = scores.argmax(axis=1)  # first maximum = lowest class index
     return tuple(model.equations[int(w)].label for w in winners)
 
-
-def mlr_predict(model: LinearDiscriminantModel, query) -> str:
-    """Class whose equation yields the largest value; lowest class index wins ties."""
-    return _mlr_labels(model, _query_matrix(model.schema, query))[0]
-
-
-def mlr_predict_dataset(model: LinearDiscriminantModel, dataset: Dataset) -> tuple[str, ...]:
-    return _mlr_labels(model, _require_numeric(dataset, dataset.schema.primary_indices))

@@ -156,7 +156,7 @@ def _cmd_taxonomy(args) -> None:
     if args.spec:
         try:
             dist = data.JointDistribution.from_json(Path(args.spec).read_text())
-        except (OSError, ValueError, KeyError) as exc:
+        except (OSError, ValueError) as exc:
             raise _Refusal(EXIT_LOAD, f"cannot load {args.spec}: {exc}") from None
         eps = args.eps if args.eps is not None else taxonomy.EXACT_EPS
     else:

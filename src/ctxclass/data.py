@@ -486,6 +486,20 @@ def split_random(dataset: Dataset, n_train: int, seed: int) -> tuple[Dataset, Da
 # ---------------------------------------------------------------------------
 # Joint distributions and synthetic generation
 
+_JSON_SCALARS = (str, int, float, bool, type(None))
+
+
+def _json_get(obj, key: str, kind: type | tuple = _JSON_SCALARS, items: tuple = (dict,)):
+    """obj[key] of a JSON object, a kind (if a list, of items); else a ValueError naming it."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise ValueError(f"missing key {key!r} in {json.dumps(obj)[:40]}")
+    value = obj[key]
+    if not isinstance(value, kind) or isinstance(value, list) and not all(
+            isinstance(v, items) for v in value):
+        raise ValueError(f"wrong JSON type for {key!r}: {json.dumps(value)[:40]}")
+    return value
+
+
 @dataclass(frozen=True)
 class JointDistribution:
     """Explicit discrete joint distribution of a class and its features.
@@ -532,11 +546,16 @@ class JointDistribution:
 
     @classmethod
     def from_json(cls, text: str) -> "JointDistribution":
+        """Read the layout ``to_json`` writes; a document of another shape is
+        a ValueError that names the first fault."""
         doc = json.loads(text)
-        variables = tuple(v["name"] for v in doc["variables"])
-        alphabets = tuple(tuple(v["values"]) for v in doc["variables"])
-        probs = {tuple(entry["tuple"]): float(entry["prob"]) for entry in doc["probabilities"]}
-        return cls(variables, alphabets, probs, doc.get("class", ""))
+        variables = _json_get(doc, "variables", list)
+        names = tuple(_json_get(v, "name") for v in variables)
+        alphabets = tuple(tuple(_json_get(v, "values", list, _JSON_SCALARS)) for v in variables)
+        probs = {tuple(_json_get(e, "tuple", list, _JSON_SCALARS)):
+                 float(_json_get(e, "prob", (int, float)))
+                 for e in _json_get(doc, "probabilities", list)}
+        return cls(names, alphabets, probs, _json_get(doc, "class") if "class" in doc else "")
 
     def to_json(self) -> str:
         """The JSON layout ``from_json`` reads.  Its "class" key names the class

@@ -14,12 +14,13 @@ independent.
 A normalizer is a fit, an apply, and the set it is fitted on: the training
 split ("minmax", "zscore", "percentile", "contextual"), a baseline set
 ("baseline", "contextual-nn", "contextual-linear"), or each split itself
-("contextual-transductive").  NORMALIZERS lists them after "none".
+("contextual-transductive").  NORMALIZERS lists them after "none".  The
+context fits take the fit set and a ContextKey: fit_contextual groups by it;
+fit_context_nn and fit_context_linear regress on its feature's raw values.
 """
 
 from __future__ import annotations
 
-import bisect
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
@@ -33,25 +34,20 @@ SIGMA_FLOOR = 1e-12
 _NN_BLOCK_ROWS = 64  # queries per block of the L1 nearest-neighbour distance tensor
 
 
-def _check_numeric(schema: FeatureSchema, indices: Sequence[int], m: np.ndarray) -> np.ndarray:
-    """m, the listed columns of a matrix under schema, once every column is
-    numeric: a MISSING cell, then a discrete column with rows, is an error
-    that names its feature."""
+def _require_numeric(dataset: Dataset, indices: Sequence[int]) -> np.ndarray:
+    """The listed columns as a C-ordered n_rows x len(indices) matrix (sums
+    round by their order), once each is numeric: a MISSING cell, then a
+    discrete column with rows, is an error that names its feature."""
+    m = dataset.values.take(indices, axis=1)
     missing = np.isnan(m).any(axis=0)
     for j, i in enumerate(indices):
-        feature = schema.features[i]
+        feature = dataset.schema.features[i]
         problem = ("has MISSING cells; impute first" if missing[j]
                    else "is symbolic; encode_numeric first"
                    if feature.kind == "discrete" and len(m) else None)
         if problem:
             raise ValueError(f"feature {feature.name!r} {problem}")
     return m
-
-
-def _require_numeric(dataset: Dataset, indices: Sequence[int]) -> np.ndarray:
-    """The listed columns as a checked n_rows x len(indices) matrix, C-ordered
-    like every column matrix here: the rounding of sums depends on the order."""
-    return _check_numeric(dataset.schema, indices, dataset.values.take(indices, axis=1))
 
 
 def _pairwise_sum(term, lo: int, hi: int, acc: np.ndarray) -> np.ndarray:
@@ -267,15 +263,9 @@ def equal_freq_bins(values: Sequence[float], k: int) -> tuple[float, ...]:
     return tuple(boundaries)
 
 
-def bin_index(boundaries: Sequence[float], x: float) -> int:
-    """Bin of x under half-open intervals; out-of-range values go to the
-    first or last bin."""
-    return bisect.bisect_right(boundaries, float(x))
-
-
 def _bin_column(boundaries: Sequence[float], col: np.ndarray) -> np.ndarray:
-    """bin_index of every cell of a column (searchsorted on the right is
-    bisect_right); NaN stays NaN."""
+    """The bin of every cell of a column under half-open intervals (a boundary
+    opens the next bin, out-of-range values go to an edge bin); NaN stays NaN."""
     return np.where(np.isnan(col), np.nan, np.searchsorted(boundaries, col, side="right"))
 
 
@@ -368,90 +358,72 @@ def fit_contextual(train: Dataset, key: ContextKey) -> GroupContextModel:
 
 
 @dataclass(frozen=True)
-class RegressionContextModel:
-    """Model-based context statistics: the expected feature value is a
-    regression on continuous context features, fitted to a baseline set;
-    the deviation is the (constant) spread of the baseline residuals."""
+class LinearContextModel:
+    """Each primary feature's expected value is a least-squares line in the
+    key's feature, fitted to a baseline set; its deviation, the residual spread."""
 
     indices: tuple[int, ...]
-    context_features: tuple[str, ...]
-    kind: str  # "nn" or "linear"
-    coefs: tuple[tuple[float, ...], ...] | None  # linear: per feature, intercept first
-    baseline_context: tuple[tuple[float, ...], ...] | None  # nn: baseline context rows
-    baseline_values: tuple[tuple[float, ...], ...] | None  # nn: matching feature rows
-    resid_sigma: tuple[float, ...] = ()
+    feature: str
+    intercept: tuple[float, ...]
+    slope: tuple[float, ...]
+    resid_sigma: tuple[float, ...]
 
     def row_stats(self, dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
-        """Per-row mean and deviation matrices (n_rows x features) at the
-        context of each row of dataset."""
-        schema = dataset.schema
-        ctx = _require_numeric(dataset, [schema.index_of(n) for n in self.context_features])
-        if self.kind == "linear":
-            coefs = np.asarray(self.coefs)  # features x (intercept + contexts)
-            # intercept + left-to-right sum of the context terms, not a dot
-            # product, so every value rounds as the one-row formula does
-            mu = coefs[:, 0] + sum(coefs[:, k + 1] * ctx[:, [k]] for k in range(ctx.shape[1]))
-        else:
-            mu = np.asarray(self.baseline_values)[
-                _nearest_rows(ctx, np.asarray(self.baseline_context))
-            ]
+        """Per-row mean and deviation matrices at the context of each row."""
+        ctx = _require_numeric(dataset, [dataset.schema.index_of(self.feature)])
+        mu = np.asarray(self.intercept) + np.asarray(self.slope) * ctx
         return mu, np.broadcast_to(self.resid_sigma, mu.shape)
 
 
-def fit_contextual_model(
-    baseline: Dataset, context_features: Sequence[str], regressor: str
-) -> "RegressionContextModel | GroupContextModel":
-    """Fit context statistics from a baseline set spanning a context range.
+@dataclass(frozen=True)
+class NearestContextModel:
+    """Each primary feature's expected value is its value in the baseline row
+    nearest in the key's feature (L1, the earliest row on ties); its deviation,
+    the leave-one-out residual spread."""
 
-    regressor "linear": least-squares fit of each primary feature on the
-    context; regressor "nn": nearest baseline row in context space (L1),
-    with residuals taken leave-one-out so the deviation is meaningful.
-    A degenerate linear design falls back to the group estimator (single
-    global group) with a warning.
-    """
-    if regressor not in ("nn", "linear"):
-        raise ValueError(f"unknown regressor {regressor!r}")
+    indices: tuple[int, ...]
+    feature: str
+    baseline_context: np.ndarray  # n_baseline x 1
+    baseline_values: np.ndarray  # n_baseline x features
+    resid_sigma: tuple[float, ...]
+
+    def row_stats(self, dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
+        """Per-row mean and deviation matrices at the context of each row."""
+        ctx = _require_numeric(dataset, [dataset.schema.index_of(self.feature)])
+        mu = self.baseline_values[_nearest_rows(ctx, self.baseline_context)]
+        return mu, np.broadcast_to(self.resid_sigma, mu.shape)
+
+
+def _baseline_columns(baseline: Dataset, key: ContextKey):
+    """A non-empty set's primary indices, their matrix and the key's column."""
     if baseline.n_rows == 0:
         raise ValueError("empty baseline set")
     idx = baseline.schema.primary_indices
-    feats = _require_numeric(baseline, idx)
-    ctx = _require_numeric(baseline, [baseline.schema.index_of(n) for n in context_features])
-    n = baseline.n_rows
+    return (idx, _require_numeric(baseline, idx),
+            _require_numeric(baseline, [baseline.schema.index_of(key.feature)]))
 
-    if regressor == "linear":
-        design = np.hstack([np.ones((n, 1)), ctx])
-        rank = np.linalg.matrix_rank(design)
-        if rank < design.shape[1]:
-            warnings.warn(
-                "degenerate context design; falling back to global statistics"
-            )
-            key = ContextKey(context_features[0], boundaries=None)
-            return GroupContextModel(idx, key, {}, _mean_std(feats))
-        coefs, *_ = np.linalg.lstsq(design, feats, rcond=None)
-        resid = feats - design @ coefs
-        sigma = resid.std(axis=0)
-        return RegressionContextModel(
-            indices=idx,
-            context_features=tuple(context_features),
-            kind="linear",
-            coefs=tuple(tuple(c) for c in coefs.T),
-            baseline_context=None,
-            baseline_values=None,
-            resid_sigma=tuple(sigma),
-        )
 
-    # nearest-neighbor regressor; leave-one-out residuals
-    resid = feats - feats[_nearest_rows(ctx, ctx, leave_one_out=True)]
-    sigma = resid.std(axis=0)
-    return RegressionContextModel(
-        indices=idx,
-        context_features=tuple(context_features),
-        kind="nn",
-        coefs=None,
-        baseline_context=tuple(tuple(r) for r in ctx),
-        baseline_values=tuple(tuple(r) for r in feats),
-        resid_sigma=tuple(sigma),
-    )
+def fit_context_linear(baseline: Dataset, key: ContextKey) -> LinearContextModel:
+    """Least-squares fit of each primary feature on the key's feature.  A
+    degenerate design (a constant context) warns and falls back to the
+    global statistics: the means as intercepts, zero slopes, the deviations."""
+    idx, feats, ctx = _baseline_columns(baseline, key)
+    design = np.hstack([np.ones((len(ctx), 1)), ctx])
+    if np.linalg.matrix_rank(design) < 2:
+        warnings.warn("degenerate context design; falling back to global statistics")
+        mu, sigma = _mean_std(feats)
+        return LinearContextModel(idx, key.feature, mu, (0.0,) * len(idx), sigma)
+    coefs, *_ = np.linalg.lstsq(design, feats, rcond=None)
+    sigma = (feats - design @ coefs).std(axis=0)
+    return LinearContextModel(idx, key.feature, tuple(coefs[0]), tuple(coefs[1]), tuple(sigma))
+
+
+def fit_context_nn(baseline: Dataset, key: ContextKey) -> NearestContextModel:
+    """The baseline rows as a nearest-neighbour regression on the key's
+    feature, with residuals taken leave-one-out so the deviation is meaningful."""
+    idx, feats, ctx = _baseline_columns(baseline, key)
+    sigma = (feats - feats[_nearest_rows(ctx, ctx, leave_one_out=True)]).std(axis=0)
+    return NearestContextModel(idx, key.feature, ctx, feats, tuple(sigma))
 
 
 def apply_contextual(model, dataset: Dataset) -> Dataset:
@@ -625,10 +597,10 @@ class PipelineConfig:
     impute -> encode -> normalize -> weight -> expand.
 
     ``normalize`` names one of NORMALIZERS, a fit and an apply: fitted on
-    the set the module docstring gives for it (a baseline set is encoded,
-    and imputed from itself under ``impute``), then applied to both splits.
-    Expanded features are appended after weighting and are never weighted
-    themselves.
+    the set the module docstring gives for it (a baseline set is encoded, and
+    imputed from itself under ``impute``), with ``context`` as the key of a
+    context fit, then applied to both splits.  Expanded features are appended
+    after weighting and are never weighted themselves.
     """
 
     normalize: str = "none"
@@ -665,8 +637,9 @@ def _fit_normalizer(config: PipelineConfig, train: Dataset):
         return fit_zscore(fit_set), apply_zscore
     if name == "contextual":
         return fit_contextual(fit_set, config.context), apply_contextual
-    regressor = name.split("-")[1]  # contextual-nn or contextual-linear
-    return fit_contextual_model(fit_set, [config.context.feature], regressor), apply_contextual
+    if name == "contextual-nn":
+        return fit_context_nn(fit_set, config.context), apply_contextual
+    return fit_context_linear(fit_set, config.context), apply_contextual
 
 
 def run_pipeline(

@@ -10,10 +10,8 @@ from ctxclass import classify
 from ctxclass.classify import (
     SelectionParams,
     mlr_fit,
-    mlr_predict,
     mlr_predict_dataset,
     nn_fit,
-    nn_predict,
     nn_predict_dataset,
     similarity,
 )
@@ -21,6 +19,13 @@ from ctxclass.data import Dataset, Feature, FeatureRole, FeatureSchema, split_ra
 from ctxclass.preprocess import encode_numeric, impute_missing
 
 from test_preprocess import numeric_dataset
+
+
+def predict_row(predict, model, schema, row):
+    """The class that predict (nn_predict_dataset or mlr_predict_dataset)
+    gives the one-row dataset holding row under schema."""
+    (label,) = predict(model, Dataset.build(schema, [row]))
+    return label
 
 
 class TestSimilarity:
@@ -54,13 +59,15 @@ class TestNearestNeighbor:
         )
 
     def test_exact_match(self):
-        model = nn_fit(self.train_set())
-        assert nn_predict(model, (1.0, 1.0, "b")) == "b"
+        train = self.train_set()
+        model = nn_fit(train)
+        assert predict_row(nn_predict_dataset, model, train.schema, (1.0, 1.0, "b")) == "b"
 
     def test_tie_breaks_to_earliest_row(self):
         ds = numeric_dataset([[0.0, 2.0]], ["a", "b"])
         model = nn_fit(ds)
-        assert nn_predict(model, (1.0, "a")) == "a"  # equidistant, first row wins
+        # equidistant, first row wins
+        assert predict_row(nn_predict_dataset, model, ds.schema, (1.0, "a")) == "a"
 
     def test_empty_training_set(self):
         sch = FeatureSchema(
@@ -82,31 +89,16 @@ class TestNearestNeighbor:
         preds = nn_predict_dataset(model, ds)
         assert preds == ds.class_labels()
 
-    def test_batch_matches_single(self):
-        rng = random.Random(2)
-        train = numeric_dataset(
-            [[rng.gauss(0, 1) for _ in range(30)], [rng.gauss(0, 1) for _ in range(30)]],
-            [rng.choice("abc") for _ in range(30)],
-        )
-        test = numeric_dataset(
-            [[rng.gauss(0, 1) for _ in range(10)], [rng.gauss(0, 1) for _ in range(10)]],
-            [rng.choice("abc") for _ in range(10)],
-        )
-        model = nn_fit(train)
-        batch = nn_predict_dataset(model, test)
-        single = tuple(nn_predict(model, row) for row in test.rows)
-        assert batch == single
-
     def test_scale_sensitivity_witness(self):
         # multiplying one feature by 10 changes the prediction: documented
         # behavior of an L1 matcher, not a bug
         train = numeric_dataset([[0.0, 1.0], [0.0, 1.0]], ["a", "b"])
         query = (0.4, 0.9, "a")
         model = nn_fit(train)
-        assert nn_predict(model, query) == "b"
+        assert predict_row(nn_predict_dataset, model, train.schema, query) == "b"
         scaled = numeric_dataset([[0.0, 10.0], [0.0, 1.0]], ["a", "b"])
         model10 = nn_fit(scaled)
-        assert nn_predict(model10, (4.0, 0.9, "a")) == "a"
+        assert predict_row(nn_predict_dataset, model10, scaled.schema, (4.0, 0.9, "a")) == "a"
 
 
 class TestLinearDiscriminant:
@@ -163,14 +155,11 @@ class TestLinearDiscriminant:
         model = mlr_fit(ds, SelectionParams(enabled=False))
         # replace with identical equations for every class
         eq = model.equations[0]
-        tied = classify.LinearDiscriminantModel(
-            model.schema,
-            tuple(
-                classify.ClassEquation(e.label, eq.selected, eq.intercept, eq.coefs)
-                for e in model.equations
-            ),
-        )
-        assert mlr_predict(tied, (0.3, "a")) == "a"
+        tied = classify.LinearDiscriminantModel(tuple(
+            classify.ClassEquation(e.label, eq.selected, eq.intercept, eq.coefs)
+            for e in model.equations
+        ))
+        assert predict_row(mlr_predict_dataset, tied, ds.schema, (0.3, "a")) == "a"
 
     def test_majority_only_model(self):
         # intercept-only equations predict the majority class everywhere
@@ -195,7 +184,7 @@ class TestLinearDiscriminant:
             # max with ties to lowest index: sorted() puts lower labels first
             best = max(scores.values())
             want = next(eq.label for eq in model.equations if scores[eq.label] == best)
-            assert mlr_predict(model, row) == want
+            assert predict_row(mlr_predict_dataset, model, ds.schema, row) == want
 
     def test_full_fit_affine_invariance(self):
         rng = random.Random(5)

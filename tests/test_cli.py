@@ -107,6 +107,36 @@ class TestTaxonomyCommand:
         assert cli.main(["taxonomy", "--spec", str(p)]) == 2
         assert f"cannot load {p}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, message", [
+        ("[]", "missing key 'variables' in []"),
+        ("{}", "missing key 'variables' in {}"),
+    ])
+    def test_spec_that_is_no_spec_object_is_load_error(self, tmp_path, text, message, capsys):
+        p = tmp_path / "bad.json"
+        p.write_text(text)
+        assert cli.main(["taxonomy", "--spec", str(p)]) == 2
+        assert capsys.readouterr() == ("", f"taxonomy: cannot load {p}: {message}\n")
+
+    @pytest.mark.parametrize("entry, key, value, message", [
+        ("variables", "values", None, 'missing key \'values\' in {"name": "x1"}'),
+        ("probabilities", "prob", "null", "wrong JSON type for 'prob': null"),
+        ("probabilities", "prob", '"half"', 'wrong JSON type for \'prob\': "half"'),
+        ("probabilities", "tuple", '[["0"], "0", "0"]',
+         'wrong JSON type for \'tuple\': [["0"], "0", "0"]'),
+    ], ids=["no-values", "null-prob", "text-prob", "nested-symbol"])
+    def test_spec_entry_of_the_wrong_shape_is_load_error(self, tmp_path, entry, key, value,
+                                                         message, capsys):
+        doc = json.loads(worked_spec().to_json())
+        target = doc[entry][1]
+        if value is None:
+            del target[key]
+        else:
+            target[key] = json.loads(value)
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(doc))
+        assert cli.main(["taxonomy", "--spec", str(p)]) == 2
+        assert capsys.readouterr() == ("", f"taxonomy: cannot load {p}: {message}\n")
+
     def test_continuous_needs_bins(self, small_table, capsys):
         dp, sp = small_table
         code = cli.main(["taxonomy", "--data", str(dp), "--schema", str(sp)])

@@ -326,6 +326,24 @@ def test_grid_runs_each_shared_stage_once_per_prefix(synthetic_hepatitis, monkey
     assert calls == {"impute_missing": 6, "fit_contextual": 3, "compute_weights": 6}
 
 
+def test_comparison_reaches_each_fit_through_its_module_attribute(planted, monkeypatch):
+    # the normalizer dispatch looks each fit up when it runs, so a patched
+    # module attribute (a test double, the benchmark's tracer) sees every call
+    calls = {"fit_context_nn": 0, "fit_context_linear": 0, "fit_zscore": 0}
+    for name in calls:
+        real = getattr(preprocess, name)
+
+        def counting(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(preprocess, name, counting)
+    train, test, baseline = planted
+    run_normalization_comparison(train, test, baseline=baseline)
+    # one pipeline per normalizer: "zscore" and "baseline" both fit a z-score
+    assert calls == {"fit_context_nn": 1, "fit_context_linear": 1, "fit_zscore": 2}
+
+
 def test_grid_and_comparison_build_no_rows_after_loading(synthetic_hepatitis, planted,
                                                          monkeypatch):
     # every stage works on the loaded matrix: no row is validated or built again

@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -18,13 +19,13 @@ from ctxclass.preprocess import (
     apply_percentile,
     apply_weights,
     apply_zscore,
-    bin_index,
     column_bins,
     compute_weights,
     encode_numeric,
     equal_freq_bins,
+    fit_context_linear,
+    fit_context_nn,
     fit_contextual,
-    fit_contextual_model,
     fit_expansion,
     fit_minmax,
     fit_percentile,
@@ -146,10 +147,8 @@ class TestEqualFreqBins:
     def test_uniform_hundred(self):
         b = equal_freq_bins([float(v) for v in range(1, 101)], 5)
         assert len(b) == 4
-        counts = [0] * 5
-        for v in range(1, 101):
-            counts[bin_index(b, v)] += 1
-        assert counts == [20] * 5
+        bins = preprocess._bin_column(b, np.arange(1.0, 101.0)).astype(int)
+        assert np.bincount(bins, minlength=5).tolist() == [20] * 5
 
     def test_median_split(self):
         b = equal_freq_bins([1.0, 2.0, 3.0, 4.0], 2)
@@ -161,8 +160,8 @@ class TestEqualFreqBins:
 
     def test_out_of_range_maps_to_edge_bins(self):
         b = equal_freq_bins([float(v) for v in range(1, 11)], 2)
-        assert bin_index(b, -100.0) == 0
-        assert bin_index(b, 100.0) == 1
+        assert preprocess._bin_column(b, np.array([-100.0]))[0] == 0
+        assert preprocess._bin_column(b, np.array([100.0]))[0] == 1
 
 
 def quarter_grid(rng, n, d):
@@ -354,21 +353,21 @@ class TestContextualModel:
 
     def test_exact_linear_fit(self):
         ds = self._baseline(2.0, 0.0)
-        model = fit_contextual_model(ds, ["c"], "linear")
+        model = fit_context_linear(ds, ContextKey("c"))
         mu, sigma = model.row_stats(Dataset.build(ds.schema, [(4.0, 0.0, "h")]))
         assert mu[0, 0] == pytest.approx(8.0, abs=1e-9)
         assert sigma[0, 0] <= 1e-9
 
     def test_nn_regressor_returns_matching_row(self):
         ds = self._baseline(1.5, 0.3)
-        model = fit_contextual_model(ds, ["c"], "nn")
+        model = fit_context_nn(ds, ContextKey("c"))
         c0, x0 = ds.rows[7][0], ds.rows[7][1]
         mu, _ = model.row_stats(Dataset.build(ds.schema, [(c0, 0.0, "h")]))
         assert mu[0, 0] == pytest.approx(x0)
 
     def test_noisy_linear_residual_sigma_matches_normal_equations(self):
         ds = self._baseline(3.0, 0.7, n=200)
-        model = fit_contextual_model(ds, ["c"], "linear")
+        model = fit_context_linear(ds, ContextKey("c"))
         # independent closed-form least squares as the oracle
         c = np.array([r[0] for r in ds.rows])
         x = np.array([r[1] for r in ds.rows])
@@ -381,25 +380,24 @@ class TestContextualModel:
         rng = random.Random(10)
         sch = FeatureSchema(
             (
-                Feature("c1", FeatureRole.CONTEXTUAL, "continuous"),
-                Feature("c2", FeatureRole.CONTEXTUAL, "continuous"),
+                Feature("c", FeatureRole.CONTEXTUAL, "continuous"),
                 Feature("x", FeatureRole.PRIMARY, "continuous"),
                 Feature("y", FeatureRole.PRIMARY, "continuous"),
                 Feature("cls", FeatureRole.CLASS, "discrete", ("h",)),
             )
         )
         rows = [
-            (a, b, 0.3 * a - 1.7 * b + rng.gauss(0, 0.1), 2.1 * b + rng.gauss(0, 0.1), "h")
-            for a, b in ((rng.uniform(0, 9), rng.uniform(-4, 4)) for _ in range(40))
+            (a, 0.3 * a + rng.gauss(0, 0.1), -1.7 * a + rng.gauss(0, 0.1), "h")
+            for a in (rng.uniform(-4, 9) for _ in range(40))
         ]
         ds = Dataset.build(sch, rows)
-        model = fit_contextual_model(ds, ["c1", "c2"], "linear")
+        model = fit_context_linear(ds, ContextKey("c"))
         mu, _ = model.row_stats(ds)
         for r, row in enumerate(ds.rows):
-            for j, c in enumerate(model.coefs):
-                assert mu[r, j] == c[0] + sum(a * x for a, x in zip(c[1:], row[:2]))
+            for j, (a, b) in enumerate(zip(model.intercept, model.slope)):
+                assert mu[r, j] == a + b * row[0]
 
-    def test_degenerate_design_falls_back(self):
+    def _constant_context(self):
         rng = random.Random(6)
         sch = FeatureSchema(
             (
@@ -408,12 +406,50 @@ class TestContextualModel:
                 Feature("cls", FeatureRole.CLASS, "discrete", ("h",)),
             )
         )
-        ds = Dataset.build(sch, [(1.0, rng.random(), "h") for _ in range(10)])
+        return Dataset.build(sch, [(1.0, rng.random(), "h") for _ in range(10)])
+
+    def test_degenerate_design_falls_back(self):
+        ds = self._constant_context()
         with pytest.warns(UserWarning):
-            model = fit_contextual_model(ds, ["c"], "linear")
+            model = fit_context_linear(ds, ContextKey("c"))
         mu, sigma = model.row_stats(Dataset.build(ds.schema, [(9.0, 0.0, "h")]))
         vals = [r[1] for r in ds.rows]
         assert mu[0, 0] == pytest.approx(sum(vals) / len(vals))
+
+    def test_degenerate_fallback_is_bit_equal_to_the_global_statistics(self):
+        rng = random.Random(7)
+        sch = FeatureSchema(
+            (
+                Feature("x", FeatureRole.PRIMARY, "continuous"),
+                Feature("c", FeatureRole.CONTEXTUAL, "continuous"),
+                Feature("y", FeatureRole.PRIMARY, "continuous"),
+                Feature("cls", FeatureRole.CLASS, "discrete", ("h",)),
+            )
+        )
+        ds = Dataset.build(sch, [(rng.gauss(3, 2), -2.5, rng.gauss(-1, 0.3), "h")
+                                 for _ in range(25)])
+        with pytest.warns(UserWarning, match="degenerate context design"):
+            model = fit_context_linear(ds, ContextKey("c"))
+        assert model.slope == (0.0, 0.0)
+        # the statistics the group estimator's global fallback gave
+        m = ds.values.take(ds.schema.primary_indices, axis=1)
+        queries = Dataset.build(sch, [(0.0, c, 0.0, "h") for c in (-7.0, -2.5, 0.0, 3.25)])
+        mu, sigma = model.row_stats(queries)
+        assert np.array_equal(mu, np.tile(m.mean(axis=0), (4, 1)))
+        assert np.array_equal(sigma, np.tile(m.std(axis=0), (4, 1)))
+
+    @pytest.mark.parametrize("fit, constant", [(fit_context_linear, True),
+                                               (fit_context_linear, False),
+                                               (fit_context_nn, False)],
+                             ids=["degenerate-linear", "linear", "nn"])
+    def test_missing_context_cell_needs_imputing(self, fit, constant):
+        ds = self._constant_context() if constant else self._baseline(2.0, 0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the degenerate design's warning
+            model = fit(ds, ContextKey("c"))
+        query = Dataset.build(ds.schema, [(MISSING, 0.5, "h")])
+        with pytest.raises(ValueError, match="feature 'c' has MISSING cells; impute first"):
+            apply_contextual(model, query)
 
 
 class TestWeights:
@@ -952,10 +988,8 @@ def normalized_by_hand(name, train, test, baseline, key):
         "percentile": lambda: (fit_percentile(train), apply_percentile),
         "baseline": lambda: (fit_zscore(baseline), apply_zscore),
         "contextual": lambda: (fit_contextual(train, key), apply_contextual),
-        "contextual-nn": lambda: (fit_contextual_model(baseline, [key.feature], "nn"),
-                                  apply_contextual),
-        "contextual-linear": lambda: (fit_contextual_model(baseline, [key.feature], "linear"),
-                                      apply_contextual),
+        "contextual-nn": lambda: (fit_context_nn(baseline, key), apply_contextual),
+        "contextual-linear": lambda: (fit_context_linear(baseline, key), apply_contextual),
     }[name]()
     return apply(model, train), apply(model, test)
 
