@@ -552,9 +552,12 @@ class JointDistribution:
         variables = _json_get(doc, "variables", list)
         names = tuple(_json_get(v, "name") for v in variables)
         alphabets = tuple(tuple(_json_get(v, "values", list, _JSON_SCALARS)) for v in variables)
-        probs = {tuple(_json_get(e, "tuple", list, _JSON_SCALARS)):
-                 float(_json_get(e, "prob", (int, float)))
-                 for e in _json_get(doc, "probabilities", list)}
+        probs = {}
+        for e in _json_get(doc, "probabilities", list):
+            t = tuple(_json_get(e, "tuple", list, _JSON_SCALARS))
+            if t in probs:
+                raise ValueError(f"repeated tuple {json.dumps(list(t))}")
+            probs[t] = float(_json_get(e, "prob", (int, float)))
         return cls(names, alphabets, probs, _json_get(doc, "class") if "class" in doc else "")
 
     def to_json(self) -> str:

@@ -31,7 +31,8 @@ from .data import Dataset, Feature, FeatureRole, FeatureSchema
 
 SIGMA_FLOOR = 1e-12
 
-_NN_BLOCK_ROWS = 64  # queries per block of the L1 nearest-neighbour distance tensor
+_NN_BLOCK_ROWS = 64  # queries per block of the L1 kernel, and rows per leaf of its pruned search
+_NN_PRUNE_ROWS = 512  # reference rows above which _nearest_rows prunes its search
 
 
 def _require_numeric(dataset: Dataset, indices: Sequence[int]) -> np.ndarray:
@@ -78,38 +79,111 @@ def _pairwise_sum(term, lo: int, hi: int, acc: np.ndarray) -> np.ndarray:
     return acc[0]
 
 
-def _column_sums(n_queries: int, n_ref: int, d: int, term):
-    """Yield (start, sums) for each block of _NN_BLOCK_ROWS queries from start:
-    sums is _pairwise_sum over the d columns of term(j, rows, out), the block x
-    n_ref terms of the query rows in the slice rows, and is overwritten by the
-    next block.  The lanes, one more per split and scratch are allocated once."""
+def _lanes(d: int) -> int:
+    """The buffers _pairwise_sum needs for d terms: lanes, one per split, scratch."""
     splits, n = 0, d
     while n > 128:
         splits, n = splits + 1, n - (n // 2 - n // 2 % 8)
-    buffers = np.empty((splits + (9 if d >= 8 else 2), min(n_queries, _NN_BLOCK_ROWS), n_ref))
+    return splits + (9 if d >= 8 else 2)
+
+
+def _column_sums(n_queries: int, n_ref: int, d: int, term, buffers: np.ndarray | None = None):
+    """Yield (start, sums) for each block of _NN_BLOCK_ROWS queries from start:
+    sums is _pairwise_sum over the d columns of term(j, rows, out), the block x
+    n_ref terms of the query rows in the slice rows, and is overwritten by the
+    next block.  The buffers are allocated once, or taken from the front of
+    the flat array buffers."""
+    lanes, block = _lanes(d), min(n_queries, _NN_BLOCK_ROWS)
+    if buffers is None:
+        buffers = np.empty(lanes * block * n_ref)
+    buffers = buffers[:lanes * block * n_ref].reshape(lanes, block, n_ref)
     for start in range(0, n_queries, _NN_BLOCK_ROWS):
         rows = slice(start, min(start + _NN_BLOCK_ROWS, n_queries))
         acc = buffers[:, :rows.stop - start]
         yield start, _pairwise_sum(lambda j, out: term(j, rows, out), 0, d, acc)
 
 
+def _leaves(m: np.ndarray, index: np.ndarray):
+    """Yield the rows index of m, halved at the median of their widest column
+    until each part holds at most _NN_BLOCK_ROWS."""
+    if len(index) <= _NN_BLOCK_ROWS:
+        yield index
+        return
+    rows, half = m[index], len(index) // 2
+    order = np.argpartition(rows[:, (rows.max(axis=0) - rows.min(axis=0)).argmax()], half)
+    yield from _leaves(m, index[order[:half]])
+    yield from _leaves(m, index[order[half:]])
+
+
+def _pruned_search(queries: np.ndarray, reference: np.ndarray, nearest: np.ndarray) -> bool:
+    """Fill nearest leaf by leaf of the queries, each leaf against only the
+    reference leaves its bounds cannot rule out; False, with nothing filled,
+    if the first query leaf keeps more than half of them."""
+    leaves = list(_leaves(reference, np.arange(len(reference))))
+    starts = np.cumsum([0] + [len(leaf) for leaf in leaves[:-1]])
+    boxed = reference[np.concatenate(leaves)]
+    lo, hi = (np.ascontiguousarray(f.reduceat(boxed, starts).T[:, :, None])  # d x L x 1
+              for f in (np.minimum, np.maximum))
+    columns, query_columns = np.ascontiguousarray(reference.T), np.ascontiguousarray(queries.T)
+    d = len(columns)
+    scratch = np.empty((2, d, max(len(leaves), _NN_BLOCK_ROWS), _NN_BLOCK_ROWS))
+    buffers = np.empty(_lanes(d) * _NN_BLOCK_ROWS * len(reference))
+    for i, leaf in enumerate(_leaves(queries, np.arange(len(queries)))):
+        q = query_columns[:, leaf]
+        below, above = scratch[:, :, :len(leaves), :len(leaf)]
+        np.subtract(lo, q[:, None], out=below)
+        np.maximum(below, np.subtract(q[:, None], hi, out=above), out=below)
+        bound = np.maximum(below, 0.0, out=below).sum(axis=0)  # L1 to each leaf's box, L x m
+        near = leaves[bound.sum(axis=1).argmin()]
+        diff = scratch[0, :, :len(near), :len(leaf)]
+        np.subtract(columns[:, near, None], q[:, None], out=diff)
+        upper = np.abs(diff, out=diff).sum(axis=0).min(axis=0) * (1 + 1e-9)
+        keep = np.flatnonzero((bound <= upper).any(axis=1))
+        if i == 0 and 2 * len(keep) > len(leaves):
+            return False
+        kept = np.sort(np.concatenate([leaves[k] for k in keep]))
+        sub = columns[:, kept]
+
+        def term(j, rows, out):
+            return np.abs(np.subtract(q[j, rows, None], sub[j], out=out), out=out)
+
+        for _, dists in _column_sums(len(leaf), len(kept), d, term, buffers):  # one block
+            nearest[leaf] = kept[dists.argmin(axis=1)]  # kept ascends: the first minimum
+    return True
+
+
 def _nearest_rows(queries: np.ndarray, reference: np.ndarray,
                   leave_one_out: bool = False) -> np.ndarray:
-    """Index of the L1-nearest reference row for every query row, walking
-    the queries in blocks; the earliest reference row wins ties.  With
-    leave_one_out the queries are the reference rows and none matches itself
-    (a lone row, with nothing else to match, gets 0).
+    """Index of the L1-nearest reference row for every query row; the earliest
+    reference row wins ties.  With leave_one_out the queries are the reference
+    rows and none matches itself (a lone row, with nothing else to match, gets 0).
 
     Distances add their |q_j - r_j| terms a feature column at a time in
     numpy's pairwise order (_pairwise_sum), not in sequence: equal distances
     tie only if they round alike, so each stays bit-equal to the one
-    np.abs(q - r).sum() gives, and every tie breaks as it did."""
+    np.abs(q - r).sum() gives, and every tie breaks as it did.
+
+    Above _NN_PRUNE_ROWS reference rows, with a query, a column and only
+    finite cells, the search is pruned by the k-d bound of Friedman, Bentley &
+    Finkel, which holds for L1.  Queries and reference rows are cut into
+    leaves of _NN_BLOCK_ROWS by the median of the widest column.  Each query
+    leaf keeps the reference leaves whose box is, for some query, no farther
+    than that query's upper bound: its distance to the rows of the leaf with
+    the smallest bounds, plus a relative 1e-9 for rounding.  The kernel runs
+    over the kept rows in ascending order, so every distance and tie is as in
+    the full search.  If the first query leaf keeps more than half the
+    leaves (uniform data in many dimensions), or with leave_one_out, the
+    search runs in full."""
+    nearest = np.empty(len(queries), dtype=np.intp)
+    if (not leave_one_out and len(reference) > _NN_PRUNE_ROWS and queries.size
+            and np.isfinite(queries).all() and np.isfinite(reference).all()
+            and _pruned_search(queries, reference, nearest)):
+        return nearest
     columns = np.ascontiguousarray(reference.T)
 
     def term(j, rows, out):
         return np.abs(np.subtract(queries[rows, j, None], columns[j], out=out), out=out)
 
-    nearest = np.empty(len(queries), dtype=np.intp)
     for start, dists in _column_sums(len(queries), len(reference), queries.shape[1], term):
         if leave_one_out:
             rows = np.arange(len(dists))

@@ -107,6 +107,18 @@ class TestTaxonomyCommand:
         assert cli.main(["taxonomy", "--spec", str(p)]) == 2
         assert f"cannot load {p}" in capsys.readouterr().err
 
+    def test_spec_with_a_repeated_tuple_is_load_error(self, tmp_path, capsys):
+        # the repeated entry would otherwise overwrite the first: probabilities summing to 1.5
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps({
+            "variables": [{"name": v, "values": ["0", "1"]} for v in ("c", "x")],
+            "probabilities": [{"tuple": t, "prob": 0.5}
+                              for t in (["0", "0"], ["1", "1"], ["0", "0"])],
+        }))
+        assert cli.main(["taxonomy", "--spec", str(p)]) == 2
+        err = f'taxonomy: cannot load {p}: repeated tuple ["0", "0"]\n'
+        assert capsys.readouterr() == ("", err)
+
     @pytest.mark.parametrize("text, message", [
         ("[]", "missing key 'variables' in []"),
         ("{}", "missing key 'variables' in {}"),
@@ -362,6 +374,27 @@ class TestCompareNormalizers:
         assert code == 2
         err = capsys.readouterr().err
         assert f"{train_schema} and {test_schema} describe different schemas" in err
+
+    def test_pruned_search_leaves_the_reports_byte_identical(self, tmp_path, monkeypatch, capsys):
+        # 600 reference rows: above preprocess._NN_PRUNE_ROWS, so the nn
+        # classifier prunes its search; then the same with the full search
+        base = tmp_path / "pair"
+        assert cli.main(["synth", "--train-rows", "600", "--test-rows", "600",
+                         "--out", str(base)]) == 0
+        args = ["compare-normalizers"] + [
+            a for part in ("train", "test") for a in (
+                f"--{part}", str(base.with_suffix(f".{part}.csv")),
+                f"--{part}-schema", str(base.with_suffix(f".{part}.schema.json")))]
+        searches, search = [], preprocess._pruned_search
+        monkeypatch.setattr(preprocess, "_pruned_search",
+                            lambda *a: searches.append(search(*a)) or searches[-1])
+        assert cli.main(args + ["--out", str(tmp_path / "pruned")]) == 0
+        assert True in searches
+        monkeypatch.setattr(preprocess, "_NN_PRUNE_ROWS", 600)
+        assert cli.main(args + ["--out", str(tmp_path / "full")]) == 0
+        for suffix in (".txt", ".csv"):
+            pruned, full = (tmp_path / f"{name}{suffix}" for name in ("pruned", "full"))
+            assert pruned.read_bytes() == full.read_bytes()
 
     def test_empty_test_set_is_precondition(self, tmp_path, small_table, capsys):
         dp, sp = small_table

@@ -405,6 +405,13 @@ class TestJointDistributionValidation:
         with pytest.raises(ValueError, match="unknown class variable 'z'"):
             data.JointDistribution(("c",), (("0",),), {("0",): 1.0}, class_var="z")
 
+    def test_from_json_rejects_a_repeated_tuple(self):
+        doc = {"variables": [{"name": v, "values": ["0", "1"]} for v in ("c", "x")],
+               "probabilities": [{"tuple": t, "prob": 0.5}
+                                 for t in (["0", "0"], ["1", "1"], ["0", "0"])]}
+        with pytest.raises(ValueError, match=r'^repeated tuple \["0", "0"\]$'):
+            data.JointDistribution.from_json(json.dumps(doc))
+
     def test_json_round_trip(self, table_spec):
         back = data.JointDistribution.from_json(table_spec.to_json())
         assert back == data.JointDistribution(table_spec.variables, table_spec.alphabets,

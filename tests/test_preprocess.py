@@ -272,6 +272,125 @@ class TestColumnKernelMatchesTheTensorSum:
         assert got.tolist() == nearest_rows_oracle(queries, reference, leave_one_out).tolist()
 
 
+def tenths_rows(rng, n, d, active):
+    """n x d cells in tenths, wide (-3..3) in the first `active` columns and
+    narrow (-0.1..0.1) in the rest: rows near an active-dimensional set, on
+    which leaves prune, with many distances equal in exact arithmetic."""
+    wide = rng.integers(-30, 31, size=(n, d)) / 10
+    return np.where(np.arange(d) < active, wide, rng.integers(-1, 2, size=(n, d)) / 10)
+
+
+@pytest.fixture
+def pruning(monkeypatch):
+    """Prune above 0 reference rows; the list of what each pruned search returned."""
+    monkeypatch.setattr(preprocess, "_NN_PRUNE_ROWS", 0)
+    outcomes, search = [], preprocess._pruned_search
+
+    def spy(*args):
+        outcomes.append(search(*args))
+        return outcomes[-1]
+
+    monkeypatch.setattr(preprocess, "_pruned_search", spy)
+    return outcomes
+
+
+def computed_pairs(monkeypatch):
+    """A list that gathers the (query, reference) pairs of every kernel call."""
+    pairs, kernel = [], preprocess._pairwise_sum
+
+    def spy(term, lo, hi, acc):
+        if lo == 0:
+            pairs.append(acc.shape[1] * acc.shape[2])
+        return kernel(term, lo, hi, acc)
+
+    monkeypatch.setattr(preprocess, "_pairwise_sum", spy)
+    return pairs
+
+
+class TestPrunedSearchMatchesTheOracle:
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(d=st.integers(1, 30), active=st.integers(1, 3) | st.just(30),
+           n_queries=st.integers(1, 40), n_ref=st.integers(1, 60), leaf=st.integers(1, 8),
+           copies=st.integers(0, 10), seed=st.integers(0, 2**32 - 1))
+    def test_indices_equal_the_oracle(self, monkeypatch, pruning, d, active, n_queries, n_ref,
+                                      leaf, copies, seed):
+        # duplicate reference rows, and queries equal to reference rows, tie
+        # exactly; a leaf size that rarely divides the query count
+        monkeypatch.setattr(preprocess, "_NN_BLOCK_ROWS", leaf)
+        rng = np.random.default_rng(seed)
+        reference = tenths_rows(rng, n_ref, d, active)
+        twins = rng.integers(n_ref, size=(2, n_ref // 4))
+        reference[twins[0]] = reference[twins[1]]
+        queries = tenths_rows(rng, n_queries, d, active)
+        queries[:copies] = reference[rng.integers(n_ref, size=min(copies, n_queries))]
+        pruning.clear()
+        got = preprocess._nearest_rows(queries, reference)
+        assert len(pruning) == 1
+        assert got.tolist() == nearest_rows_oracle(queries, reference).tolist()
+
+    def test_prunes_a_low_dimensional_design(self, monkeypatch, pruning):
+        monkeypatch.setattr(preprocess, "_NN_BLOCK_ROWS", 8)
+        pairs = computed_pairs(monkeypatch)
+        rng = np.random.default_rng(5)
+        reference, queries = tenths_rows(rng, 200, 6, 1), tenths_rows(rng, 37, 6, 1)
+        got = preprocess._nearest_rows(queries, reference)
+        assert pruning == [True]
+        assert sum(pairs) < 37 * 200 / 2
+        assert got.tolist() == nearest_rows_oracle(queries, reference).tolist()
+
+    def test_a_single_query_leaf(self, monkeypatch, pruning):
+        monkeypatch.setattr(preprocess, "_NN_BLOCK_ROWS", 8)
+        rng = np.random.default_rng(6)
+        reference, queries = tenths_rows(rng, 100, 3, 1), tenths_rows(rng, 8, 3, 1)
+        queries[:, 0] = rng.integers(10, 15, size=8) / 10  # near each other
+        got = preprocess._nearest_rows(queries, reference)
+        assert pruning == [True]
+        assert got.tolist() == nearest_rows_oracle(queries, reference).tolist()
+
+    def test_a_single_reference_leaf_searches_in_full(self, pruning):
+        rng = np.random.default_rng(7)
+        reference, queries = tenths_rows(rng, 40, 4, 2), tenths_rows(rng, 150, 4, 2)
+        got = preprocess._nearest_rows(queries, reference)
+        assert pruning == [False]
+        assert got.tolist() == nearest_rows_oracle(queries, reference).tolist()
+
+    def test_bails_out_when_every_leaf_is_as_near(self, monkeypatch, pruning):
+        # rows on the L1 unit circle: from the origin no leaf's box can be
+        # ruled out, so the first query leaf keeps them all and the search
+        # runs in full, every query leaf with it
+        monkeypatch.setattr(preprocess, "_NN_BLOCK_ROWS", 2)
+        a = np.arange(-10, 11) / 10
+        reference = np.concatenate([np.stack([a, 1 - abs(a)], 1), np.stack([a, abs(a) - 1], 1)])
+        queries = np.zeros((5, 2))
+        got = preprocess._nearest_rows(queries, reference)
+        assert pruning == [False]
+        assert got.tolist() == nearest_rows_oracle(queries, reference).tolist()
+
+    @pytest.mark.parametrize("where", ["queries", "reference"])
+    @pytest.mark.parametrize("cell", [np.inf, -np.inf])
+    def test_a_non_finite_cell_searches_in_full(self, pruning, where, cell):
+        rng = np.random.default_rng(8)
+        rows = {"queries": tenths_rows(rng, 100, 3, 1), "reference": tenths_rows(rng, 100, 3, 1)}
+        rows[where][17, 1] = cell
+        got = preprocess._nearest_rows(rows["queries"], rows["reference"])
+        assert pruning == []
+        assert got.tolist() == nearest_rows_oracle(rows["queries"], rows["reference"]).tolist()
+
+    @pytest.mark.parametrize("n_queries, d", [(0, 3), (5, 0)])
+    def test_no_query_or_no_column_searches_in_full(self, pruning, n_queries, d):
+        queries, reference = np.zeros((n_queries, d)), np.zeros((100, d))
+        got = preprocess._nearest_rows(queries, reference)
+        assert pruning == []
+        assert got.tolist() == nearest_rows_oracle(queries, reference).tolist()
+
+    def test_leave_one_out_searches_in_full(self, pruning):
+        rows = tenths_rows(np.random.default_rng(9), 150, 3, 1)
+        got = preprocess._nearest_rows(rows, rows, leave_one_out=True)
+        assert pruning == []
+        assert got.tolist() == nearest_rows_oracle(rows, rows, leave_one_out=True).tolist()
+
+
 class TestContextualGroups:
     def test_group_statistics(self):
         ds = numeric_dataset([[2.0, 4.0, 6.0]], ["a", "b", "a"], context=["g", "g", "g"])
