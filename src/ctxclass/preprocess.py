@@ -31,7 +31,7 @@ from .data import Dataset, Feature, FeatureRole, FeatureSchema
 
 SIGMA_FLOOR = 1e-12
 
-_NN_BLOCK_ROWS = 64  # queries per block of the L1 kernel, and rows per leaf of its pruned search
+_NN_BLOCK_ROWS = 64  # queries per L1 kernel block; reference rows per pruned-search leaf
 _NN_PRUNE_ROWS = 512  # reference rows above which _nearest_rows prunes its search
 
 
@@ -79,24 +79,15 @@ def _pairwise_sum(term, lo: int, hi: int, acc: np.ndarray) -> np.ndarray:
     return acc[0]
 
 
-def _lanes(d: int) -> int:
-    """The buffers _pairwise_sum needs for d terms: lanes, one per split, scratch."""
-    splits, n = 0, d
-    while n > 128:
-        splits, n = splits + 1, n - (n // 2 - n // 2 % 8)
-    return splits + (9 if d >= 8 else 2)
-
-
-def _column_sums(n_queries: int, n_ref: int, d: int, term, buffers: np.ndarray | None = None):
+def _column_sums(n_queries: int, n_ref: int, d: int, term):
     """Yield (start, sums) for each block of _NN_BLOCK_ROWS queries from start:
     sums is _pairwise_sum over the d columns of term(j, rows, out), the block x
     n_ref terms of the query rows in the slice rows, and is overwritten by the
-    next block.  The buffers are allocated once, or taken from the front of
-    the flat array buffers."""
-    lanes, block = _lanes(d), min(n_queries, _NN_BLOCK_ROWS)
-    if buffers is None:
-        buffers = np.empty(lanes * block * n_ref)
-    buffers = buffers[:lanes * block * n_ref].reshape(lanes, block, n_ref)
+    next block.  The lanes, one more per split and scratch are allocated once."""
+    splits, n = 0, d
+    while n > 128:
+        splits, n = splits + 1, n - (n // 2 - n // 2 % 8)
+    buffers = np.empty((splits + (9 if d >= 8 else 2), min(n_queries, _NN_BLOCK_ROWS), n_ref))
     for start in range(0, n_queries, _NN_BLOCK_ROWS):
         rows = slice(start, min(start + _NN_BLOCK_ROWS, n_queries))
         acc = buffers[:, :rows.stop - start]
@@ -104,10 +95,10 @@ def _column_sums(n_queries: int, n_ref: int, d: int, term, buffers: np.ndarray |
 
 
 def _leaves(m: np.ndarray, index: np.ndarray):
-    """Yield the rows index of m, halved at the median of their widest column
-    until each part holds at most _NN_BLOCK_ROWS."""
+    """Yield the rows index of m, each part in ascending order, halved at the
+    median of their widest column until each part holds at most _NN_BLOCK_ROWS."""
     if len(index) <= _NN_BLOCK_ROWS:
-        yield index
+        yield np.sort(index)
         return
     rows, half = m[index], len(index) // 2
     order = np.argpartition(rows[:, (rows.max(axis=0) - rows.min(axis=0)).argmax()], half)
@@ -115,40 +106,54 @@ def _leaves(m: np.ndarray, index: np.ndarray):
     yield from _leaves(m, index[order[half:]])
 
 
+def _nearest_among(queries: np.ndarray, columns: np.ndarray, rows: np.ndarray,
+                   leave_one_out: bool = False):
+    """The first of the ascending reference rows (columns of columns) nearest
+    each query, and its distance; with leave_one_out query i skips rows[i]."""
+    sub = columns.take(rows, axis=1)  # in C order, so each column's terms are contiguous
+    best, dist = np.empty(len(queries), np.intp), np.empty(len(queries))
+
+    def term(j, block, out):
+        return np.abs(np.subtract(queries[block, j, None], sub[j], out=out), out=out)
+
+    for start, sums in _column_sums(len(queries), len(rows), len(sub), term):
+        at = np.arange(len(sums))
+        if leave_one_out:
+            sums[at, start + at] = np.inf
+        first = sums.argmin(axis=1)
+        best[start:start + len(at)], dist[start:start + len(at)] = rows[first], sums[at, first]
+    return best, dist
+
+
 def _pruned_search(queries: np.ndarray, reference: np.ndarray, nearest: np.ndarray) -> bool:
-    """Fill nearest leaf by leaf of the queries, each leaf against only the
-    reference leaves its bounds cannot rule out; False, with nothing filled,
-    if the first query leaf keeps more than half of them."""
+    """Fill nearest a group of queries (those nearest one leaf's box) at a time;
+    False, with nothing filled, if more than half the pairs might be computed."""
     leaves = list(_leaves(reference, np.arange(len(reference))))
-    starts = np.cumsum([0] + [len(leaf) for leaf in leaves[:-1]])
-    boxed = reference[np.concatenate(leaves)]
-    lo, hi = (np.ascontiguousarray(f.reduceat(boxed, starts).T[:, :, None])  # d x L x 1
-              for f in (np.minimum, np.maximum))
-    columns, query_columns = np.ascontiguousarray(reference.T), np.ascontiguousarray(queries.T)
-    d = len(columns)
-    scratch = np.empty((2, d, max(len(leaves), _NN_BLOCK_ROWS), _NN_BLOCK_ROWS))
-    buffers = np.empty(_lanes(d) * _NN_BLOCK_ROWS * len(reference))
-    for i, leaf in enumerate(_leaves(queries, np.arange(len(queries)))):
-        q = query_columns[:, leaf]
-        below, above = scratch[:, :, :len(leaves), :len(leaf)]
-        np.subtract(lo, q[:, None], out=below)
-        np.maximum(below, np.subtract(q[:, None], hi, out=above), out=below)
-        bound = np.maximum(below, 0.0, out=below).sum(axis=0)  # L1 to each leaf's box, L x m
-        near = leaves[bound.sum(axis=1).argmin()]
-        diff = scratch[0, :, :len(near), :len(leaf)]
-        np.subtract(columns[:, near, None], q[:, None], out=diff)
-        upper = np.abs(diff, out=diff).sum(axis=0).min(axis=0) * (1 + 1e-9)
-        keep = np.flatnonzero((bound <= upper).any(axis=1))
-        if i == 0 and 2 * len(keep) > len(leaves):
-            return False
-        kept = np.sort(np.concatenate([leaves[k] for k in keep]))
-        sub = columns[:, kept]
-
-        def term(j, rows, out):
-            return np.abs(np.subtract(q[j, rows, None], sub[j], out=out), out=out)
-
-        for _, dists in _column_sums(len(leaf), len(kept), d, term, buffers):  # one block
-            nearest[leaf] = kept[dists.argmin(axis=1)]  # kept ascends: the first minimum
+    sizes = np.array([len(leaf) for leaf in leaves])
+    lo, hi = (f.reduceat(reference[np.concatenate(leaves)], np.cumsum(sizes) - sizes)
+              for f in (np.minimum, np.maximum))  # each leaf's box, L x d
+    query_columns = np.ascontiguousarray(queries.T)
+    below, above = np.empty((2, *query_columns.shape))
+    bound = np.empty((len(leaves), len(queries)))  # L1 from each leaf's box to each query
+    for row, lo_k, hi_k in zip(bound, lo[:, :, None], hi[:, :, None]):
+        np.maximum(np.subtract(lo_k, query_columns, out=below), 0.0, out=below)
+        below += np.maximum(np.subtract(query_columns, hi_k, out=above), 0.0, out=above)
+        below.sum(axis=0, out=row)
+    near = bound.argmin(axis=0)
+    groups = {k: np.flatnonzero(near == k) for k in np.unique(near)}
+    far = np.maximum(np.abs(queries - lo[near]), np.abs(queries - hi[near])).sum(axis=1)
+    if 2 * sum(len(g) * sizes[(bound[:, g] <= far[g]).any(axis=1)].sum()
+               for g in groups.values()) > len(queries) * len(reference):
+        return False
+    for k, group in groups.items():
+        best, dist = _nearest_among(queries[group], reference.T, leaves[k])
+        keep = (bound[:, group] <= dist * (1 + 1e-9)).any(axis=1)
+        keep[k] = False
+        if keep.any():
+            rows = np.sort(np.concatenate([leaves[i] for i in np.flatnonzero(keep)]))
+            alt, alt_dist = _nearest_among(queries[group], reference.T, rows)
+            best = np.where((alt_dist < dist) | (alt_dist == dist) & (alt < best), alt, best)
+        nearest[group] = best
     return True
 
 
@@ -165,43 +170,27 @@ def _nearest_rows(queries: np.ndarray, reference: np.ndarray,
 
     Above _NN_PRUNE_ROWS reference rows, with a query, a column and only
     finite cells, the search is pruned by the k-d bound of Friedman, Bentley &
-    Finkel, which holds for L1.  Queries and reference rows are cut into
-    leaves of _NN_BLOCK_ROWS by the median of the widest column.  Each query
-    leaf keeps the reference leaves whose box is, for some query, no farther
-    than that query's upper bound: its distance to the rows of the leaf with
-    the smallest bounds, plus a relative 1e-9 for rounding.  The kernel runs
-    over the kept rows in ascending order, so every distance and tie is as in
-    the full search.  If the first query leaf keeps more than half the
-    leaves (uniform data in many dimensions), or with leave_one_out, the
-    search runs in full."""
+    Finkel, which holds for L1.  Reference rows are cut into leaves of
+    _NN_BLOCK_ROWS by the median of the widest column, and queries grouped by
+    the leaf whose box bounds their distance lowest.  The kernel runs each
+    group over that leaf; a query's smallest distance, plus a relative 1e-9
+    for rounding, is its upper bound.  It then runs over the ascending rows of
+    the leaves the group's bounds do not rule out, and the nearer candidate
+    wins, the lower index on equal distances: every distance and tie is as in
+    the full search.  The search runs in full with leave_one_out, or if more
+    than half the pairs might be computed, judged by the far corner of each
+    query's box (uniform data in many dimensions)."""
     nearest = np.empty(len(queries), dtype=np.intp)
     if (not leave_one_out and len(reference) > _NN_PRUNE_ROWS and queries.size
             and np.isfinite(queries).all() and np.isfinite(reference).all()
             and _pruned_search(queries, reference, nearest)):
         return nearest
-    columns = np.ascontiguousarray(reference.T)
-
-    def term(j, rows, out):
-        return np.abs(np.subtract(queries[rows, j, None], columns[j], out=out), out=out)
-
-    for start, dists in _column_sums(len(queries), len(reference), queries.shape[1], term):
-        if leave_one_out:
-            rows = np.arange(len(dists))
-            dists[rows, start + rows] = np.inf
-        nearest[start:start + len(dists)] = dists.argmin(axis=1)  # first minimum
-    return nearest
-
-
-def encode_value(feature: Feature, cell) -> float:
-    """Numeric encoding of a discrete symbol: alphabet index scaled into [0, 1]."""
-    k = len(feature.alphabet)
-    idx = feature.alphabet.index(cell)
-    return idx / (k - 1) if k > 1 else 0.0
+    return _nearest_among(queries, reference.T, np.arange(len(reference)), leave_one_out)[0]
 
 
 def _encoded_columns(dataset: Dataset, indices: Sequence[int]) -> np.ndarray:
-    """The listed columns with each discrete code scaled as encode_value
-    scales it: code / (k - 1) for an alphabet of k > 1 symbols, else 0."""
+    """The listed columns with each discrete symbol's alphabet index scaled
+    into [0, 1]: code / (k - 1) for an alphabet of k > 1 symbols, else 0."""
     features = [dataset.schema.features[i] for i in indices]
     scale = [max(len(f.alphabet) - 1, 1) if f.kind == "discrete" else 1 for f in features]
     return dataset.values.take(indices, axis=1) / scale
