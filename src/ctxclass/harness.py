@@ -15,13 +15,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from ._dist import student_t_two_sided
-from .classify import (
-    SelectionParams,
-    mlr_fit,
-    mlr_predict_dataset,
-    nn_fit,
-    nn_predict_dataset,
-)
+from .classify import mlr_fit, mlr_predict_dataset, nn_fit, nn_predict_dataset
 from .data import Dataset, split_random
 from .preprocess import ContextKey, PipelineConfig, column_bins, run_pipeline
 
@@ -89,7 +83,7 @@ def evaluate(classifier: str, train: Dataset, test: Dataset) -> int:
         model = nn_fit(train)
         preds = nn_predict_dataset(model, test)
     elif classifier == "mlr":
-        model = mlr_fit(train, SelectionParams(enabled=True))
+        model = mlr_fit(train)
         preds = mlr_predict_dataset(model, test)
     else:
         raise ValueError(f"unknown classifier {classifier!r}")
@@ -102,7 +96,7 @@ def run_strategy_grid(
     test: Dataset,
     classifier: str,
     context: ContextKey,
-    expand_feature: str | None,
+    expand_feature: str,
     normalize: str = "contextual",
     impute: bool = False,
 ) -> tuple[CellResult, ...]:
@@ -121,7 +115,7 @@ def run_strategy_grid(
     stages = (
         PipelineConfig(normalize=normalize, context=context),
         PipelineConfig(weight=True, context=context),
-        PipelineConfig(expand=(expand_feature,) if expand_feature else ()),
+        PipelineConfig(expand=(expand_feature,)),
     )
     # leaf pairs keyed by the pipeline-order flags (normalize, weight, expand)
     leaves = {(): run_pipeline(PipelineConfig(impute=impute), train, test)}
@@ -155,28 +149,27 @@ def run_vowel_grid(train: Dataset, test: Dataset, classifier: str) -> Experiment
     return ExperimentReport("vowel", classifier, cells)
 
 
+HEPATITIS_TRAIN_ROWS = 100
+HEPATITIS_AGE_BINS = 5
+
+
 def run_hepatitis_grid(
-    dataset: Dataset,
-    n_splits: int = 10,
-    seed: int = 0,
-    classifier: str = "nn",
-    n_train: int = 100,
-    age_bins: int = 5,
+    dataset: Dataset, n_splits: int = 10, seed: int = 0, classifier: str = "nn"
 ) -> ExperimentReport:
     """Aggregate the 8-combo grid over seeded random train/test splits.
 
-    Per split: bin the age context into equal-frequency intervals computed
-    on the training rows, then run_strategy_grid with imputation from the
-    training rows.  Counts are summed over splits; the patient's sex stays
-    unused.
+    Per split: HEPATITIS_TRAIN_ROWS rows train; the age context is cut into
+    HEPATITIS_AGE_BINS equal-frequency intervals computed on them, then
+    run_strategy_grid imputes from them and expands by age.  Counts are
+    summed over splits; the patient's sex stays unused.
     """
     rng = random.Random(seed)
     split_seeds = [rng.randrange(2**32) for _ in range(n_splits)]
     per_split = []
     age_idx = dataset.schema.index_of("age")
     for s, split_seed in enumerate(split_seeds):
-        train, test = split_random(dataset, n_train, split_seed)
-        context = ContextKey("age", column_bins(train, age_idx, age_bins))
+        train, test = split_random(dataset, HEPATITIS_TRAIN_ROWS, split_seed)
+        context = ContextKey("age", column_bins(train, age_idx, HEPATITIS_AGE_BINS))
         grid = run_strategy_grid(train, test, classifier, context, "age", impute=True)
         per_split += [(s, c.combo, c.correct, c.total) for c in grid]
     by_combo = {combo: [r for r in per_split if r[1] == combo] for combo in STRATEGY_COMBOS}
@@ -209,34 +202,33 @@ def run_normalization_comparison(
     train: Dataset,
     test: Dataset,
     classifiers: Sequence[str] = CLASSIFIERS,
-    normalizers: Sequence[str] = NORMALIZER_MENU,
     baseline: Dataset | None = None,
-    context_feature: str | None = None,
 ) -> ExperimentReport:
-    """One cell per (classifier, normalizer) on a labeled pair with context.
+    """One cell per (classifier, normalizer of NORMALIZER_MENU) on a labeled
+    pair with context.
 
-    Each name in ``normalizers`` is a PipelineConfig normalizer: fitted on
-    the training split, or, for "baseline", "contextual-nn" and
-    "contextual-linear", on ``baseline``, the reference set; the contextual
-    ones read ``context_feature`` (default: the first contextual feature).
-    Each normalizer's pipeline runs once and feeds every classifier; the
-    cells are listed classifier by classifier."""
-    if context_feature is None:
-        ctx_idx = train.schema.contextual_indices
-        if not ctx_idx:
-            raise ValueError("dataset has no contextual features")
-        context_feature = train.schema.features[ctx_idx[0]].name
+    Each normalizer is fitted on the training split, or, for "baseline",
+    "contextual-nn" and "contextual-linear", on ``baseline``, the reference
+    set.  The context is the first contextual feature; the regression context
+    models read it as a number, so a discrete one is refused before any
+    pipeline runs.  Each normalizer's pipeline runs once and feeds every
+    classifier; the cells are listed classifier by classifier."""
+    ctx_idx = train.schema.contextual_indices
+    if not ctx_idx:
+        raise ValueError("dataset has no contextual features")
+    context = train.schema.features[ctx_idx[0]]
+    if context.kind == "discrete":
+        raise ValueError(f"context feature {context.name!r} is discrete; "
+                         "contextual-nn and contextual-linear need a continuous context")
     correct = {}
-    for norm in normalizers:
-        config = PipelineConfig(
-            normalize=norm, context=ContextKey(context_feature), baseline=baseline
-        )
+    for norm in NORMALIZER_MENU:
+        config = PipelineConfig(normalize=norm, context=ContextKey(context.name), baseline=baseline)
         tr, te = run_pipeline(config, train, test)
         for classifier in classifiers:
             correct[classifier, norm] = evaluate(classifier, tr, te)
         del tr, te  # one normalized pair alive at a time
     cells = tuple(CellResult((c, n), correct[c, n], test.n_rows)
-                  for c in classifiers for n in normalizers)
+                  for c in classifiers for n in NORMALIZER_MENU)
     return ExperimentReport("normalization-comparison", "+".join(classifiers), cells)
 
 

@@ -14,15 +14,18 @@ independent.
 A normalizer is a fit, an apply, and the set it is fitted on: the training
 split ("minmax", "zscore", "percentile", "contextual"), a baseline set
 ("baseline", "contextual-nn", "contextual-linear"), or each split itself
-("contextual-transductive").  NORMALIZERS lists them after "none".  The
-context fits take the fit set and a ContextKey: fit_contextual groups by it;
-fit_context_nn and fit_context_linear regress on its feature's raw values.
+("contextual-transductive").  NORMALIZERS lists them after "none", and one
+dispatch turns each into a function of one split that run_pipeline applies
+to both.  The context fits take the fit set and a ContextKey: fit_contextual
+groups by it; fit_context_nn and fit_context_linear regress on its feature's
+raw values.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -49,6 +52,19 @@ def _require_numeric(dataset: Dataset, indices: Sequence[int]) -> np.ndarray:
         if problem:
             raise ValueError(f"feature {feature.name!r} {problem}")
     return m
+
+
+def _fit_matrix(fit_set: Dataset, empty_message: str) -> tuple[tuple[int, ...], np.ndarray]:
+    """A fit set's primary indices and their numeric matrix; a set with no
+    rows is an error with empty_message."""
+    if fit_set.n_rows == 0:
+        raise ValueError(empty_message)
+    idx = fit_set.schema.primary_indices
+    return idx, _require_numeric(fit_set, idx)
+
+
+def _mean_std(m: np.ndarray) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    return tuple(m.mean(axis=0)), tuple(m.std(axis=0))
 
 
 def _pairwise_sum(term, lo: int, hi: int, acc: np.ndarray) -> np.ndarray:
@@ -224,10 +240,7 @@ class MinMaxModel:
 
 
 def fit_minmax(train: Dataset) -> MinMaxModel:
-    if train.n_rows == 0:
-        raise ValueError("cannot fit min-max on an empty set")
-    idx = train.schema.primary_indices
-    m = _require_numeric(train, idx)
+    idx, m = _fit_matrix(train, "cannot fit min-max on an empty set")
     return MinMaxModel(idx, tuple(m.min(axis=0)), tuple(m.max(axis=0)))
 
 
@@ -255,11 +268,8 @@ class ZScoreModel:
 def fit_zscore(fit_set: Dataset) -> ZScoreModel:
     """Mean / population deviation per primary feature; the fit set may be
     the training data or a designated baseline set."""
-    if fit_set.n_rows == 0:
-        raise ValueError("cannot fit z-score on an empty set")
-    idx = fit_set.schema.primary_indices
-    m = _require_numeric(fit_set, idx)
-    return ZScoreModel(idx, tuple(m.mean(axis=0)), tuple(m.std(axis=0)))
+    idx, m = _fit_matrix(fit_set, "cannot fit z-score on an empty set")
+    return ZScoreModel(idx, *_mean_std(m))
 
 
 def apply_zscore(model: ZScoreModel, dataset: Dataset) -> Dataset:
@@ -275,10 +285,7 @@ class PercentileModel:
 
 
 def fit_percentile(train: Dataset) -> PercentileModel:
-    if train.n_rows == 0:
-        raise ValueError("cannot fit percentiles on an empty set")
-    idx = train.schema.primary_indices
-    m = _require_numeric(train, idx)
+    idx, m = _fit_matrix(train, "cannot fit percentiles on an empty set")
     return PercentileModel(idx, tuple(tuple(sorted(m[:, j])) for j in range(m.shape[1])))
 
 
@@ -382,10 +389,6 @@ def _first_occurrence(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return number, distinct[order]
 
 
-def _mean_std(m: np.ndarray) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    return tuple(m.mean(axis=0)), tuple(m.std(axis=0))
-
-
 @dataclass(frozen=True)
 class GroupContextModel:
     """Per-context-group mean/deviation of each primary feature, with a
@@ -409,10 +412,7 @@ class GroupContextModel:
 def fit_contextual(train: Dataset, key: ContextKey) -> GroupContextModel:
     """Group statistics estimator: mean and population deviation of each
     primary feature within each context group."""
-    idx = train.schema.primary_indices
-    m = _require_numeric(train, idx)
-    if train.n_rows == 0:
-        raise ValueError("cannot fit a context model on an empty set")
+    idx, m = _fit_matrix(train, "cannot fit a context model on an empty set")
     group, labels = key.groups(train)
     if not labels:
         raise ValueError(f"context feature {key.feature!r} has no resolvable values")
@@ -459,11 +459,8 @@ class NearestContextModel:
 
 def _baseline_columns(baseline: Dataset, key: ContextKey):
     """A non-empty set's primary indices, their matrix and the key's column."""
-    if baseline.n_rows == 0:
-        raise ValueError("empty baseline set")
-    idx = baseline.schema.primary_indices
-    return (idx, _require_numeric(baseline, idx),
-            _require_numeric(baseline, [baseline.schema.index_of(key.feature)]))
+    idx, feats = _fit_matrix(baseline, "empty baseline set")
+    return idx, feats, _require_numeric(baseline, [baseline.schema.index_of(key.feature)])
 
 
 def fit_context_linear(baseline: Dataset, key: ContextKey) -> LinearContextModel:
@@ -516,10 +513,7 @@ def compute_weights(train: Dataset, key: ContextKey) -> WeightVector:
     over (group, class) cells, the in-cell deviation.  Empty cells are
     skipped and the average renormalized by the non-empty count.
     """
-    idx = train.schema.primary_indices
-    m = _require_numeric(train, idx)
-    if train.n_rows == 0:
-        raise ValueError("no labeled rows")
+    idx, m = _fit_matrix(train, "no labeled rows")
     group, labels = key.groups(train)
     if not labels:
         raise ValueError(f"context feature {key.feature!r} has no resolvable values")
@@ -659,11 +653,12 @@ class PipelineConfig:
     """Which transforms to run, in the fixed order
     impute -> encode -> normalize -> weight -> expand.
 
-    ``normalize`` names one of NORMALIZERS, a fit and an apply: fitted on
-    the set the module docstring gives for it (a baseline set is encoded, and
-    imputed from itself under ``impute``), with ``context`` as the key of a
-    context fit, then applied to both splits.  Expanded features are appended
-    after weighting and are never weighted themselves.
+    ``normalize`` names one of NORMALIZERS, a fit and an apply, with
+    ``context`` as the key of a context fit.  It is fitted on one of three
+    sets: the training split, ``baseline`` (encoded, and imputed from itself
+    under ``impute``), or, for "contextual-transductive", each split itself;
+    then applied to both splits.  Expanded features are appended after
+    weighting and are never weighted themselves.
     """
 
     normalize: str = "none"
@@ -684,25 +679,29 @@ class PipelineConfig:
         object.__setattr__(self, "expand", tuple(self.expand))
 
 
-def _fit_normalizer(config: PipelineConfig, train: Dataset):
-    """The model of config.normalize fitted on its fit set, and the apply_*
-    function that uses it."""
-    name, fit_set = config.normalize, train
+def _normalizer(config: PipelineConfig, train: Dataset):
+    """config.normalize as a function of one split: the model fitted on its fit
+    set, applied; for "contextual-transductive", fitted on the split itself.
+    Each fit is named here, not in a table built at import, so a patched
+    module attribute (a test double, the benchmark's tracer) sees its call."""
+    name, key, fit_set = config.normalize, config.context, train
+    if name == "contextual-transductive":
+        return lambda ds: apply_contextual(fit_contextual(ds, key), ds)
     if name in _BASELINE_FITTED:
         fit_set = encode_numeric(config.baseline)
         if config.impute:
             fit_set = impute_missing(fit_set, fit_set)
     if name == "minmax":
-        return fit_minmax(fit_set), apply_minmax
+        return partial(apply_minmax, fit_minmax(fit_set))
     if name == "percentile":
-        return fit_percentile(fit_set), apply_percentile
+        return partial(apply_percentile, fit_percentile(fit_set))
     if name in ("zscore", "baseline"):
-        return fit_zscore(fit_set), apply_zscore
+        return partial(apply_zscore, fit_zscore(fit_set))
     if name == "contextual":
-        return fit_contextual(fit_set, config.context), apply_contextual
+        return partial(apply_contextual, fit_contextual(fit_set, key))
     if name == "contextual-nn":
-        return fit_context_nn(fit_set, config.context), apply_contextual
-    return fit_context_linear(fit_set, config.context), apply_contextual
+        return partial(apply_contextual, fit_context_nn(fit_set, key))
+    return partial(apply_contextual, fit_context_linear(fit_set, key))
 
 
 def run_pipeline(
@@ -717,12 +716,9 @@ def run_pipeline(
         train, test = impute_missing(train, train), impute_missing(train, test)
     train, test = encode_numeric(train), encode_numeric(test)
 
-    if config.normalize == "contextual-transductive":
-        train = apply_contextual(fit_contextual(train, config.context), train)
-        test = apply_contextual(fit_contextual(test, config.context), test)
-    elif config.normalize != "none":
-        model, apply = _fit_normalizer(config, train)
-        train, test = apply(model, train), apply(model, test)
+    if config.normalize != "none":
+        normalize = _normalizer(config, train)
+        train, test = normalize(train), normalize(test)
 
     if config.weight:
         w = compute_weights(train, config.context)

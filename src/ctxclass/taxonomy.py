@@ -48,12 +48,6 @@ class FeatureVerdict:
     def primaries(self) -> tuple[str, ...]:
         return tuple(n for n, l in self.labels.items() if l == "primary")
 
-    def contextuals(self) -> tuple[str, ...]:
-        return tuple(n for n, l in self.labels.items() if l == "contextual")
-
-    def irrelevants(self) -> tuple[str, ...]:
-        return tuple(n for n, l in self.labels.items() if l == "irrelevant")
-
 
 def estimate_distribution(dataset: Dataset) -> JointDistribution:
     """Empirical joint distribution of a fully discrete dataset without MISSING cells."""

@@ -396,6 +396,17 @@ class TestCompareNormalizers:
             pruned, full = (tmp_path / f"{name}{suffix}" for name in ("pruned", "full"))
             assert pruned.read_bytes() == full.read_bytes()
 
+    def test_discrete_context_is_runtime_error_that_names_it(self, small_table, capsys):
+        dp, sp = small_table
+        code = cli.main(["compare-normalizers", "--train", str(dp), "--train-schema", str(sp),
+                         "--test", str(dp), "--test-schema", str(sp)])
+        assert code == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "compare-normalizers: context feature 'g' is discrete; "
+            "contextual-nn and contextual-linear need a continuous context\n")
+
     def test_empty_test_set_is_precondition(self, tmp_path, small_table, capsys):
         dp, sp = small_table
         empty = tmp_path / "empty.csv"

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -153,6 +154,19 @@ class TestVowelGrid:
         report = run_vowel_grid(train, test, "mlr")
         assert len(report.cells) == 8
 
+    @pytest.mark.parametrize("classifier, text_sha, csv_sha", [
+        ("nn", "2742cbb47a8197e621c0db2ccd4f183fd7eb5ab42aea92c4ff6864c048c7c23c",
+         "013e216efc722873457171a37d33a973380aad5863350aace411b1acdfa0fa69"),
+        ("mlr", "942c4fbb8b3fee44202b9252ebc48a9f7649cef448a64d7d70488fb5eee02a06",
+         "87f9e144816119d69fea5809dfadeb23db45da7c256766183d8f6ba09008eda5"),
+    ])
+    def test_report_bytes_are_pinned(self, synthetic_vowel_pair, classifier, text_sha, csv_sha):
+        # the benchmark digests cover neither this grid nor the transductive
+        # normalizer, so its report bytes are pinned here
+        report = run_vowel_grid(*synthetic_vowel_pair, classifier)
+        assert hashlib.sha256(emit_table(report, "text").encode()).hexdigest() == text_sha
+        assert hashlib.sha256(emit_table(report, "csv").encode()).hexdigest() == csv_sha
+
 
 class TestHepatitisGrid:
     def test_aggregation(self, hep_report):
@@ -209,6 +223,20 @@ class TestNormalizationComparison:
         train, test, _ = planted
         with pytest.raises(ValueError, match="baseline"):
             run_normalization_comparison(train, test, classifiers=("nn",), baseline=None)
+
+    def test_discrete_context_is_refused_before_any_pipeline(self, monkeypatch):
+        schema = data.FeatureSchema((
+            data.Feature("g", data.FeatureRole.CONTEXTUAL, "discrete", ("0", "1")),
+            data.Feature("x", data.FeatureRole.PRIMARY, "continuous"),
+            data.Feature("cls", data.FeatureRole.CLASS, "discrete", ("a", "b")),
+        ))
+        ds = data.Dataset.build(schema, [(str(i % 2), i / 10, "ab"[i % 2]) for i in range(20)])
+        monkeypatch.setattr(harness, "run_pipeline", lambda *a: pytest.fail("a pipeline ran"))
+        with pytest.raises(ValueError) as raised:
+            run_normalization_comparison(ds, ds, baseline=ds)
+        assert str(raised.value) == (
+            "context feature 'g' is discrete; "
+            "contextual-nn and contextual-linear need a continuous context")
 
     def test_one_pipeline_per_normalizer(self, planted, monkeypatch):
         train, test, baseline = planted
@@ -342,6 +370,21 @@ def test_comparison_reaches_each_fit_through_its_module_attribute(planted, monke
     run_normalization_comparison(train, test, baseline=baseline)
     # one pipeline per normalizer: "zscore" and "baseline" both fit a z-score
     assert calls == {"fit_context_nn": 1, "fit_context_linear": 1, "fit_zscore": 2}
+
+
+def test_transductive_normalization_fits_each_split_through_the_module_attribute(
+        synthetic_vowel_pair, monkeypatch):
+    fitted, real = [], preprocess.fit_contextual
+
+    def counting(fit_set, key):
+        fitted.append((fit_set, key))
+        return real(fit_set, key)
+
+    monkeypatch.setattr(preprocess, "fit_contextual", counting)
+    train, test = synthetic_vowel_pair
+    run_vowel_grid(train, test, "nn")
+    # one normalization in the grid: each split fitted on its own rows
+    assert fitted == [(train, ContextKey("speaker")), (test, ContextKey("speaker"))]
 
 
 def test_grid_and_comparison_build_no_rows_after_loading(synthetic_hepatitis, planted,

@@ -1125,6 +1125,28 @@ class TestPipeline:
         assert out.column(0) == (-10.0,)  # model unchanged by earlier application
 
 
+@pytest.mark.parametrize("fit, message", [
+    (fit_minmax, "cannot fit min-max on an empty set"),
+    (fit_zscore, "cannot fit z-score on an empty set"),
+    (fit_percentile, "cannot fit percentiles on an empty set"),
+    (lambda ds: fit_contextual(ds, ContextKey("ctx")), "cannot fit a context model on an empty set"),
+    (lambda ds: fit_context_nn(ds, ContextKey("c")), "empty baseline set"),
+    (lambda ds: fit_context_linear(ds, ContextKey("c")), "empty baseline set"),
+    (lambda ds: compute_weights(ds, ContextKey("ctx")), "no labeled rows"),
+], ids=["minmax", "zscore", "percentile", "contextual", "context-nn", "context-linear",
+        "weights"])
+def test_fit_on_a_set_with_no_rows_names_its_set(fit, message):
+    schema = FeatureSchema((
+        Feature("ctx", FeatureRole.CONTEXTUAL, "discrete", ("u", "v")),
+        Feature("c", FeatureRole.CONTEXTUAL, "continuous"),
+        Feature("x", FeatureRole.PRIMARY, "continuous"),
+        Feature("cls", FeatureRole.CLASS, "discrete", ("a", "b")),
+    ))
+    with pytest.raises(ValueError) as raised:
+        fit(Dataset.build(schema, []))
+    assert str(raised.value) == message
+
+
 @pytest.fixture(scope="module")
 def planted_pair():
     """The planted-context pair, its class-c0 training rows as the baseline
