@@ -3,13 +3,12 @@ joint distributions.
 
 A Dataset is one read-only float matrix with a column per feature: a
 continuous cell holds its float, a discrete cell the index of its symbol in
-the feature's alphabet, and NaN marks a MISSING cell.  Loaders parse a file
-a column at a time: a discrete column maps through ``Feature.codes`` in one
-pass, a continuous one through ``float`` and is checked with ``isfinite``,
-and only a faulty column is walked again to name the first faulty cell's
-line.  Generators write the matrix directly; transforms read and write whole
-columns of it.  Rows of symbols, floats and the MISSING sentinel are derived
-views for callers that want Python cells.
+the feature's alphabet, and NaN marks a MISSING cell.  Loaders parse each
+distinct data line of a file once, a cell at a time, by the one routine that
+also names a faulty cell's line and fault, and gather the file's rows from
+those parsed lines.  Generators write the matrix directly; transforms read
+and write whole columns of it.  Rows of symbols, floats and the MISSING
+sentinel are derived views for callers that want Python cells.
 
 A JointDistribution is an explicit table of tuple probabilities over
 discrete variables, one of them the class.  Its ``support`` is the same
@@ -226,59 +225,55 @@ def _from_cells(schema: FeatureSchema, rows: list[list[float]]) -> Dataset:
     return Dataset(schema, np.array(rows, dtype=float).reshape(len(rows), len(schema)))
 
 
-def _cell_fault(feat: Feature, raw: str, missing: tuple[str, ...]) -> str | None:
-    """What is wrong with one stripped cell of a data line, or None: a MISSING
-    class, a symbol outside the alphabet, a bad or non-finite number."""
+def _cell(feat: Feature, raw: str, missing: tuple[str, ...]) -> float:
+    """One stripped cell's matrix value: a token in ``missing`` is NaN, a
+    discrete cell its symbol's code, a continuous cell a finite float.  A
+    MISSING class, a symbol outside the alphabet, or a bad or non-finite
+    number is a ValueError that says which."""
     if raw in missing:
-        return "class cell is MISSING" if feat.role is FeatureRole.CLASS else None
+        if feat.role is FeatureRole.CLASS:
+            raise ValueError("class cell is MISSING")
+        return math.nan
     if feat.kind == "discrete":
-        return None if raw in feat.codes else f"symbol {raw!r} not valid for {feat.name!r}"
+        if raw not in feat.codes:
+            raise ValueError(f"symbol {raw!r} not valid for {feat.name!r}")
+        return feat.codes[raw]
     try:
         value = float(raw)
     except ValueError:
-        return f"bad number {raw!r} for {feat.name!r}"
-    return None if math.isfinite(value) else f"non-finite number {raw!r} for {feat.name!r}"
+        raise ValueError(f"bad number {raw!r} for {feat.name!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {raw!r} for {feat.name!r}")
+    return value
 
 
-def _parse_columns(schema: FeatureSchema, lines: list[tuple[int, Sequence[str]]],
-                   missing: tuple[str, ...], path, fault: Exception | None = None) -> Dataset:
-    """Data lines, (line number, fields), parsed a column at a time: a token in
-    ``missing`` is NaN, a discrete cell its symbol's code, a continuous cell a
-    finite float.  The first faulty cell in line order, then column order, is
-    a LoadError naming its line; a line with a field count other than the
-    schema's counts as faulty in its first cell.  ``fault``, the error that
-    ended the read after the last line, is raised when no cell is faulty."""
-    rows, width = [fields for _, fields in lines], len(schema)
-    if set(map(len, rows)) - {width}:
-        short = next(k for k, fields in enumerate(rows) if len(fields) != width)
-        fault = LoadError(f"{path}: line {lines[short][0]}: "
-                          f"expected {width} fields, got {len(rows[short])}")
-        rows = rows[:short]
-    values, faults = np.empty((len(rows), width)), []
-    for c, (feat, column) in enumerate(zip(schema, zip(*rows))):
-        cells = list(map(str.strip, column))
-        if feat.kind == "discrete":  # a MISSING class maps to None, as a bad symbol does
-            lookup = {s: float(k) for s, k in feat.codes.items()}
-            lookup.update(dict.fromkeys(missing, None if feat.role is FeatureRole.CLASS else math.nan))
-            parsed = list(map(lookup.get, cells))
-            faulty = None in parsed
-        else:
-            try:  # a NaN that is no MISSING token, or an infinity, is faulty too
-                parsed = [math.nan if s in missing else float(s) for s in cells]
-                faulty = any(cells[r] not in missing for r in np.flatnonzero(~np.isfinite(parsed)))
-            except ValueError:
-                faulty = True
-        if faulty:
-            faults.append((next(r for r, raw in enumerate(cells) if _cell_fault(feat, raw, missing)), c))
-        else:
-            values[:, c] = parsed
-    if faults:
-        r, c = min(faults)
-        message = _cell_fault(schema.features[c], rows[r][c].strip(), missing)
-        raise LoadError(f"{path}: line {lines[r][0]}: {message}")
+def _parse_lines(schema: FeatureSchema, lines: list[tuple[int, Sequence[str]]],
+                 missing: tuple[str, ...], path, fault: Exception | None = None) -> Dataset:
+    """Data lines, (line number, fields), as a Dataset: each distinct line is
+    parsed once, cell by cell through ``_cell``, in order of first occurrence,
+    and the rows are gathered from the parsed lines with one fancy index.
+
+    The first faulty cell in line order, then column order, is a LoadError
+    naming its line; a line with a field count other than the schema's is
+    faulty in its first cell.  Parsing first occurrences only keeps that
+    rule, since a repeated line would fail where its first occurrence, an
+    earlier line, has already failed.  ``fault``, the error that ended the
+    read after the last line, is raised when no cell is faulty."""
+    width, index, rows, picks = len(schema), {}, [], []
+    for lineno, fields in lines:
+        key = tuple(fields)
+        if key not in index:
+            try:
+                if len(fields) != width:
+                    raise ValueError(f"expected {width} fields, got {len(fields)}")
+                rows.append([_cell(f, raw.strip(), missing) for f, raw in zip(schema, fields)])
+            except ValueError as exc:
+                raise LoadError(f"{path}: line {lineno}: {exc}") from None
+            index[key] = len(index)
+        picks.append(index[key])
     if fault is not None:
         raise fault
-    return Dataset(schema, values)
+    return _from_cells(schema, rows).subset(picks)
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +332,7 @@ def load_vowel(train_path, test_path) -> tuple[Dataset, Dataset]:
     schema = _vowel_schema(speakers)
 
     train, test = (
-        _parse_columns(schema, [(n, cells) for _, n, cells in raw], (), path)
+        _parse_lines(schema, [(n, cells) for _, n, cells in raw], (), path)
         for raw, path in sides
     )
     if train.n_rows != VOWEL_TRAIN_ROWS:
@@ -398,7 +393,7 @@ def load_hepatitis(path) -> Dataset:
         lines.append((lineno, fields))
     if not lines and fault is None:
         raise LoadError(f"{path}: file contains no data rows")
-    return _parse_columns(schema, lines, ("?",), path, fault)
+    return _parse_lines(schema, lines, ("?",), path, fault)
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +444,7 @@ def load_table(path, schema_path) -> Dataset:
                 lines.append((lineno, fields))
     except csv.Error as exc:
         fault = exc
-    return _parse_columns(schema, lines, ("?", ""), path, fault)
+    return _parse_lines(schema, lines, ("?", ""), path, fault)
 
 
 def write_table(dataset: Dataset, path, schema_path=None) -> None:

@@ -211,8 +211,9 @@ def run_normalization_comparison(
     "contextual-nn" and "contextual-linear", on ``baseline``, the reference
     set.  The context is the first contextual feature; the regression context
     models read it as a number, so a discrete one is refused before any
-    pipeline runs.  Each normalizer's pipeline runs once and feeds every
-    classifier; the cells are listed classifier by classifier."""
+    pipeline runs, as is a missing ``baseline``.  Each normalizer's pipeline
+    runs once and feeds every classifier; the cells are listed classifier by
+    classifier."""
     ctx_idx = train.schema.contextual_indices
     if not ctx_idx:
         raise ValueError("dataset has no contextual features")
@@ -220,12 +221,14 @@ def run_normalization_comparison(
     if context.kind == "discrete":
         raise ValueError(f"context feature {context.name!r} is discrete; "
                          "contextual-nn and contextual-linear need a continuous context")
+    # every config is built first, so a missing baseline is refused before any pipeline runs
+    configs = [PipelineConfig(normalize=norm, context=ContextKey(context.name), baseline=baseline)
+               for norm in NORMALIZER_MENU]
     correct = {}
-    for norm in NORMALIZER_MENU:
-        config = PipelineConfig(normalize=norm, context=ContextKey(context.name), baseline=baseline)
+    for config in configs:
         tr, te = run_pipeline(config, train, test)
         for classifier in classifiers:
-            correct[classifier, norm] = evaluate(classifier, tr, te)
+            correct[classifier, config.normalize] = evaluate(classifier, tr, te)
         del tr, te  # one normalized pair alive at a time
     cells = tuple(CellResult((c, n), correct[c, n], test.n_rows)
                   for c in classifiers for n in NORMALIZER_MENU)

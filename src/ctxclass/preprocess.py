@@ -611,7 +611,6 @@ def impute_missing(train: Dataset, target: Dataset) -> Dataset:
     train_m = _minmax_scale(train_raw, lo, hi)
     target_m = (train_m if target is train
                 else _minmax_scale(_encoded_columns(target, indices), lo, hi))
-    train_present = ~np.isnan(train_m)
 
     cols = np.asarray(indices)
     values = target.values.copy()
@@ -629,13 +628,11 @@ def impute_missing(train: Dataset, target: Dataset) -> Dataset:
 
     for start, sims in _column_sums(len(queries), train.n_rows, len(indices), similarity):
         rows = incomplete[start:start + len(sims)]
-        # stable ranking: best similarity first, earliest row wins ties
-        order = np.argsort(-sims, axis=1, kind="stable")
-        # each MISSING cell's donor is the best-ranked row with that cell
-        # present; every column has one, as none is entirely MISSING
+        # each MISSING cell's donor is the most similar row with that cell
+        # present, the earliest on ties (argmax takes the first maximum);
+        # every column has one, as none is entirely MISSING
         r, j = np.nonzero(query_absent[start:start + len(sims)])
-        ranked = order[r]
-        donors = ranked[np.arange(len(r)), train_present[ranked, j[:, None]].argmax(axis=1)]
+        donors = np.where(train_absent[j], -np.inf, sims[r]).argmax(axis=1)
         values[rows[r], cols[j]] = train.values[donors, cols[j]]
     return Dataset(target.schema, values)
 

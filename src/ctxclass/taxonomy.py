@@ -45,9 +45,6 @@ class FeatureVerdict:
     sensitive_to: Mapping[str, tuple[str, ...]]  # primary name -> contextual names
     witnesses: Mapping[str, tuple] = None
 
-    def primaries(self) -> tuple[str, ...]:
-        return tuple(n for n, l in self.labels.items() if l == "primary")
-
 
 def estimate_distribution(dataset: Dataset) -> JointDistribution:
     """Empirical joint distribution of a fully discrete dataset without MISSING cells."""

@@ -7,7 +7,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from ctxclass import data
@@ -663,3 +663,91 @@ class TestColumnLoadersMatchTheRowWalk:
         (tmp_path / "v.data").write_text(text)
         path = tmp_path / "v.data"
         assert _outcome(data.load_vowel, path, path) == _outcome(load_vowel_oracle, path, path)
+
+
+# ---------------------------------------------------------------------------
+# Files with repeated lines: each distinct line is parsed once
+
+def _repeat(draw, text, separator):
+    """2-16 lines drawn, with repeats, from the first 4 data lines of text, a
+    blank line, and their twins, each of which pads one cell with spaces."""
+    distinct = [line for line in text.splitlines() if line][:4] + [""]
+    twins = []
+    for line in distinct:
+        cells = line.split(separator)
+        k = draw(st.integers(0, len(cells) - 1))
+        twins.append(separator.join(f" {c} " if i == k else c for i, c in enumerate(cells)))
+    lines = draw(st.lists(st.sampled_from(distinct + twins), min_size=2, max_size=16))
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def repeated_lines(draw, pools, faults, separator):
+    return _repeat(draw, draw(faulty_lines(pools, faults, separator)), separator)
+
+
+@st.composite
+def repeated_tables(draw):
+    schema_text, text = draw(faulty_tables())
+    return schema_text, _repeat(draw, text, ",")
+
+
+HEPATITIS_LINE = ",".join(["2", "30"] + ["1"] * 12 + ["1.0"] * 5 + ["1"])
+TABLE_SCHEMA = json.dumps([
+    {"name": "cls", "role": "class", "kind": "discrete", "alphabet": ["a", "b"]},
+    {"name": "x", "role": "primary", "kind": "continuous"},
+    {"name": "d", "role": "primary", "kind": "discrete", "alphabet": ["u", "v", "w"]},
+])
+
+
+class TestRepeatedLinesMatchTheRowWalk:
+    SETTINGS = TestColumnLoadersMatchTheRowWalk.SETTINGS
+
+    @SETTINGS
+    @given(table=repeated_tables())
+    @example(table=(TABLE_SCHEMA, "a,1,u\nb,x,v\na,1,u\nb,x,v\n"))  # a faulty line repeats
+    @example(table=(TABLE_SCHEMA, "a,1,u\na,1,u\nb,inf,v\n"))  # a clean repeat, then a fault
+    @example(table=(TABLE_SCHEMA, "a,1,u\na,1,u\nb,2\n"))  # a short line after a repeat
+    @example(table=(TABLE_SCHEMA, "a,1,u\n a , 1 ,u\nb,2,v\na,1,u\n"))  # padded twins
+    def test_load_table(self, tmp_path, table):
+        schema_text, text = table
+        (tmp_path / "t.schema.json").write_text(schema_text)
+        (tmp_path / "t.csv").write_text(text)
+        args = (tmp_path / "t.csv", tmp_path / "t.schema.json")
+        assert _outcome(data.load_table, *args) == _outcome(load_table_oracle, *args)
+
+    @SETTINGS
+    @given(text=repeated_lines(*_hepatitis_pools(), ","))
+    @example(text=f"{HEPATITIS_LINE}\n{HEPATITIS_LINE}\n3{HEPATITIS_LINE[1:]}\n")  # unknown class
+    @example(text=f"{HEPATITIS_LINE}\n?{HEPATITIS_LINE[1:]}\n{HEPATITIS_LINE}\n"
+                  f"?{HEPATITIS_LINE[1:]}\ndie{HEPATITIS_LINE[1:]}\n")
+    def test_load_hepatitis(self, tmp_path, text):
+        (tmp_path / "h.data").write_text(text)
+        path = tmp_path / "h.data"
+        assert _outcome(data.load_hepatitis, path) == _outcome(load_hepatitis_oracle, path)
+
+    @SETTINGS
+    @given(text=repeated_lines(*_vowel_pools(), " "))
+    @pytest.mark.filterwarnings("ignore:vowel")
+    def test_load_vowel(self, tmp_path, text):
+        (tmp_path / "v.data").write_text(text)
+        path = tmp_path / "v.data"
+        assert _outcome(data.load_vowel, path, path) == _outcome(load_vowel_oracle, path, path)
+
+
+def test_each_distinct_line_is_parsed_once(tmp_path, monkeypatch):
+    distinct = ["a,1.5,u", "b,?,v", "a,2,w"]
+    (tmp_path / "t.schema.json").write_text(TABLE_SCHEMA)
+    (tmp_path / "t.csv").write_text("".join(distinct[k % 3] + "\n" for k in range(2000)))
+    args = (tmp_path / "t.csv", tmp_path / "t.schema.json")
+    calls = []
+    real = data._cell
+
+    def counting_cell(*cell_args):
+        calls.append(cell_args)
+        return real(*cell_args)
+
+    monkeypatch.setattr(data, "_cell", counting_cell)
+    loaded = data.load_table(*args)
+    assert len(calls) == 3 * 3  # 3 distinct lines x width 3
+    assert loaded == load_table_oracle(*args)

@@ -224,6 +224,14 @@ class TestNormalizationComparison:
         with pytest.raises(ValueError, match="baseline"):
             run_normalization_comparison(train, test, classifiers=("nn",), baseline=None)
 
+    def test_missing_baseline_is_refused_before_any_evaluation(self, planted, monkeypatch):
+        train, test, _ = planted
+        calls = []
+        monkeypatch.setattr(harness, "evaluate", lambda classifier, tr, te: calls.append(classifier))
+        with pytest.raises(ValueError, match="^baseline normalization requires a baseline set$"):
+            run_normalization_comparison(train, test, baseline=None)
+        assert calls == []
+
     def test_discrete_context_is_refused_before_any_pipeline(self, monkeypatch):
         schema = data.FeatureSchema((
             data.Feature("g", data.FeatureRole.CONTEXTUAL, "discrete", ("0", "1")),
