@@ -3,12 +3,12 @@ joint distributions.
 
 A Dataset is one read-only float matrix with a column per feature: a
 continuous cell holds its float, a discrete cell the index of its symbol in
-the feature's alphabet, and NaN marks a MISSING cell.  Loaders parse each
-distinct data line of a file once, a cell at a time, by the one routine that
-also names a faulty cell's line and fault, and gather the file's rows from
-those parsed lines.  Generators write the matrix directly; transforms read
-and write whole columns of it.  Rows of symbols, floats and the MISSING
-sentinel are derived views for callers that want Python cells.
+the feature's alphabet, and NaN marks a MISSING cell.  Loaders decode a
+file, then parse each distinct line (a CSV file with quotes: each record) once
+in one pass, a cell at a time, by the one routine that also names a faulty
+line and its fault.  Writers and transforms work a whole column at a time.
+Rows of symbols, floats and the MISSING sentinel are derived views for
+callers that want Python cells.
 
 A JointDistribution is an explicit table of tuple probabilities over
 discrete variables, one of them the class.  Its ``support`` is the same
@@ -19,6 +19,7 @@ taxonomy tests sum marginals from.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import random
@@ -29,7 +30,7 @@ from enum import Enum
 from functools import cached_property
 from itertools import accumulate
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -38,11 +39,11 @@ class LoadError(Exception):
     """Raised when an input file cannot be parsed into a Dataset."""
 
 
-def _text_lines(path, **open_args):
-    """The lines of a text file; text that does not decode is a LoadError."""
+def _text_lines(path, **open_args) -> list[str]:
+    """The lines of a text file, all decoded; text that does not decode is a LoadError."""
     try:
         with open(path, **open_args) as fh:
-            yield from fh
+            return fh.readlines()
     except UnicodeDecodeError as exc:
         raise LoadError(f"{path}: {exc}") from None
 
@@ -247,32 +248,35 @@ def _cell(feat: Feature, raw: str, missing: tuple[str, ...]) -> float:
     return value
 
 
-def _parse_lines(schema: FeatureSchema, lines: list[tuple[int, Sequence[str]]],
-                 missing: tuple[str, ...], path, fault: Exception | None = None) -> Dataset:
-    """Data lines, (line number, fields), as a Dataset: each distinct line is
-    parsed once, cell by cell through ``_cell``, in order of first occurrence,
-    and the rows are gathered from the parsed lines with one fancy index.
+def _parse_lines(schema: FeatureSchema, lines: Iterable[tuple[int, Hashable]],
+                 fields_of: Callable[[Hashable], Sequence[str]], missing: tuple[str, ...],
+                 path) -> Dataset:
+    """A file's lines, (line number, text), as a Dataset, in one pass with one
+    dict lookup a line: each distinct text is split into fields by
+    ``fields_of`` (none for a blank line, which is skipped) and parsed, cell by
+    cell through ``_cell``, once, and the rows are gathered with one fancy index.
 
-    The first faulty cell in line order, then column order, is a LoadError
-    naming its line; a line with a field count other than the schema's is
-    faulty in its first cell.  Parsing first occurrences only keeps that
-    rule, since a repeated line would fail where its first occurrence, an
-    earlier line, has already failed.  ``fault``, the error that ended the
-    read after the last line, is raised when no cell is faulty."""
+    The first fault in line order is a LoadError naming its line: a ValueError
+    or csv.Error from ``fields_of``, a field count other than the schema's, or
+    the line's first faulty cell.  A repeated text would fail where its first
+    occurrence, an earlier line, already has.  A fault that ``lines`` raises
+    ends the pass where it stands."""
     width, index, rows, picks = len(schema), {}, [], []
-    for lineno, fields in lines:
-        key = tuple(fields)
-        if key not in index:
+    for lineno, text in lines:
+        k = index.setdefault(text, len(rows))
+        if k == len(rows):
             try:
-                if len(fields) != width:
+                fields = fields_of(text)
+                if not fields:
+                    index[text] = k = -1
+                elif len(fields) != width:
                     raise ValueError(f"expected {width} fields, got {len(fields)}")
-                rows.append([_cell(f, raw.strip(), missing) for f, raw in zip(schema, fields)])
-            except ValueError as exc:
+                else:
+                    rows.append([_cell(f, raw.strip(), missing) for f, raw in zip(schema, fields)])
+            except (ValueError, csv.Error) as exc:
                 raise LoadError(f"{path}: line {lineno}: {exc}") from None
-            index[key] = len(index)
-        picks.append(index[key])
-    if fault is not None:
-        raise fault
+        if k >= 0:
+            picks.append(k)
     return _from_cells(schema, rows).subset(picks)
 
 
@@ -332,7 +336,7 @@ def load_vowel(train_path, test_path) -> tuple[Dataset, Dataset]:
     schema = _vowel_schema(speakers)
 
     train, test = (
-        _parse_lines(schema, [(n, cells) for _, n, cells in raw], (), path)
+        _parse_lines(schema, [(n, tuple(cells)) for _, n, cells in raw], tuple, (), path)
         for raw, path in sides
     )
     if train.n_rows != VOWEL_TRAIN_ROWS:
@@ -375,25 +379,28 @@ def hepatitis_schema() -> FeatureSchema:
     return FeatureSchema(tuple(Feature(n, r, k, a) for n, r, k, a in HEPATITIS_COLUMNS))
 
 
+def _hepatitis_fields(line: str) -> list[str]:
+    """A line's fields with the class mapped to its name; an unknown class
+    symbol is a ValueError."""
+    line = line.strip()
+    if not line:
+        return []
+    fields = line.split(",")
+    raw = fields[0].strip()
+    if raw != "?" and len(fields) == len(HEPATITIS_COLUMNS):  # else a field-count fault
+        if raw not in HEPATITIS_CLASS_MAP:
+            raise ValueError(f"unknown class symbol {raw!r}")
+        fields[0] = HEPATITIS_CLASS_MAP[raw]
+    return fields
+
+
 def load_hepatitis(path) -> Dataset:
     """Load the UCI hepatitis file (comma layout, "?" for missing, class first)."""
-    schema = hepatitis_schema()
-    lines, fault = [], None
-    for lineno, line in enumerate(_text_lines(path), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        fields = line.split(",")
-        raw = fields[0].strip()
-        if raw != "?" and len(fields) == len(schema):  # else a field-count fault
-            if raw not in HEPATITIS_CLASS_MAP:
-                fault = LoadError(f"{path}: line {lineno}: unknown class symbol {raw!r}")
-                break
-            fields[0] = HEPATITIS_CLASS_MAP[raw]
-        lines.append((lineno, fields))
-    if not lines and fault is None:
+    lines = enumerate(_text_lines(path), start=1)
+    dataset = _parse_lines(hepatitis_schema(), lines, _hepatitis_fields, ("?",), path)
+    if not dataset.n_rows:
         raise LoadError(f"{path}: file contains no data rows")
-    return _parse_lines(schema, lines, ("?",), path, fault)
+    return dataset
 
 
 # ---------------------------------------------------------------------------
@@ -434,28 +441,51 @@ def schema_to_json(schema: FeatureSchema) -> str:
     return json.dumps(entries, indent=2)
 
 
-def load_table(path, schema_path) -> Dataset:
-    """Load a comma-separated data file against its JSON schema sidecar."""
-    schema = load_schema(schema_path)
-    lines, fault = [], None
+def _csv_records(path, lines: list[str]):
+    """(line number, fields) of each csv record, numbered by the file line it
+    starts on; a record the csv reader rejects is a LoadError when the walk
+    reaches it."""
+    reader = csv.reader(lines)
+    start = 1
     try:
-        for lineno, fields in enumerate(csv.reader(_text_lines(path, newline="")), start=1):
-            if fields:
-                lines.append((lineno, fields))
+        for fields in reader:
+            yield start, tuple(fields)
+            start = reader.line_num + 1
     except csv.Error as exc:
-        fault = exc
-    return _parse_lines(schema, lines, ("?", ""), path, fault)
+        raise LoadError(f"{path}: line {start}: {exc}") from None
+
+
+def load_table(path, schema_path) -> Dataset:
+    """Load a comma-separated data file against its JSON schema sidecar.  In a
+    file without a quote character each line is one whole csv record."""
+    schema = load_schema(schema_path)
+    lines = _text_lines(path, newline="")
+    if '"' in "".join(lines):
+        return _parse_lines(schema, _csv_records(path, lines), tuple, ("?", ""), path)
+    return _parse_lines(schema, enumerate(lines, start=1),
+                        lambda line: next(csv.reader((line,))), ("?", ""), path)
+
+
+def _field_text(symbol: str, width: int) -> str:
+    """A symbol as the csv module writes it in a row of ``width`` fields
+    (a lone empty field is quoted)."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow([symbol] * width)  # its "\r\n" also decides the quoting
+    row = buf.getvalue()[:-2]  # width equal fields and the commas between them
+    return row[: (len(row) - width + 1) // width]
 
 
 def write_table(dataset: Dataset, path, schema_path=None) -> None:
-    """Write a dataset as CSV (floats via repr, so values round-trip exactly)."""
+    """Write a dataset as CSV (floats via repr, so values round-trip exactly),
+    a column at a time: the bytes ``csv.writer`` writes, "?" for MISSING."""
+    schema, columns = dataset.schema, []
+    for f, cells in zip(schema, dataset.values.T.tolist()):
+        text = [_field_text(s, len(schema)) for s in f.alphabet] if f.alphabet else None
+        columns.append(["?" if c != c else text[int(c)] if text else repr(c) for c in cells])
     with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerows(
-            ["?" if c is MISSING else c if isinstance(c, str) else repr(c) for c in row]
-            for row in dataset.rows
-        )
+        fh.write("\r\n".join([*map(",".join, zip(*columns)), ""]))  # "\r\n" ends each row
     if schema_path is not None:
-        Path(schema_path).write_text(schema_to_json(dataset.schema) + "\n")
+        Path(schema_path).write_text(schema_to_json(schema) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -281,12 +281,12 @@ def apply_zscore(model: ZScoreModel, dataset: Dataset) -> Dataset:
 @dataclass(frozen=True)
 class PercentileModel:
     indices: tuple[int, ...]
-    sorted_values: tuple[tuple[float, ...], ...]
+    sorted_values: tuple[np.ndarray, ...]  # each primary column's fitted values, sorted
 
 
 def fit_percentile(train: Dataset) -> PercentileModel:
     idx, m = _fit_matrix(train, "cannot fit percentiles on an empty set")
-    return PercentileModel(idx, tuple(tuple(sorted(m[:, j])) for j in range(m.shape[1])))
+    return PercentileModel(idx, tuple(np.sort(m.T, axis=1)))
 
 
 def apply_percentile(model: PercentileModel, dataset: Dataset) -> Dataset:

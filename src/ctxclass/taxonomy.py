@@ -22,7 +22,6 @@ O(support · d) instead of the product of every alphabet size.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
@@ -65,14 +64,32 @@ def estimate_distribution(dataset: Dataset) -> JointDistribution:
         )
     n = dataset.n_rows
     alphabets = [f.alphabet for f in dataset.schema]
-    counts = Counter(map(tuple, dataset.values.astype(np.intp).tolist()))
-    probs = {tuple(a[k] for a, k in zip(alphabets, codes)): c / n for codes, c in counts.items()}
+    codes = dataset.values.astype(np.intp)
+    _, first, counts = np.unique(_row_keys(codes), return_index=True, return_counts=True)
+    order = np.argsort(first)  # the tuples in order of first occurrence
+    probs = {tuple(a[k] for a, k in zip(alphabets, row)): c / n
+             for row, c in zip(codes[first[order]].tolist(), counts[order].tolist())}
     return JointDistribution(
         variables=dataset.schema.names,
         alphabets=tuple(f.alphabet for f in dataset.schema),
         probs=probs,
         class_var=dataset.schema.class_feature.name,
     )
+
+
+def _row_keys(codes: np.ndarray) -> np.ndarray:
+    """One int64 key per row of a matrix of codes (integers >= 0), ordered as
+    the rows are in lexicographic order: the columns folded left to right, each
+    with its largest code + 1 as the radix, and the partial keys re-ranked, which
+    keeps their order, before a product of radixes would pass the int64 range."""
+    keys, radix = np.zeros(len(codes), dtype=np.int64), 1
+    for column, size in zip(codes.T, (codes.max(axis=0, initial=0) + 1).tolist()):
+        if radix * size > np.iinfo(np.int64).max:
+            ranked, keys = np.unique(keys, return_inverse=True)
+            radix = len(ranked)
+        keys = keys * size + column
+        radix *= size
+    return keys
 
 
 def cond_prob(
@@ -159,8 +176,9 @@ class _Support:
         """
         pos = self.p > 0
         rest = [j for j in range(len(self.sizes)) if j != self.c]
-        rows, full_of = np.unique(self.codes[pos][:, rest], axis=0, return_inverse=True)
-        return rows, full_of.reshape(-1), self.codes[pos, self.c], self.p[pos]
+        codes = self.codes[pos][:, rest]
+        _, first, full_of = np.unique(_row_keys(codes), return_index=True, return_inverse=True)
+        return codes[first], full_of, self.codes[pos, self.c], self.p[pos]
 
     def primary_witness(self, feature: str, eps: float):
         """Witness (a0, ai) with |p(x0=a0 | xi=ai) - p(x0=a0)| > eps, or None."""
@@ -185,8 +203,7 @@ class _Support:
         rows, full_of, cls, p = self._full
         names = _non_class_vars(self.dist)
         col = names.index(feature)
-        _, reduced = np.unique(np.delete(rows, col, axis=1), axis=0, return_inverse=True)
-        reduced = reduced.reshape(-1)
+        _, reduced = np.unique(_row_keys(np.delete(rows, col, axis=1)), return_inverse=True)
         n_reduced = int(reduced.max()) + 1
         without = _conditional(*self._grouped(reduced[full_of], n_reduced, cls, p))
         hit = _first_hit(*self._grouped(full_of, len(rows), cls, p), without[reduced], eps)

@@ -1,4 +1,5 @@
 import argparse
+import csv
 import json
 import os
 import subprocess
@@ -604,6 +605,22 @@ class TestExitPath:
         err = capsys.readouterr().err
         assert err.startswith(f"{argv[0]}: {paths['bad']}: ")
         assert "can't decode byte 0xff" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("template", [
+        "impute --data {big} --schema {schema} --out {out}",
+        "normalize --data {big} --schema {schema} --out {out}",
+        "taxonomy --data {big} --schema {schema}",
+        "compare-normalizers --train {table} --train-schema {schema} --test {big} "
+        "--test-schema {schema}",
+    ], ids=["impute", "normalize", "taxonomy-data", "compare-normalizers"])
+    def test_field_over_the_csv_limit_is_load_error(self, paths, tmp_path, template, capsys):
+        big = tmp_path / "big.csv"
+        big.write_text(f"a,0.1,0\nb,{'1' * (csv.field_size_limit() + 1)},1\n")
+        argv = self.argv(template, dict(paths, big=big))
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"{argv[0]}: {big}: line 2: field larger than field limit "
+            f"({csv.field_size_limit()})\n")
 
     def test_value_error_outside_a_mapped_region_is_not_reported(self, tmp_path, monkeypatch):
         # a ValueError that no command maps to an exit code is a bug, so it

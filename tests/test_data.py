@@ -186,7 +186,7 @@ class TestGenericTable:
         with pytest.raises(LoadError, match="line 1: bad number 'x' for 'x'"):
             data.load_table(tmp_path / "t.csv", tmp_path / "t.schema.json")
         (tmp_path / "t.csv").write_text(f"a,1.5,0\nb,{big},1\n")
-        with pytest.raises(csv.Error):
+        with pytest.raises(LoadError, match=r"t\.csv: line 2: field larger than field limit"):
             data.load_table(tmp_path / "t.csv", tmp_path / "t.schema.json")
 
     @pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-inf", "Infinity"])
@@ -219,6 +219,42 @@ class TestGenericTable:
         data.write_table(ds, tmp_path / "out.csv", tmp_path / "out.schema.json")
         back = data.load_table(tmp_path / "out.csv", tmp_path / "out.schema.json")
         assert back.rows == ds.rows  # floats round-trip bit-exactly via repr
+
+    def test_round_trip_of_symbols_that_need_quoting(self, tmp_path):
+        symbols = ("a,b", 'q"t', "l\nm", "r\rs", 'x,"y"\r\nz', "plain")
+        schema = data.FeatureSchema((
+            data.Feature("cls", FeatureRole.CLASS, "discrete", symbols),
+            data.Feature("x", FeatureRole.PRIMARY, "continuous"),
+            data.Feature("g", FeatureRole.CONTEXTUAL, "discrete", symbols[::-1]),
+        ))
+        rows = [(symbols[k % 6], k / 3, symbols[(k * 5) % 6]) for k in range(12)]
+        ds = data.Dataset.build(schema, rows)
+        data.write_table(ds, tmp_path / "out.csv", tmp_path / "out.schema.json")
+        assert data.load_table(tmp_path / "out.csv", tmp_path / "out.schema.json") == ds
+
+    SYMBOL_SCHEMA = json.dumps([
+        {"name": "cls", "role": "class", "kind": "discrete", "alphabet": ["a", "b"]},
+        {"name": "x", "role": "primary", "kind": "continuous"},
+        {"name": "g", "role": "contextual", "kind": "discrete", "alphabet": ["0", "l\nm"]},
+    ])
+
+    @pytest.mark.parametrize("text, line", [
+        ('a,1,"l\nm"\nb,x,0\n', 3),  # a fault after a record of two lines
+        ('a,1,"l\nm"\n\na,2,"l\nm"\nb,2,0\nb,x,0\n', 7),
+        ('a,1,0\nb,x,"l\nm"\n', 2),  # a fault in a record of two lines
+    ])
+    def test_faults_after_a_multi_line_record_name_their_file_line(self, tmp_path, text, line):
+        (tmp_path / "t.schema.json").write_text(self.SYMBOL_SCHEMA)
+        (tmp_path / "t.csv").write_text(text)
+        with pytest.raises(LoadError, match=rf"t\.csv: line {line}: bad number 'x' for 'x'$"):
+            data.load_table(tmp_path / "t.csv", tmp_path / "t.schema.json")
+
+    def test_csv_error_after_a_multi_line_record_names_its_file_line(self, tmp_path):
+        (tmp_path / "t.schema.json").write_text(self.SYMBOL_SCHEMA)
+        big = "1" * (csv.field_size_limit() + 1)
+        (tmp_path / "t.csv").write_text(f'a,1,"l\nm"\nb,{big},0\n')
+        with pytest.raises(LoadError, match=r"t\.csv: line 3: field larger than field limit"):
+            data.load_table(tmp_path / "t.csv", tmp_path / "t.schema.json")
 
 
 def _with_undecodable_line(text: str, index: int) -> bytes:
@@ -735,6 +771,31 @@ class TestRepeatedLinesMatchTheRowWalk:
         assert _outcome(data.load_vowel, path, path) == _outcome(load_vowel_oracle, path, path)
 
 
+@st.composite
+def quoted_tables(draw):
+    """repeated_tables with some cells quoted, as csv quotes them, so that the
+    file holds a quote character and is read a csv record at a time."""
+    schema_text, text = draw(repeated_tables())
+    lines = []
+    for line in text.splitlines():
+        cells = line.split(",")
+        quoted = draw(st.lists(st.booleans(), min_size=len(cells), max_size=len(cells)))
+        lines.append(",".join(f'"{c}"' if q else c for c, q in zip(cells, quoted)))
+    return schema_text, "\n".join(lines) + "\n"
+
+
+class TestQuotedFilesMatchTheRowWalk:
+    @TestColumnLoadersMatchTheRowWalk.SETTINGS
+    @given(table=quoted_tables())
+    @example(table=(TABLE_SCHEMA, 'a,1,u\n"a",1,u\nb,"x",v\n'))
+    def test_load_table(self, tmp_path, table):
+        schema_text, text = table
+        (tmp_path / "t.schema.json").write_text(schema_text)
+        (tmp_path / "t.csv").write_text(text)
+        args = (tmp_path / "t.csv", tmp_path / "t.schema.json")
+        assert _outcome(data.load_table, *args) == _outcome(load_table_oracle, *args)
+
+
 def test_each_distinct_line_is_parsed_once(tmp_path, monkeypatch):
     distinct = ["a,1.5,u", "b,?,v", "a,2,w"]
     (tmp_path / "t.schema.json").write_text(TABLE_SCHEMA)
@@ -751,3 +812,57 @@ def test_each_distinct_line_is_parsed_once(tmp_path, monkeypatch):
     loaded = data.load_table(*args)
     assert len(calls) == 3 * 3  # 3 distinct lines x width 3
     assert loaded == load_table_oracle(*args)
+
+
+# ---------------------------------------------------------------------------
+# The column-wise writer against the row-wise csv.writer it replaced
+
+def write_table_oracle(dataset, path):
+    """The row-wise writer: one csv.writer row per Dataset.rows row."""
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(
+            ["?" if c is MISSING else c if isinstance(c, str) else repr(c) for c in row]
+            for row in dataset.rows
+        )
+
+
+SPECIAL_SYMBOLS = [",", '"', "\r", "\n", " ", "?", "", "a b", 'x,"y"', "\r\n", " lead", "1.5"]
+SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, 1e-5, 1e16, 1.7976931348623157e308, -1e-5, math.nan]
+
+
+@st.composite
+def written_datasets(draw):
+    """1-4 columns (a one-column schema is the class alone), discrete ones
+    over symbols that csv must quote or that look like MISSING, continuous
+    ones over extreme floats and NaN, and 0-6 rows."""
+    width = draw(st.integers(1, 4))
+    at = draw(st.integers(0, width - 1))
+    symbols = st.sampled_from(SPECIAL_SYMBOLS) | st.text(
+        st.characters(blacklist_categories=("Cs",)), max_size=3)
+    feats, columns = [], []
+    n = draw(st.integers(0, 6))
+    for j in range(width):
+        if j == at or draw(st.booleans()):
+            alphabet = tuple(draw(st.lists(symbols, min_size=1, max_size=4)))
+            role = FeatureRole.CLASS if j == at else FeatureRole.PRIMARY
+            feats.append(data.Feature(f"f{j}", role, "discrete", alphabet))
+            codes = st.integers(0, len(alphabet) - 1)
+            cells = codes if j == at else codes | st.just(math.nan)
+        else:
+            feats.append(data.Feature(f"f{j}", FeatureRole.PRIMARY, "continuous"))
+            cells = st.sampled_from(SPECIAL_FLOATS) | st.floats()
+        columns.append(draw(st.lists(cells, min_size=n, max_size=n)))
+    values = np.array(columns, dtype=float).T
+    return data.Dataset(data.FeatureSchema(tuple(feats)), values)
+
+
+class TestWriterMatchesTheRowWriter:
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(dataset=written_datasets())
+    @example(dataset=data.Dataset(data.FeatureSchema((
+        data.Feature("c", FeatureRole.CLASS, "discrete", ("", "a")),)), np.array([[0.0], [1.0]])))
+    def test_same_bytes(self, tmp_path, dataset):
+        data.write_table(dataset, tmp_path / "new.csv")
+        write_table_oracle(dataset, tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()

@@ -149,6 +149,22 @@ class TestPercentile:
         for x in [-1e9, -3.3, 0.0, 2.2, 1e9]:
             assert 0.0 <= apply_to_value(apply_percentile, model, x) <= 1.0
 
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(columns=st.integers(1, 3).flatmap(lambda k: st.lists(
+        st.lists(st.sampled_from([-0.0, 0.0, 1.0, -1.0, 2.5, 1e-300]) | st.floats(-5, 5),
+                 min_size=k, max_size=k), min_size=1, max_size=30)))
+    def test_sorted_arrays_rank_as_the_sorted_tuples_did(self, columns):
+        # ties, duplicates and -0.0/0.0: the fitted arrays rank every query
+        # bit for bit as the tuples of sorted numpy scalars the model held before
+        ds = numeric_dataset([list(c) for c in zip(*columns)], ["a"] * len(columns))
+        model = fit_percentile(ds)
+        m = ds.values[:, list(model.indices)]
+        tuples = preprocess.PercentileModel(
+            model.indices, tuple(tuple(sorted(m[:, j])) for j in range(m.shape[1])))
+        queries = Dataset(ds.schema, np.concatenate([ds.values, -ds.values, ds.values + 1e-9]))
+        assert (apply_percentile(model, queries).values.tobytes()
+                == apply_percentile(tuples, queries).values.tobytes())
+
 
 class TestEqualFreqBins:
     def test_uniform_hundred(self):

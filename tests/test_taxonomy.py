@@ -1,6 +1,9 @@
 import itertools
 import json
+import random
+from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -367,3 +370,70 @@ class TestMatchesEnumerationOracle:
         v = classify_features(dist)
         assert v.labels == {n: "irrelevant" for n in names[1:]}
         assert v.sensitive_to == {} and v.witnesses == {}
+
+
+@st.composite
+def code_matrices(draw):
+    """A code matrix of 0-40 rows, many of them repeated: 1-80 columns of
+    codes below 3, or a few of codes below 2^40, so that a product of the
+    radixes often passes 2^63."""
+    if draw(st.booleans()):
+        sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=80))
+    else:
+        sizes = draw(st.lists(st.integers(1, 2**40), min_size=1, max_size=6))
+    distinct = draw(st.lists(st.tuples(*(st.integers(0, s - 1) for s in sizes)),
+                             min_size=1, max_size=8))
+    rows = draw(st.lists(st.sampled_from(distinct), max_size=40))
+    return np.array(rows, dtype=np.int64).reshape(len(rows), len(sizes))
+
+
+class TestRowKeys:
+    """Integer row keys group code rows as ``np.unique(axis=0)`` does, the
+    oracle kept here, and in the same (lexicographic) order."""
+
+    @staticmethod
+    def assert_groups_match_the_oracle(codes):
+        keys = taxonomy._row_keys(codes)
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        rows, want = np.unique(codes, axis=0, return_inverse=True)
+        assert codes[first].tolist() == rows.tolist()
+        assert inverse.tolist() == want.reshape(-1).tolist()
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(matrix=code_matrices())
+    def test_groups_and_order(self, matrix):
+        self.assert_groups_match_the_oracle(matrix)
+
+    def test_seventy_binary_columns(self):
+        # 2^70 assignments: the keys are re-ranked before they pass int64
+        rng = np.random.default_rng(70)
+        codes = rng.integers(0, 2, size=(500, 70))
+        codes[250:] = codes[rng.integers(0, 250, size=250)]  # repeated rows
+        codes[:, 65:] = 1 - codes[:, 65:]  # the columns after the fold decide some orders
+        self.assert_groups_match_the_oracle(codes)
+
+    def test_full_assignments_past_int64(self):
+        # 71 binary variables, class first: the support's full assignments
+        # and their numbering match the oracle's
+        rng = random.Random(71)
+        names = tuple(f"x{j}" for j in range(71))
+        support = {tuple(rng.choice("01") for _ in names) for _ in range(60)}
+        probs = {t: 1 / len(support) for t in sorted(support)}
+        dist = taxonomy.JointDistribution(names, (("0", "1"),) * 71, probs)
+        rows, full_of, _, _ = taxonomy._Support(dist)._full
+        codes = np.array([[int(s) for s in t[1:]] for t in probs])
+        want_rows, want_of = np.unique(codes, axis=0, return_inverse=True)
+        assert rows.tolist() == want_rows.tolist()
+        assert full_of.tolist() == want_of.reshape(-1).tolist()
+
+
+class TestEstimateOrder:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(dist=small_distributions(), n=st.integers(1, 60), seed=st.integers(0, 9))
+    def test_probs_in_order_of_first_occurrence(self, dist, n, seed):
+        # the estimate is the Counter of the rows, in the same order
+        ds = data.sample_from(dist, n, seed)
+        rows = ds.rows
+        want = {t: c / n for t, c in Counter(rows).items()}
+        got = estimate_distribution(ds).probs
+        assert list(got.items()) == list(want.items())
