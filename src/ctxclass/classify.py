@@ -38,27 +38,26 @@ def similarity(x: Sequence[float], y: Sequence[float]) -> float:
 @dataclass(frozen=True)
 class NearestNeighborModel:
     features: np.ndarray
-    labels: tuple[str, ...]
+    classes: np.ndarray  # class code of each stored row
+    alphabet: tuple[str, ...]  # the class symbols the codes index
 
     def describe(self) -> str:
-        lines = [f"nearest-neighbor model: {len(self.labels)} stored rows"]
-        for i, lab in enumerate(self.labels):
-            lines.append(f"row {i}: class={lab}")
-        return "\n".join(lines)
+        rows = [f"row {i}: class={self.alphabet[c]}" for i, c in enumerate(self.classes.tolist())]
+        return "\n".join([f"nearest-neighbor model: {len(self.classes)} stored rows", *rows])
 
 
 def nn_fit(train: Dataset) -> NearestNeighborModel:
     if train.n_rows == 0:
         raise ValueError("empty training set")
     x = _require_numeric(train, train.schema.primary_indices)
-    return NearestNeighborModel(x, train.class_labels())
+    return NearestNeighborModel(x, train.class_codes(), train.schema.class_feature.alphabet)
 
 
-def nn_predict_dataset(model: NearestNeighborModel, dataset: Dataset) -> tuple[str, ...]:
-    """Class of the L1-nearest stored row for every row of a dataset; the
-    earliest stored row wins ties."""
+def nn_predict_dataset(model: NearestNeighborModel, dataset: Dataset) -> np.ndarray:
+    """Class code of the L1-nearest stored row for every row of a dataset;
+    the earliest stored row wins ties."""
     queries = _require_numeric(dataset, dataset.schema.primary_indices)
-    return tuple(model.labels[i] for i in _nearest_rows(queries, model.features))
+    return model.classes[_nearest_rows(queries, model.features)]
 
 
 # ---------------------------------------------------------------------------
@@ -197,11 +196,10 @@ def mlr_fit(train: Dataset, selection: SelectionParams | None = None) -> LinearD
         raise ValueError("empty training set")
     selection = selection or SelectionParams()
     x = _require_numeric(train, train.schema.primary_indices)
-    labels = train.class_labels()
-    classes = train.schema.class_feature.alphabet
+    codes, feature = train.class_codes(), train.schema.class_feature
     equations = []
-    for cls in classes:
-        y = np.asarray([1.0 if lab == cls else 0.0 for lab in labels])
+    for cls in feature.alphabet:
+        y = (codes == feature.codes[cls]).astype(float)
         if selection.enabled:
             intercept, sel, coefs, dropped = _fit_forward(x, y, selection)
         else:
@@ -210,15 +208,15 @@ def mlr_fit(train: Dataset, selection: SelectionParams | None = None) -> LinearD
     return LinearDiscriminantModel(tuple(equations))
 
 
-def mlr_predict_dataset(model: LinearDiscriminantModel, dataset: Dataset) -> tuple[str, ...]:
-    """For every row of a dataset, the class whose equation yields the
-    largest value; the lowest class index wins ties."""
+def mlr_predict_dataset(model: LinearDiscriminantModel, dataset: Dataset) -> np.ndarray:
+    """For every row of a dataset, the code of the class whose equation yields
+    the largest value; the lowest class index wins ties, so a repeated symbol's
+    equation, equal to its first one, never wins over it."""
     queries = _require_numeric(dataset, dataset.schema.primary_indices)
     scores = np.empty((queries.shape[0], len(model.equations)))
     for k, eq in enumerate(model.equations):
         scores[:, k] = eq.intercept
         for c, i in zip(eq.coefs, eq.selected):
             scores[:, k] += c * queries[:, i]
-    winners = scores.argmax(axis=1)  # first maximum = lowest class index
-    return tuple(model.equations[int(w)].label for w in winners)
+    return scores.argmax(axis=1)  # first maximum = lowest class index
 

@@ -155,7 +155,7 @@ def _cmd_taxonomy(args) -> None:
         raise _Refusal(EXIT_USAGE, "exactly one of --spec or --data is required")
     if args.spec:
         try:
-            dist = data.JointDistribution.from_json(Path(args.spec).read_text())
+            dist = data.JointDistribution.from_json(Path(args.spec).read_text(encoding="utf-8"))
         except (OSError, ValueError) as exc:
             raise _Refusal(EXIT_LOAD, f"cannot load {args.spec}: {exc}") from None
         eps = args.eps if args.eps is not None else taxonomy.EXACT_EPS
@@ -175,7 +175,8 @@ def _cmd_taxonomy(args) -> None:
     verdict = taxonomy.classify_features(dist, eps)
     print(taxonomy.verdict_table(verdict))
     if args.json_out:
-        Path(args.json_out).write_text(json.dumps(taxonomy.verdict_json(verdict), indent=2) + "\n")
+        Path(args.json_out).write_text(json.dumps(taxonomy.verdict_json(verdict), indent=2) + "\n",
+                                       encoding="utf-8")
 
 
 def _discretize(ds: data.Dataset, k: int) -> data.Dataset:
@@ -234,9 +235,10 @@ def _cmd_compare_normalizers(args) -> None:
             train, test = data.plant_context_dataset(params, args.seed)
     if test.n_rows == 0:
         raise _Refusal(EXIT_PRECONDITION, "test set has no rows")
-    label = args.baseline_class or train.schema.class_feature.alphabet[0]
-    baseline_rows = [i for i, c in enumerate(train.class_labels()) if c == label]
-    if not baseline_rows:
+    feature = train.schema.class_feature
+    label = args.baseline_class or feature.alphabet[0]
+    (baseline_rows,) = (train.class_codes() == feature.codes.get(label, -1)).nonzero()
+    if not baseline_rows.size:
         raise _Refusal(EXIT_PRECONDITION, f"no training rows with class {label!r}")
     baseline = train.subset(baseline_rows)
     with _mapped(EXIT_RUNTIME):

@@ -39,11 +39,11 @@ class LoadError(Exception):
     """Raised when an input file cannot be parsed into a Dataset."""
 
 
-def _text_lines(path, **open_args) -> list[str]:
-    """The lines of a text file, all decoded; text that does not decode is a LoadError."""
+def _text_lines(path, newline=None) -> list[str]:
+    """The lines ``readlines()`` gives of a UTF-8 file opened with ``newline``, decoded
+    in one piece: text that does not decode is a LoadError naming its file offset."""
     try:
-        with open(path, **open_args) as fh:
-            return fh.readlines()
+        return io.StringIO(Path(path).read_bytes().decode("utf-8"), newline=newline).readlines()
     except UnicodeDecodeError as exc:
         raise LoadError(f"{path}: {exc}") from None
 
@@ -163,8 +163,8 @@ class Dataset:
     ``values`` is a float64 matrix, n_rows x len(schema), that the
     constructor makes read-only: a continuous cell holds its float, a
     discrete cell its symbol's code (``Feature.codes``), and NaN is MISSING.
-    ``rows``, ``column`` and ``class_labels`` are views derived on demand,
-    with symbols, floats and MISSING as cells.
+    ``class_codes`` is the class column as np.intp codes; ``rows``, ``column``
+    and ``class_labels`` are views with symbols, floats and MISSING as cells.
     """
 
     schema: FeatureSchema
@@ -203,6 +203,9 @@ class Dataset:
         symbols = self.schema.features[index].alphabet
         return tuple(MISSING if c != c else symbols[int(c)] if symbols else c
                      for c in self.values[:, index].tolist())
+
+    def class_codes(self) -> np.ndarray:
+        return self.values[:, self.schema.class_index].astype(np.intp)
 
     def class_labels(self) -> tuple[str, ...]:
         return self.column(self.schema.class_index)
@@ -412,7 +415,7 @@ _ROLE_BY_NAME = {r.value: r for r in FeatureRole}
 def load_schema(schema_path) -> FeatureSchema:
     """Read a JSON sidecar: a list of {name, role, kind, alphabet?} objects."""
     try:
-        entries = json.loads(Path(schema_path).read_text())
+        entries = json.loads(Path(schema_path).read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:  # unreadable, undecodable or not JSON
         raise LoadError(f"{schema_path}: {exc}") from None
     if not isinstance(entries, list):
@@ -482,10 +485,10 @@ def write_table(dataset: Dataset, path, schema_path=None) -> None:
     for f, cells in zip(schema, dataset.values.T.tolist()):
         text = [_field_text(s, len(schema)) for s in f.alphabet] if f.alphabet else None
         columns.append(["?" if c != c else text[int(c)] if text else repr(c) for c in cells])
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\r\n".join([*map(",".join, zip(*columns)), ""]))  # "\r\n" ends each row
     if schema_path is not None:
-        Path(schema_path).write_text(schema_to_json(schema) + "\n")
+        Path(schema_path).write_text(schema_to_json(schema) + "\n", encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------

@@ -80,15 +80,12 @@ class ExperimentReport:
 def evaluate(classifier: str, train: Dataset, test: Dataset) -> int:
     """Fit on train, count correct predictions on test."""
     if classifier == "nn":
-        model = nn_fit(train)
-        preds = nn_predict_dataset(model, test)
+        preds = nn_predict_dataset(nn_fit(train), test)
     elif classifier == "mlr":
-        model = mlr_fit(train)
-        preds = mlr_predict_dataset(model, test)
+        preds = mlr_predict_dataset(mlr_fit(train), test)
     else:
         raise ValueError(f"unknown classifier {classifier!r}")
-    truth = test.class_labels()
-    return sum(1 for p, t in zip(preds, truth) if p == t)
+    return int((preds == test.class_codes()).sum())
 
 
 def run_strategy_grid(
@@ -330,11 +327,10 @@ def write_report(report: ExperimentReport, base_path) -> tuple[str, str]:
     from pathlib import Path
 
     base = Path(base_path)
-    txt = base.with_suffix(".txt")
-    csvp = base.with_suffix(".csv")
-    txt.write_text(emit_table(report, "text"))
-    body = emit_table(report, "csv")
+    txt, csvp = base.with_suffix(".txt"), base.with_suffix(".csv")
     # the data file proper has no header row; load_table expects raw cells
-    csvp.write_text("\n".join(body.splitlines()[1:]) + "\n")
-    base.with_suffix(".schema.json").write_text(report_schema_json(report) + "\n")
+    body = "\n".join(emit_table(report, "csv").splitlines()[1:]) + "\n"
+    for path, text in ((txt, emit_table(report, "text")), (csvp, body),
+                       (base.with_suffix(".schema.json"), report_schema_json(report) + "\n")):
+        path.write_text(text, encoding="utf-8")
     return str(txt), str(csvp)

@@ -517,7 +517,7 @@ def compute_weights(train: Dataset, key: ContextKey) -> WeightVector:
     group, labels = key.groups(train)
     if not labels:
         raise ValueError(f"context feature {key.feature!r} has no resolvable values")
-    classes = train.values[:, train.schema.class_index]
+    classes = train.class_codes()
     n_classes = len(train.schema.class_feature.alphabet)
     cell, cells = _first_occurrence(np.where(group >= 0, group * n_classes + classes, np.nan))
     inter = np.mean([m[group == g].std(axis=0) for g in range(len(labels))], axis=0)

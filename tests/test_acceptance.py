@@ -9,6 +9,7 @@ import math
 import random
 import time
 
+import numpy as np
 import pytest
 
 from ctxclass import data, harness, taxonomy
@@ -183,7 +184,7 @@ class TestCriterion7Properties:
                 [[alphas[j] * v + betas[j] for v in cols[j]] for j in range(d)], labels
             )
             model2 = mlr_fit(mapped, SelectionParams(enabled=False))
-            assert mlr_predict_dataset(model2, mapped) == base
+            assert np.array_equal(mlr_predict_dataset(model2, mapped), base)
 
     def test_e_weights_leave_full_fit_unchanged(self):
         for ds, cols, labels, d, rng in self._random_toys(74):
@@ -193,7 +194,7 @@ class TestCriterion7Properties:
                 WeightVector(ds.schema.primary_indices, w, w, (1.0,) * d), ds
             )
             model_w = mlr_fit(weighted, SelectionParams(enabled=False))
-            assert mlr_predict_dataset(model_w, weighted) == base
+            assert np.array_equal(mlr_predict_dataset(model_w, weighted), base)
 
     def test_f_toy_weight_value(self):
         ds = numeric_dataset(

@@ -16,6 +16,7 @@ from ctxclass.classify import (
     similarity,
 )
 from ctxclass.data import Dataset, Feature, FeatureRole, FeatureSchema, split_random
+from ctxclass.harness import evaluate
 from ctxclass.preprocess import encode_numeric, impute_missing
 
 from test_preprocess import numeric_dataset
@@ -23,9 +24,9 @@ from test_preprocess import numeric_dataset
 
 def predict_row(predict, model, schema, row):
     """The class that predict (nn_predict_dataset or mlr_predict_dataset)
-    gives the one-row dataset holding row under schema."""
-    (label,) = predict(model, Dataset.build(schema, [row]))
-    return label
+    gives the one-row dataset holding row under schema, decoded to its symbol."""
+    (code,) = predict(model, Dataset.build(schema, [row]))
+    return schema.class_feature.alphabet[code]
 
 
 class TestSimilarity:
@@ -87,7 +88,7 @@ class TestNearestNeighbor:
         )
         model = nn_fit(ds)
         preds = nn_predict_dataset(model, ds)
-        assert preds == ds.class_labels()
+        assert np.array_equal(preds, ds.class_codes())
 
     def test_scale_sensitivity_witness(self):
         # multiplying one feature by 10 changes the prediction: documented
@@ -107,7 +108,7 @@ class TestLinearDiscriminant:
         model = mlr_fit(ds, SelectionParams(enabled=False))
         eq_a, eq_b = model.equations
         assert eq_a.coefs[0] < 0 < eq_b.coefs[0]
-        assert mlr_predict_dataset(model, ds) == ("a", "a", "b", "b")
+        assert mlr_predict_dataset(model, ds).tolist() == [0, 0, 1, 1]
         # oracle: closed-form simple regression for the class-b equation
         x = np.array([0.0, 0.1, 0.9, 1.0])
         y = np.array([0.0, 0.0, 1.0, 1.0])
@@ -168,7 +169,7 @@ class TestLinearDiscriminant:
         for eq in model.equations:
             assert eq.selected == ()
         preds = mlr_predict_dataset(model, ds)
-        assert set(preds) == {"live"}
+        assert set(preds.tolist()) == {ds.schema.class_feature.codes["live"]}
 
     def test_training_prediction_matches_equations(self):
         rng = random.Random(4)
@@ -201,7 +202,7 @@ class TestLinearDiscriminant:
                 [[alphas[j] * v + betas[j] for v in cols[j]] for j in range(d)], labels
             )
             model2 = mlr_fit(mapped, SelectionParams(enabled=False))
-            assert mlr_predict_dataset(model2, mapped) == base
+            assert np.array_equal(mlr_predict_dataset(model2, mapped), base)
 
     def test_positive_weights_leave_full_fit_unchanged(self):
         from ctxclass.preprocess import WeightVector, apply_weights
@@ -218,7 +219,7 @@ class TestLinearDiscriminant:
             w = tuple(rng.uniform(0.1, 9) for _ in range(d))
             weighted = apply_weights(WeightVector(idx, w, w, (1.0,) * d), ds)
             model_w = mlr_fit(weighted, SelectionParams(enabled=False))
-            assert mlr_predict_dataset(model_w, weighted) == base
+            assert np.array_equal(mlr_predict_dataset(model_w, weighted), base)
 
     def test_determinism(self):
         ds = numeric_dataset([[0.1, 0.7, 0.3, 0.9]], ["a", "b", "a", "b"])
@@ -232,6 +233,34 @@ class TestLinearDiscriminant:
         assert model.describe() == mlr_fit(ds, SelectionParams(enabled=False)).describe()
         nn = nn_fit(ds)
         assert "2 stored rows" in nn.describe()
+
+    def test_repeated_class_symbol_predicts_its_first_code(self):
+        # an alphabet may repeat a symbol; its cells take the first index (code 0 for "u")
+        schema = FeatureSchema((
+            Feature("c", FeatureRole.CLASS, "discrete", ("u", "v", "u")),
+            Feature("x", FeatureRole.PRIMARY, "continuous"),
+            Feature("y", FeatureRole.PRIMARY, "continuous"),
+            Feature("g", FeatureRole.CONTEXTUAL, "discrete", ("p", "q")),
+        ))
+        rng = random.Random(7)
+
+        def rows(n):
+            out = []
+            for _ in range(n):
+                c = rng.choice("uv")
+                shift = 0.6 if c == "v" else 0.0
+                out.append((c, rng.gauss(shift, 0.5), rng.gauss(-shift, 0.5), rng.choice("pq")))
+            return out
+
+        train, test = Dataset.build(schema, rows(30)), Dataset.build(schema, rows(20))
+        eq_u, eq_v, eq_u2 = mlr_fit(train).equations
+        assert eq_u2 == eq_u and eq_v != eq_u
+        for predict, model in ((nn_predict_dataset, nn_fit(train)),
+                               (mlr_predict_dataset, mlr_fit(train))):
+            preds = predict(model, test)
+            assert preds.dtype == np.intp and set(preds.tolist()) <= {0, 1}
+        # the counts the symbol-comparing evaluation gave
+        assert (evaluate("nn", train, test), evaluate("mlr", train, test)) == (14, 17)
 
 
 def _oracle_fit_forward(x, y, params):

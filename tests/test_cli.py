@@ -440,6 +440,15 @@ class TestImpute:
                          "--schema", str(sp), "--out", str(tmp_path / "o.csv")])
         assert code == 2
 
+    def test_decode_error_names_the_file_offset(self, tmp_path, small_table, capsys):
+        _, sp = small_table
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"a,0.5,1\n" * 2250 + b"\xff,1,0\n")  # 18,006 bytes, 0xff at 18,000
+        code = cli.main(["impute", "--data", str(bad), "--schema", str(sp),
+                         "--out", str(tmp_path / "o.csv")])
+        assert code == 2
+        assert "can't decode byte 0xff in position 18000:" in capsys.readouterr().err
+
     def test_reordered_train_schema_is_load_error(self, tmp_path, small_table, capsys):
         dp, sp = small_table
         holed = tmp_path / "holed.csv"
@@ -689,3 +698,28 @@ def test_commands_run_without_scipy(vowel_file, hepatitis_file, spec_file, tmp_p
     codes, scipy_modules = json.loads(proc.stdout.splitlines()[-1])
     assert codes == [0] * len(commands)
     assert scipy_modules == []
+
+
+def test_commands_name_utf8_in_every_locale(hepatitis_file, spec_file, tmp_path):
+    # a text file opened in the locale's encoding raises EncodingWarning, here an error
+    pair = tmp_path / "pair"
+    train_csv, train_schema = pair.with_suffix(".train.csv"), pair.with_suffix(".train.schema.json")
+    table = ["--data", str(train_csv), "--schema", str(train_schema)]
+    commands = [
+        ["synth", "--train-rows", "40", "--test-rows", "40", "--out", str(pair)],
+        ["compare-normalizers", "--out", str(tmp_path / "norm")],
+        ["impute", *table, "--out", str(tmp_path / "imputed.csv")],
+        ["normalize", *table, "--out", str(tmp_path / "normalized.csv")],
+        ["taxonomy", "--spec", str(spec_file), "--json", str(tmp_path / "spec.json")],
+        ["taxonomy", *table, "--bins", "3", "--json", str(tmp_path / "data.json")],
+        ["run-grid", "--dataset", "hepatitis", "--data", str(hepatitis_file), "--splits", "2",
+         "--out", str(tmp_path / "hep")],
+    ]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    for argv in commands:
+        proc = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+             "-c", "import sys; from ctxclass import cli; sys.exit(cli.main(sys.argv[1:]))",
+             *argv],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, (argv[0], proc.stderr)

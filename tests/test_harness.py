@@ -397,9 +397,11 @@ def test_transductive_normalization_fits_each_split_through_the_module_attribute
 
 def test_grid_and_comparison_build_no_rows_after_loading(synthetic_hepatitis, planted,
                                                          monkeypatch):
-    # every stage works on the loaded matrix: no row is validated or built again
-    calls = {"check_row": 0, "build": 0}
+    # every stage works on the loaded matrix: no row is validated or built
+    # again, and no column of symbols is read back (the class is a code)
+    calls = {"check_row": 0, "build": 0, "column": 0}
     check_row, build = data.FeatureSchema.check_row, data.Dataset.build.__func__
+    column = data.Dataset.column
 
     def counting_check_row(*args, **kwargs):
         calls["check_row"] += 1
@@ -409,10 +411,15 @@ def test_grid_and_comparison_build_no_rows_after_loading(synthetic_hepatitis, pl
         calls["build"] += 1
         return build(*args, **kwargs)
 
+    def counting_column(*args, **kwargs):
+        calls["column"] += 1
+        return column(*args, **kwargs)
+
     monkeypatch.setattr(data.FeatureSchema, "check_row", counting_check_row)
     monkeypatch.setattr(data.Dataset, "build", classmethod(counting_build))
+    monkeypatch.setattr(data.Dataset, "column", counting_column)
     run_hepatitis_grid(synthetic_hepatitis, classifier="mlr")
-    assert calls == {"check_row": 0, "build": 0}
+    assert calls == {"check_row": 0, "build": 0, "column": 0}
     train, test, baseline = planted
     run_normalization_comparison(train, test, baseline=baseline)
-    assert calls == {"check_row": 0, "build": 0}
+    assert calls == {"check_row": 0, "build": 0, "column": 0}
