@@ -72,8 +72,9 @@ def _bin_count(text: str) -> int:
 
 def _tolerance(text: str) -> float:
     eps = float(text)
-    if not 0 <= eps < float("inf"):
-        raise argparse.ArgumentTypeError(f"need a finite tolerance >= 0, got {text}")
+    if not data.SUM_TOLERANCE <= eps < float("inf"):
+        raise argparse.ArgumentTypeError(
+            f"need a finite tolerance >= {data.SUM_TOLERANCE:g}, got {text}")
     return eps
 
 

@@ -515,6 +515,9 @@ def split_random(dataset: Dataset, n_train: int, seed: int) -> tuple[Dataset, Da
 # Joint distributions and synthetic generation
 
 _JSON_SCALARS = (str, int, float, bool, type(None))
+#: a JointDistribution's probabilities sum to 1 within this, so no test on
+#: one takes a smaller tolerance: below it, rounding decides the outcome
+SUM_TOLERANCE = 1e-12
 
 
 def _json_get(obj, key: str, kind: type | tuple = _JSON_SCALARS, items: tuple = (dict,)):
@@ -565,7 +568,7 @@ class JointDistribution:
             if not p >= 0:
                 raise ValueError(f"probability {p!r} for {tup!r} is negative or not a number")
             total += p
-        if not abs(total - 1.0) <= 1e-12:
+        if not abs(total - 1.0) <= SUM_TOLERANCE:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
         if not self.class_var:
             object.__setattr__(self, "class_var", self.variables[0])

@@ -11,24 +11,24 @@ conditioning events of probability zero are skipped (they provide no
 witness, and the conditional is undefined there).
 
 The distribution is ``data.JointDistribution``, read from a JSON spec or
-estimated here from a dataset.  The tests run on its support, not on the
-product of the alphabets: every probability a test compares is a cell of a
-marginal table summed with ``np.bincount`` from the codes of
-``JointDistribution.support``.  ``bincount`` adds the weights one after
-another in ``probs`` order, as :meth:`JointDistribution.marginal` does, so
-each cell is bit for bit the float ``marginal`` returns, and a feature costs
-O(support · d) instead of the product of every alphabet size.
+estimated here from a dataset.  The three tests ask one question of its
+support, not of the product of the alphabets: does adding one feature to a
+conditioning set (nothing for primary, every other feature for contextual,
+the primary feature for context-sensitive) move p(class | ·) by more than
+eps?  The tuples of positive probability are grouped by their codes in the
+conditioning set, and each probability is a ``np.bincount`` over those
+groups, so a test costs O(support · d) and no array is larger than the
+support times the class alphabet.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Mapping
 
 import numpy as np
 
-from .data import Dataset, JointDistribution
+from .data import SUM_TOLERANCE, Dataset, JointDistribution
 
 #: suggested tolerance for distributions estimated from ~10^4 samples
 EMPIRICAL_EPS = 0.03
@@ -113,120 +113,115 @@ def _non_class_vars(dist: JointDistribution) -> tuple[str, ...]:
     return tuple(v for v in dist.variables if v != dist.class_var)
 
 
-def _check_feature(dist: JointDistribution, feature: str) -> None:
-    dist.index_of(feature)
+def _feature_column(dist: JointDistribution, feature: str) -> int:
     if feature == dist.class_var:
         raise ValueError("the class variable is not a feature under test")
-
-
-def _conditional(joint: np.ndarray, given: np.ndarray) -> np.ndarray:
-    """p(class | given) from p(given, class), class on the last axis, and p(given).
-
-    It reads 0 where p(given) is 0 and the conditional is undefined.
-    """
-    return joint / np.where(given > 0, given, 1.0)[..., None]
-
-
-def _first_hit(joint: np.ndarray, given: np.ndarray, other: np.ndarray, eps: float):
-    """First index, in C order, where p(class | given) and ``other`` differ by more than eps.
-
-    Conditioning events of probability 0 are skipped; None when nothing hits.
-    """
-    hit = (np.abs(_conditional(joint, given) - other) > eps) & (given > 0)[..., None]
-    if not hit.any():
-        return None
-    return tuple(int(k) for k in np.unravel_index(np.argmax(hit), hit.shape))
+    return dist.index_of(feature)
 
 
 class _Support:
-    """A distribution's tuples as integer codes, the source of every marginal table.
+    """A distribution's tuples of positive probability as integer codes.
 
     ``codes[k, j]`` is the code of tuple k's value of variable j, read from
     ``dist.support`` (``Feature.codes``), and ``p[k]`` is tuple k's
-    probability, both in ``probs`` order.
+    probability, both in ``probs`` order.  Tuples of probability 0 are left
+    out: they add nothing to a sum, and no test visits them.
     """
 
     def __init__(self, dist: JointDistribution):
         self.dist = dist
-        self.codes = dist.support.values.astype(np.intp)
-        self.p = np.fromiter(dist.probs.values(), dtype=float, count=len(dist.probs))
-        self.sizes = tuple(len(a) for a in dist.alphabets)
+        p = np.fromiter(dist.probs.values(), dtype=float, count=len(dist.probs))
+        self.codes = dist.support.values.astype(np.intp)[p > 0]
+        self.p = p[p > 0]
         self.c = dist.index_of(dist.class_var)
+        self.n_cls = len(dist.alphabets[self.c])
+        self._groups: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
 
-    def table(self, *variables: int) -> np.ndarray:
-        """p(variables): one axis per variable (a column index), in alphabet order."""
-        shape = tuple(self.sizes[v] for v in variables)
-        flat = np.ravel_multi_index(self.codes[:, list(variables)].T, shape)
-        return np.bincount(flat, weights=self.p, minlength=int(np.prod(shape))).reshape(shape)
-
-    def _grouped(self, group: np.ndarray, n_groups: int, cls: np.ndarray, p: np.ndarray):
-        """p(group, class) and p(group) for tuples with the given group numbers."""
-        n_cls = self.sizes[self.c]
-        joint = np.bincount(group * n_cls + cls, weights=p, minlength=n_groups * n_cls)
-        return joint.reshape(n_groups, n_cls), np.bincount(group, weights=p, minlength=n_groups)
-
-    @cached_property
-    def _full(self):
-        """Full assignments of positive probability, and the tuples behind them.
-
-        The assignments are the unique non-class code rows of the positive
-        tuples, in lexicographic order, which is the order ``itertools.product``
-        visits them in.  Also returned: each positive tuple's assignment
-        number, class code and probability.
+    def _grouping(self, columns: tuple[int, ...]):
+        """Each tuple's group by its codes in ``columns``, the groups numbered
+        in lexicographic code order, and one tuple of each group.  Keys no
+        larger than the support are ranked through a table of the keys
+        present, others by ``np.unique``.  The last two groupings asked for
+        are kept: each contextual test asks for the full assignments' and for
+        one without its feature, so the full one is built once.
         """
-        pos = self.p > 0
-        rest = [j for j in range(len(self.sizes)) if j != self.c]
-        codes = self.codes[pos][:, rest]
-        _, first, full_of = np.unique(_row_keys(codes), return_index=True, return_inverse=True)
-        return codes[first], full_of, self.codes[pos, self.c], self.p[pos]
+        grouping = self._groups.pop(columns, None)
+        if grouping is None:
+            keys = _row_keys(self.codes[:, list(columns)])
+            size = int(keys.max()) + 1
+            if size <= len(keys):
+                present = np.zeros(size, dtype=bool)
+                present[keys] = True
+                group = (np.cumsum(present) - 1)[keys]
+                rows = np.empty(int(present.sum()), dtype=np.intp)
+                rows[group] = np.arange(len(keys))
+            else:
+                _, rows, group = np.unique(keys, return_index=True, return_inverse=True)
+            grouping = group, rows
+        self._groups[columns] = grouping
+        if len(self._groups) > 2:
+            del self._groups[next(iter(self._groups))]
+        return grouping
+
+    def _conditional(self, columns: tuple[int, ...]) -> np.ndarray:
+        """p(class | group) for the groups of ``columns``, class on the last axis.
+
+        Each p(group, class) and p(group) is a ``bincount`` that adds the
+        probabilities in ``probs`` order, as :meth:`JointDistribution.marginal`
+        does, so it is bit for bit the float ``marginal`` returns.
+        """
+        group, rows = self._grouping(columns)
+        n, cls = len(rows), self.codes[:, self.c]
+        joint = np.bincount(group * self.n_cls + cls, weights=self.p, minlength=n * self.n_cls)
+        return joint.reshape(n, self.n_cls) / np.bincount(group, weights=self.p)[:, None]
+
+    def _shift(self, columns: tuple[int, ...], k: int, eps: float, prior=None):
+        """First (class, assignment to ``columns``), in lexicographic code order,
+        where p(class | assignment) and p(class | assignment without
+        ``columns[k]``) differ by more than eps: a tuple of symbols, the class
+        first; or None.
+
+        ``prior``, if given, is the one class distribution every assignment
+        is compared with instead.  Only assignments of positive probability
+        are visited, and without a column they keep a positive probability,
+        so both conditionals are defined.
+        """
+        _, rows = self._grouping(columns)
+        if prior is None:
+            rest = columns[:k] + columns[k + 1:]
+            prior = self._conditional(rest)[self._grouping(rest)[0][rows]]
+        hit = np.abs(self._conditional(columns) - prior) > eps
+        if not hit.any():
+            return None
+        g, a0 = divmod(int(np.argmax(hit)), self.n_cls)
+        alphabets, codes = self.dist.alphabets, self.codes[rows[g]]
+        return (alphabets[self.c][a0], *(alphabets[j][codes[j]] for j in columns))
 
     def primary_witness(self, feature: str, eps: float):
         """Witness (a0, ai) with |p(x0=a0 | xi=ai) - p(x0=a0)| > eps, or None."""
-        _check_feature(self.dist, feature)
-        i, c = self.dist.index_of(feature), self.c
-        hit = _first_hit(self.table(i, c), self.table(i), self.table(c), eps)
-        if hit is None:
-            return None
-        ai, a0 = hit
-        return (self.dist.alphabets[c][a0], self.dist.alphabets[i][ai])
+        i = _feature_column(self.dist, feature)
+        prior = np.bincount(self.codes[:, self.c], weights=self.p, minlength=self.n_cls)
+        return self._shift((i,), 0, eps, prior)
 
     def contextual_witness(self, feature: str, eps: float):
         """Witness full assignment where dropping the feature moves the prediction.
 
-        Only full assignments of positive probability are visited, and their
-        reduced assignments have positive probability too, so both
-        conditionals are defined.  The same class value appears on both
-        sides of the comparison because the witness is a single shared
-        assignment; the first hit in (assignment, class value) order wins.
+        The same class value appears on both sides of the comparison because
+        the witness is a single shared assignment; the first hit in
+        (assignment, class value) order wins.
         """
-        _check_feature(self.dist, feature)
-        rows, full_of, cls, p = self._full
+        _feature_column(self.dist, feature)
         names = _non_class_vars(self.dist)
-        col = names.index(feature)
-        _, reduced = np.unique(_row_keys(np.delete(rows, col, axis=1)), return_inverse=True)
-        n_reduced = int(reduced.max()) + 1
-        without = _conditional(*self._grouped(reduced[full_of], n_reduced, cls, p))
-        hit = _first_hit(*self._grouped(full_of, len(rows), cls, p), without[reduced], eps)
-        if hit is None:
-            return None
-        g, a0 = hit
-        full = {n: self.dist.alphabet_of(n)[k] for n, k in zip(names, rows[g])}
-        return (self.dist.alphabets[self.c][a0], full)
+        columns = tuple(self.dist.index_of(n) for n in names)
+        hit = self._shift(columns, names.index(feature), eps)
+        return None if hit is None else (hit[0], dict(zip(names, hit[1:])))
 
     def sensitivity_witness(self, primary: str, contextual: str, eps: float):
         """Witness (a0, ai, aj) with |p(x0=a0 | xi=ai, xj=aj) - p(x0=a0 | xi=ai)| > eps."""
-        _check_feature(self.dist, primary)
-        _check_feature(self.dist, contextual)
-        if primary == contextual:
+        i, j = _feature_column(self.dist, primary), _feature_column(self.dist, contextual)
+        if i == j:
             raise ValueError("primary and contextual feature must differ")
-        i, j, c = self.dist.index_of(primary), self.dist.index_of(contextual), self.c
-        alone = _conditional(self.table(i, c), self.table(i))
-        hit = _first_hit(self.table(i, j, c), self.table(i, j), alone[:, None, :], eps)
-        if hit is None:
-            return None
-        ai, aj, a0 = hit
-        alphabets = self.dist.alphabets
-        return (alphabets[c][a0], alphabets[i][ai], alphabets[j][aj])
+        return self._shift((i, j), 1, eps)
 
 
 def is_primary(dist: JointDistribution, feature: str, eps: float = EXACT_EPS) -> bool:
@@ -254,10 +249,10 @@ def classify_features(dist: JointDistribution, eps: float = EXACT_EPS) -> Featur
     Definition order matters: the contextual test only applies to features
     that failed the primary test, and irrelevant is the residual label.
     The distribution is encoded once for all the tests.  ``eps`` must be
-    finite and nonnegative.
+    finite and at least ``data.SUM_TOLERANCE``.
     """
-    if not 0 <= eps < np.inf:
-        raise ValueError(f"tolerance must be finite and nonnegative, got {eps}")
+    if not SUM_TOLERANCE <= eps < np.inf:
+        raise ValueError(f"need a finite tolerance >= {SUM_TOLERANCE:g}, got {eps}")
     support = _Support(dist)
     labels: dict[str, str] = {}
     witnesses: dict[str, tuple] = {}

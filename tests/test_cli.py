@@ -182,6 +182,22 @@ class TestTaxonomyCommand:
         assert "finite tolerance" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_eps_below_the_sum_tolerance_is_usage_error(self, tmp_path, capsys):
+        # ten tuples of probability 0.1 sum to 0.9999999999999999, x1 has one
+        # symbol and x2 is independent of the class: at eps 0 that rounding
+        # labelled x1 primary and x2 contextual
+        tuples = [(c, "a", v) for c in "01" for v in "abcde"]
+        dist = data.JointDistribution(("c", "x1", "x2"), (("0", "1"), ("a",), tuple("abcde")),
+                                      {t: 0.1 for t in tuples})
+        spec, out = tmp_path / "tenths.json", tmp_path / "verdict.json"
+        spec.write_text(dist.to_json(), encoding="utf-8")
+        assert cli.main(["taxonomy", "--spec", str(spec), "--eps", "0"]) == 1
+        assert "finite tolerance >= 1e-12" in capsys.readouterr().err
+        code = cli.main(["taxonomy", "--spec", str(spec), "--eps", "1e-12", "--json", str(out)])
+        assert code == 0
+        labels = json.loads(out.read_text(encoding="utf-8"))["labels"]
+        assert labels == {"x1": "irrelevant", "x2": "irrelevant"}
+
     def test_missing_cells_are_precondition(self, tmp_path, capsys):
         sp = tmp_path / "m.schema.json"
         sp.write_text(

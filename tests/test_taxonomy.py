@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -191,6 +192,33 @@ class TestClassifyFeatures:
     def test_tolerance_must_be_finite_and_nonnegative(self, worked_dist, eps):
         with pytest.raises(ValueError, match="tolerance"):
             classify_features(worked_dist, eps)
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-13])
+    def test_tolerance_below_the_sum_tolerance_is_refused(self, worked_dist, eps):
+        # probabilities sum to 1 only within 1e-12; below it rounding decides
+        with pytest.raises(ValueError, match="finite tolerance >= 1e-12"):
+            classify_features(worked_dist, eps)
+
+    def test_two_symbols_of_thousand_symbol_alphabets(self):
+        # the class agrees with x1 with probability 0.9 when x2 = 0 and 0.6
+        # when x2 = 1; no table over the alphabets may be built
+        alphabet = tuple(f"s{k}" for k in range(1000))
+        occur = ("s17", "s940")
+        probs = {}
+        for x2, agree in zip(occur, (0.9, 0.6)):
+            for x1, c in itertools.product(occur, repeat=2):
+                probs[("01"[occur.index(c)], x1, x2)] = (agree if c == x1 else 1 - agree) / 4
+        dist = taxonomy.JointDistribution(("c", "x1", "x2"), (("0", "1"), alphabet, alphabet),
+                                          probs)
+        tracemalloc.start()
+        try:
+            v = classify_features(dist)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert v.labels == {"x1": "primary", "x2": "contextual"}
+        assert v.sensitive_to == {"x1": ("x2",)}
+        assert peak < 2 * 2**20
 
     def test_trichotomy(self, worked_dist):
         v = classify_features(worked_dist)
@@ -420,7 +448,9 @@ class TestRowKeys:
         support = {tuple(rng.choice("01") for _ in names) for _ in range(60)}
         probs = {t: 1 / len(support) for t in sorted(support)}
         dist = taxonomy.JointDistribution(names, (("0", "1"),) * 71, probs)
-        rows, full_of, _, _ = taxonomy._Support(dist)._full
+        tuples = taxonomy._Support(dist)
+        full_of, first = tuples._grouping(tuple(range(1, 71)))
+        rows = tuples.codes[first, 1:]
         codes = np.array([[int(s) for s in t[1:]] for t in probs])
         want_rows, want_of = np.unique(codes, axis=0, return_inverse=True)
         assert rows.tolist() == want_rows.tolist()
