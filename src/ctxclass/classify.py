@@ -107,12 +107,22 @@ def _fit_selected(x: np.ndarray, y: np.ndarray,
     return intercept, selected, coefs, dropped
 
 
-def _sweep(b: np.ndarray, z: np.ndarray) -> np.ndarray:
+def _column_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(a * b).sum(axis=0), a 1-D operand standing for every column, bit for bit
+    but without the (n, d) product; see _sweep for the summation order."""
+    if (a if a.ndim == 2 else b).shape[1] == 1:
+        return (a.reshape(len(a), -1) * b.reshape(len(b), -1)).sum(axis=0)
+    return np.einsum(f"{'ij'[:a.ndim]},{'ij'[:b.ndim]}->j", a, b)
+
+
+def _sweep(b: np.ndarray, z: np.ndarray, work: np.ndarray) -> np.ndarray:
     """Project the unit vector b out of every column of z, in place, and return
-    the squared column norms left; summed column by column, not as a matrix
-    product, so that equal columns stay bit-equal and tie."""
-    z -= b[:, None] * (b[:, None] * z).sum(axis=0)
-    return (z * z).sum(axis=0)
+    the squared column norms left; b (b'z) goes to work.  Each sum adds a column's
+    rows in sequence, not as a matrix product, so equal columns stay bit-equal and
+    tie: an einsum does so on a C-ordered (n, d >= 2) matrix, as .sum(axis=0) does,
+    which adds an (n, 1) column pairwise instead (so _column_dots keeps it there)."""
+    z -= np.multiply(b[:, None], _column_dots(b, z), out=work)
+    return _column_dots(z, z)
 
 
 def _fit_full(x: np.ndarray, y: np.ndarray) -> tuple[float, tuple, tuple, tuple]:
@@ -122,11 +132,11 @@ def _fit_full(x: np.ndarray, y: np.ndarray) -> tuple[float, tuple, tuple, tuple]
     a column whose residual norm is at most PIVOT_TOL of its own uncentered norm is
     dependent: a constant column centers to rounding noise alone."""
     z, selected = x - x.mean(axis=0), []  # centered: the intercept is in every fit
-    zz = (z * z).sum(axis=0)
-    floor = PIVOT_TOL ** 2 * np.maximum(zz.max(initial=0.0), (x * x).sum(axis=0))
+    work, zz = np.empty_like(z), _column_dots(z, z)
+    floor = PIVOT_TOL ** 2 * np.maximum(zz.max(initial=0.0), _column_dots(x, x))
     while (live := zz > floor).any():
         selected.append(j := int(np.argmax(np.where(live, zz, 0.0))))
-        zz = _sweep(z[:, j] / np.sqrt(zz[j]), z)
+        zz = _sweep(z[:, j] / np.sqrt(zz[j]), z, work)
         zz[selected] = 0.0
     return _fit_selected(x, y, tuple(sorted(selected)))
 
@@ -145,36 +155,40 @@ def _fit_forward(
     the basis and scores no drop.  The first minimum wins: ties go to the
     lowest column.  An admitted z_j is normalized, orthogonalized against q
     once more and projected out of r and z.  The coefficients come from one
-    least-squares fit of the selected columns.
+    least-squares fit of the selected columns.  Each column sum adds the rows
+    as multiply-then-sum does (see _sweep), so fits are bit for bit the same;
+    the (n, d) products b (b'z) and r - z t share one work buffer.
     """
     n, d = x.shape
     limit = d if params.max_features is None else min(d, params.max_features)
     selected: list[int] = []
-    collinear_below = PIVOT_TOL ** 2 * (x * x).sum(axis=0)
+    collinear_below = PIVOT_TOL ** 2 * _column_dots(x, x)
     q = np.empty((n, limit + 1))
-    r, z = y.copy(), x.copy()
+    r, z, work = y.copy(), x.copy(), np.empty_like(x)
     b = np.full(n, 1.0 / np.sqrt(n))  # the intercept
+    # an RSS drop at float-noise scale is no evidence: the partial F would be a
+    # ratio of rounding errors once the fit is already (numerically) perfect
+    no_drop = 1e-10 * max(1.0, float(y @ y))
     while True:
         q[:, len(selected)] = b
         r -= b * (b @ r)
-        zz = _sweep(b, z)
+        zz = _sweep(b, z, work)
         rss = float(r @ r)
         if len(selected) == limit:
             break
         collinear = zz <= collinear_below
-        t = (z * r[:, None]).sum(axis=0) / np.where(collinear, 1.0, zz)
-        cand = ((r[:, None] - z * t) ** 2).sum(axis=0)
+        zz[collinear] = 1.0  # t_j = z_j.r then; its score is rss anyway
+        t = _column_dots(z, r) / zz
+        np.subtract(r[:, None], np.multiply(z, t, out=work), out=work)
+        cand = _column_dots(work, work)
         cand[collinear] = rss
         cand[selected] = np.inf
-        j = int(np.argmin(cand))
+        j = int(cand.argmin())
         new_rss = float(cand[j])
         p = len(selected) + 2  # intercept + selected + candidate
         if n - p <= 0:
             break
-        # an RSS drop at float-noise scale is no evidence; without this guard
-        # the partial F becomes a ratio of rounding errors once the fit is
-        # already (numerically) perfect
-        if rss - new_rss <= 1e-10 * max(1.0, float(y @ y)):
+        if rss - new_rss <= no_drop:
             break
         if new_rss <= 0.0:
             f_stat = np.inf if rss > 0.0 else 0.0
@@ -186,7 +200,7 @@ def _fit_forward(
         basis = q[:, :len(selected)]
         b = z[:, j] / np.sqrt(zz[j])
         b -= basis @ (basis.T @ b)
-        b /= np.linalg.norm(b)
+        b /= np.sqrt(b @ b)
     return _fit_selected(x, y, tuple(selected))
 
 

@@ -125,11 +125,14 @@ class _Support:
     ``codes[k, j]`` is the code of tuple k's value of variable j, read from
     ``dist.support`` (``Feature.codes``), and ``p[k]`` is tuple k's
     probability, both in ``probs`` order.  Tuples of probability 0 are left
-    out: they add nothing to a sum, and no test visits them.
+    out: they add nothing to a sum, and no test visits them.  ``eps``, the
+    tests' tolerance, must be finite and at least ``data.SUM_TOLERANCE``.
     """
 
-    def __init__(self, dist: JointDistribution):
-        self.dist = dist
+    def __init__(self, dist: JointDistribution, eps: float = EXACT_EPS):
+        if not SUM_TOLERANCE <= eps < np.inf:
+            raise ValueError(f"need a finite tolerance >= {SUM_TOLERANCE:g}, got {eps}")
+        self.dist, self.eps = dist, eps
         p = np.fromiter(dist.probs.values(), dtype=float, count=len(dist.probs))
         self.codes = dist.support.values.astype(np.intp)[p > 0]
         self.p = p[p > 0]
@@ -175,10 +178,10 @@ class _Support:
         joint = np.bincount(group * self.n_cls + cls, weights=self.p, minlength=n * self.n_cls)
         return joint.reshape(n, self.n_cls) / np.bincount(group, weights=self.p)[:, None]
 
-    def _shift(self, columns: tuple[int, ...], k: int, eps: float, prior=None):
+    def _shift(self, columns: tuple[int, ...], k: int, prior=None):
         """First (class, assignment to ``columns``), in lexicographic code order,
         where p(class | assignment) and p(class | assignment without
-        ``columns[k]``) differ by more than eps: a tuple of symbols, the class
+        ``columns[k]``) differ by more than ``eps``: a tuple of symbols, the class
         first; or None.
 
         ``prior``, if given, is the one class distribution every assignment
@@ -190,20 +193,20 @@ class _Support:
         if prior is None:
             rest = columns[:k] + columns[k + 1:]
             prior = self._conditional(rest)[self._grouping(rest)[0][rows]]
-        hit = np.abs(self._conditional(columns) - prior) > eps
+        hit = np.abs(self._conditional(columns) - prior) > self.eps
         if not hit.any():
             return None
         g, a0 = divmod(int(np.argmax(hit)), self.n_cls)
         alphabets, codes = self.dist.alphabets, self.codes[rows[g]]
         return (alphabets[self.c][a0], *(alphabets[j][codes[j]] for j in columns))
 
-    def primary_witness(self, feature: str, eps: float):
+    def primary_witness(self, feature: str):
         """Witness (a0, ai) with |p(x0=a0 | xi=ai) - p(x0=a0)| > eps, or None."""
         i = _feature_column(self.dist, feature)
         prior = np.bincount(self.codes[:, self.c], weights=self.p, minlength=self.n_cls)
-        return self._shift((i,), 0, eps, prior)
+        return self._shift((i,), 0, prior)
 
-    def contextual_witness(self, feature: str, eps: float):
+    def contextual_witness(self, feature: str):
         """Witness full assignment where dropping the feature moves the prediction.
 
         The same class value appears on both sides of the comparison because
@@ -213,24 +216,24 @@ class _Support:
         _feature_column(self.dist, feature)
         names = _non_class_vars(self.dist)
         columns = tuple(self.dist.index_of(n) for n in names)
-        hit = self._shift(columns, names.index(feature), eps)
+        hit = self._shift(columns, names.index(feature))
         return None if hit is None else (hit[0], dict(zip(names, hit[1:])))
 
-    def sensitivity_witness(self, primary: str, contextual: str, eps: float):
+    def sensitivity_witness(self, primary: str, contextual: str):
         """Witness (a0, ai, aj) with |p(x0=a0 | xi=ai, xj=aj) - p(x0=a0 | xi=ai)| > eps."""
         i, j = _feature_column(self.dist, primary), _feature_column(self.dist, contextual)
         if i == j:
             raise ValueError("primary and contextual feature must differ")
-        return self._shift((i, j), 1, eps)
+        return self._shift((i, j), 1)
 
 
 def is_primary(dist: JointDistribution, feature: str, eps: float = EXACT_EPS) -> bool:
-    return _Support(dist).primary_witness(feature, eps) is not None
+    return _Support(dist, eps).primary_witness(feature) is not None
 
 
 def _contextual_witness(dist: JointDistribution, feature: str, eps: float):
     """Contextual witness (a0, full assignment) of a feature, whether primary or not."""
-    return _Support(dist).contextual_witness(feature, eps)
+    return _Support(dist, eps).contextual_witness(feature)
 
 
 def is_contextual(dist: JointDistribution, feature: str, eps: float = EXACT_EPS) -> bool:
@@ -240,7 +243,7 @@ def is_contextual(dist: JointDistribution, feature: str, eps: float = EXACT_EPS)
 def is_context_sensitive(
     dist: JointDistribution, primary: str, contextual: str, eps: float = EXACT_EPS
 ) -> bool:
-    return _Support(dist).sensitivity_witness(primary, contextual, eps) is not None
+    return _Support(dist, eps).sensitivity_witness(primary, contextual) is not None
 
 
 def classify_features(dist: JointDistribution, eps: float = EXACT_EPS) -> FeatureVerdict:
@@ -251,18 +254,16 @@ def classify_features(dist: JointDistribution, eps: float = EXACT_EPS) -> Featur
     The distribution is encoded once for all the tests.  ``eps`` must be
     finite and at least ``data.SUM_TOLERANCE``.
     """
-    if not SUM_TOLERANCE <= eps < np.inf:
-        raise ValueError(f"need a finite tolerance >= {SUM_TOLERANCE:g}, got {eps}")
-    support = _Support(dist)
+    support = _Support(dist, eps)
     labels: dict[str, str] = {}
     witnesses: dict[str, tuple] = {}
     for name in _non_class_vars(dist):
-        w = support.primary_witness(name, eps)
+        w = support.primary_witness(name)
         if w is not None:
             labels[name] = "primary"
             witnesses[name] = w
             continue
-        w = support.contextual_witness(name, eps)
+        w = support.contextual_witness(name)
         if w is not None:
             labels[name] = "contextual"
             witnesses[name] = w
@@ -275,7 +276,7 @@ def classify_features(dist: JointDistribution, eps: float = EXACT_EPS) -> Featur
         hits = tuple(
             ctx
             for ctx, lab2 in labels.items()
-            if lab2 == "contextual" and support.sensitivity_witness(p, ctx, eps) is not None
+            if lab2 == "contextual" and support.sensitivity_witness(p, ctx) is not None
         )
         sensitive[p] = hits
     return FeatureVerdict(labels=labels, sensitive_to=sensitive, witnesses=witnesses)

@@ -470,3 +470,136 @@ class TestFullFitMatchesPivotedQR:
     def test_exactly_centered_constant_design_keeps_nothing(self):
         x = np.column_stack([np.full(5, 2.0), np.zeros(5)])
         assert _full_fit_columns(x, ["a", "b", "a", "b", "a"]) == ()
+
+
+def _unfused_sweep(b, z):
+    """_sweep as it was before its sums became einsum reductions: each is a
+    multiply, an (n, d) temporary and .sum(axis=0).  Kept as its bit-for-bit
+    reference."""
+    z -= b[:, None] * (b[:, None] * z).sum(axis=0)
+    return (z * z).sum(axis=0)
+
+
+def _unfused_fit_full(x, y):
+    """_fit_full over _unfused_sweep, with its two norms multiplied and summed."""
+    z, selected = x - x.mean(axis=0), []
+    zz = (z * z).sum(axis=0)
+    floor = classify.PIVOT_TOL ** 2 * np.maximum(zz.max(initial=0.0), (x * x).sum(axis=0))
+    while (live := zz > floor).any():
+        selected.append(j := int(np.argmax(np.where(live, zz, 0.0))))
+        zz = _unfused_sweep(z[:, j] / np.sqrt(zz[j]), z)
+        zz[selected] = 0.0
+    return classify._fit_selected(x, y, tuple(sorted(selected)))
+
+
+def _unfused_fit_forward(x, y, params):
+    """_fit_forward as it was before its column sums became einsum reductions
+    written through one work buffer.  Kept as its bit-for-bit reference."""
+    n, d = x.shape
+    limit = d if params.max_features is None else min(d, params.max_features)
+    selected = []
+    collinear_below = classify.PIVOT_TOL ** 2 * (x * x).sum(axis=0)
+    q = np.empty((n, limit + 1))
+    r, z = y.copy(), x.copy()
+    b = np.full(n, 1.0 / np.sqrt(n))
+    while True:
+        q[:, len(selected)] = b
+        r -= b * (b @ r)
+        zz = _unfused_sweep(b, z)
+        rss = float(r @ r)
+        if len(selected) == limit:
+            break
+        collinear = zz <= collinear_below
+        t = (z * r[:, None]).sum(axis=0) / np.where(collinear, 1.0, zz)
+        cand = ((r[:, None] - z * t) ** 2).sum(axis=0)
+        cand[collinear] = rss
+        cand[selected] = np.inf
+        j = int(np.argmin(cand))
+        new_rss = float(cand[j])
+        p = len(selected) + 2
+        if n - p <= 0:
+            break
+        if rss - new_rss <= 1e-10 * max(1.0, float(y @ y)):
+            break
+        if new_rss <= 0.0:
+            f_stat = np.inf if rss > 0.0 else 0.0
+        else:
+            f_stat = (rss - new_rss) / (new_rss / (n - p))
+        if f_stat <= params.f_enter:
+            break
+        selected.append(j)
+        basis = q[:, :len(selected)]
+        b = z[:, j] / np.sqrt(zz[j])
+        b -= basis @ (basis.T @ b)
+        b /= np.linalg.norm(b)
+    return classify._fit_selected(x, y, tuple(selected))
+
+
+@st.composite
+def wide_designs(draw):
+    """A C-ordered design of 1-30 columns (often one) on 2-300 rows (often at
+    most one more than the columns); the columns random at scales from 1e-6 to
+    1e6, duplicates, constants or exact sums of two earlier ones; and the 0/1
+    targets of 2-3 classes."""
+    d = draw(st.sampled_from([1, 1, 2]) | st.integers(1, 30))
+    n = draw(st.integers(2, d + 1) | st.integers(2, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = []
+    for _ in range(d):
+        kind = draw(st.sampled_from(["random", "random", "duplicate", "constant", "sum"]))
+        scale = 10.0 ** draw(st.integers(-6, 6))
+        if kind == "duplicate" and columns:
+            col = columns[draw(st.integers(0, len(columns) - 1))].copy()
+        elif kind == "sum" and len(columns) >= 2:
+            a, b = rng.choice(len(columns), size=2, replace=False)
+            col = columns[a] + columns[b]
+        elif kind == "constant":
+            col = np.full(n, rng.normal() * scale)
+        else:
+            col = rng.normal(size=n) * scale
+        columns.append(col)
+    labels = rng.integers(0, draw(st.integers(2, 3)), size=n)
+    targets = [(labels == c).astype(float) for c in range(labels.max() + 1)]
+    return np.column_stack(columns), targets
+
+
+def _bits(fit):
+    """A fit (intercept, selected, coefs, dropped) with its floats as bytes."""
+    intercept, selected, coefs, dropped = fit
+    return np.array([intercept, *coefs]).tobytes(), selected, dropped
+
+
+class TestFusedSumsMatchMultiplyThenSum:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(design=wide_designs(),
+           f_enter=st.sampled_from([0.0, 4.0, 1e9]),
+           max_features=st.sampled_from([None, 1, 2]))
+    def test_forward_selection_is_bit_equal(self, design, f_enter, max_features):
+        x, targets = design
+        params = SelectionParams(f_enter=f_enter, max_features=max_features)
+        for y in targets:
+            got = classify._fit_forward(x, y, params)
+            assert _bits(got) == _bits(_unfused_fit_forward(x, y, params))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(design=wide_designs())
+    def test_full_fit_is_bit_equal(self, design):
+        x, targets = design
+        for y in targets:
+            assert _bits(classify._fit_full(x, y)) == _bits(_unfused_fit_full(x, y))
+
+    @pytest.mark.parametrize("d", [1, 2, 7])
+    @pytest.mark.parametrize("n", [9, 100, 257])
+    def test_sweep_norms_and_residuals_are_bit_equal(self, n, d):
+        # numpy sums an (n, 1) column pairwise and a wider matrix's rows in
+        # sequence: without the one-column case the norms part by rounding
+        rng = np.random.default_rng(n * 31 + d)
+        for _ in range(20):
+            z = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-6, 7, size=d)
+            b = rng.normal(size=n)
+            b /= np.linalg.norm(b)
+            want_z, got_z = z.copy(), z.copy()
+            want = _unfused_sweep(b, want_z)
+            got = classify._sweep(b, got_z, np.empty_like(z))
+            assert got.tobytes() == want.tobytes()
+            assert got_z.tobytes() == want_z.tobytes()

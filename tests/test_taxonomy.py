@@ -199,6 +199,31 @@ class TestClassifyFeatures:
         with pytest.raises(ValueError, match="finite tolerance >= 1e-12"):
             classify_features(worked_dist, eps)
 
+    @pytest.mark.parametrize("eps", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("test", [
+        lambda d, eps: is_primary(d, "x1", eps),
+        lambda d, eps: is_contextual(d, "x2", eps),
+        lambda d, eps: is_context_sensitive(d, "x1", "x2", eps),
+        classify_features,
+    ], ids=["is_primary", "is_contextual", "is_context_sensitive", "classify_features"])
+    def test_every_test_refuses_a_tolerance_below_the_sum_tolerance(self, test, eps):
+        # ten tuples of probability 0.1 sum to 0.9999999999999999, x1 has one
+        # symbol: at eps 0 the single tests answered True by rounding alone
+        tuples = [(c, "a", v) for c in "01" for v in "abcde"]
+        dist = taxonomy.JointDistribution(("c", "x1", "x2"),
+                                          (("0", "1"), ("a",), tuple("abcde")),
+                                          {t: 0.1 for t in tuples})
+        with pytest.raises(ValueError, match="need a finite tolerance >= 1e-12, got"):
+            test(dist, eps)
+        at_floor = test(dist, 1e-12)
+        assert at_floor is False or set(at_floor.labels.values()) == {"irrelevant"}
+
+    def test_class_only_distribution_refuses_a_bad_tolerance_too(self):
+        dist = taxonomy.JointDistribution(("c",), (("0", "1"),), {("0",): 0.5, ("1",): 0.5})
+        assert classify_features(dist, 1e-12).labels == {}
+        with pytest.raises(ValueError, match="need a finite tolerance >= 1e-12, got nan"):
+            classify_features(dist, float("nan"))
+
     def test_two_symbols_of_thousand_symbol_alphabets(self):
         # the class agrees with x1 with probability 0.9 when x2 = 0 and 0.6
         # when x2 = 1; no table over the alphabets may be built
