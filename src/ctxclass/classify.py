@@ -99,12 +99,11 @@ def _fit_selected(x: np.ndarray, y: np.ndarray,
                   selected: tuple) -> tuple[float, tuple, tuple, tuple]:
     """Final least-squares fit of y on an intercept plus the selected columns;
     every other column is reported as dropped."""
-    design = np.hstack([np.ones((len(x), 1)), x[:, selected]])
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    intercept = float(coef[0])
-    coefs = tuple(float(c) for c in coef[1:])
+    design = np.ones((len(x), len(selected) + 1))
+    design[:, 1:] = x[:, selected]
+    intercept, *coefs = np.linalg.lstsq(design, y, rcond=None)[0].tolist()
     dropped = tuple(sorted(set(range(x.shape[1])) - set(selected)))
-    return intercept, selected, coefs, dropped
+    return intercept, selected, tuple(coefs), dropped
 
 
 def _column_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -96,7 +96,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--eps", type=_tolerance, default=None,
                    help="comparison tolerance (default: 1e-9 for --spec, 0.03 for --data)")
     p.add_argument("--bins", type=_bin_count, default=None,
-                   help="equal-frequency bin count for continuous features")
+                   help="equal-frequency bin count for continuous features of --data")
     p.add_argument("--json", dest="json_out", help="also write the verdict as JSON")
 
     p = sub.add_parser("run-grid", help="run the 8-combo strategy grid")
@@ -154,6 +154,8 @@ def _build_parser() -> _Parser:
 def _cmd_taxonomy(args) -> None:
     if bool(args.spec) == bool(args.data):
         raise _Refusal(EXIT_USAGE, "exactly one of --spec or --data is required")
+    if args.spec and (args.schema, args.bins) != (None, None):
+        raise _Refusal(EXIT_USAGE, "--schema and --bins apply only to --data")
     if args.spec:
         try:
             dist = data.JointDistribution.from_json(Path(args.spec).read_text(encoding="utf-8"))

@@ -11,9 +11,9 @@ Rows of symbols, floats and the MISSING sentinel are derived views for
 callers that want Python cells.
 
 A JointDistribution is an explicit table of tuple probabilities over
-discrete variables, one of them the class.  Its ``support`` is the same
-tuples encoded once as a Dataset, the table that sampling subsets and the
-taxonomy tests sum marginals from.
+discrete variables, one of them the class.  One checked walk at construction
+builds its ``support``, the tuples as a Dataset, and ``p``, their probability
+vector: what sampling draws from and the taxonomy tests sum marginals over.
 """
 
 from __future__ import annotations
@@ -538,18 +538,20 @@ class JointDistribution:
     ``probs`` maps tuples, one symbol per variable, to probabilities;
     ``class_var`` names the class variable (default: the first variable).
     The constructor raises ValueError on the first fault: at least one
-    variable, one alphabet per variable, unique variable names, one symbol
-    per variable in every tuple, each symbol in its variable's alphabet,
-    every probability a non-negative number, the probabilities summing to 1
-    within 1e-12, and a known class variable.  The same type is read from
-    JSON, sampled from and estimated from data
-    (``taxonomy.estimate_distribution``).
+    variable, one alphabet per variable, unique names, a known class variable,
+    non-empty alphabets, then tuple by tuple one symbol per variable, each in
+    its alphabet, and a non-negative probability, and last a sum within 1e-12
+    of 1.  That one walk encodes the tuples through ``schema()``: ``support``
+    holds them as a Dataset and ``p`` their probabilities, both in ``probs``
+    order.  The type is read from JSON, sampled and estimated from data.
     """
 
     variables: tuple[str, ...]
     alphabets: tuple[tuple[str, ...], ...]
     probs: Mapping[tuple[str, ...], float] = field(hash=False)
     class_var: str = ""
+    support: Dataset = field(init=False, repr=False, compare=False)
+    p: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.variables:
@@ -558,22 +560,29 @@ class JointDistribution:
             raise ValueError("one alphabet per variable required")
         if len(set(self.variables)) != len(self.variables):
             raise ValueError(f"variable names {self.variables!r} are not unique")
-        total = 0.0
-        for tup, p in self.probs.items():
-            if len(tup) != len(self.variables):
-                raise ValueError(f"tuple {tup!r} does not match variable count")
-            for sym, var, alpha in zip(tup, self.variables, self.alphabets):
-                if sym not in alpha:
-                    raise ValueError(f"symbol {sym!r} not in alphabet of {var!r}")
-            if not p >= 0:
-                raise ValueError(f"probability {p!r} for {tup!r} is negative or not a number")
-            total += p
-        if not abs(total - 1.0) <= SUM_TOLERANCE:
-            raise ValueError(f"probabilities sum to {total!r}, not 1")
         if not self.class_var:
             object.__setattr__(self, "class_var", self.variables[0])
         elif self.class_var not in self.variables:
             raise ValueError(f"unknown class variable {self.class_var!r}")
+        schema = self.schema()
+        codes, rows, p, total = [f.codes for f in schema], [], [], 0.0
+        for tup, prob in self.probs.items():
+            if len(tup) != len(codes):
+                raise ValueError(f"tuple {tup!r} does not match variable count")
+            try:
+                rows.append(list(map(dict.__getitem__, codes, tup)))
+            except KeyError:  # name the first symbol outside its alphabet
+                sym, var = next((s, v) for s, v, c in zip(tup, self.variables, codes)
+                                if s not in c)
+                raise ValueError(f"symbol {sym!r} not in alphabet of {var!r}") from None
+            if not prob >= 0:
+                raise ValueError(f"probability {prob!r} for {tup!r} is negative or not a number")
+            total += prob
+            p.append(prob)
+        if not abs(total - 1.0) <= SUM_TOLERANCE:
+            raise ValueError(f"probabilities sum to {total!r}, not 1")
+        object.__setattr__(self, "support", _from_cells(schema, rows))
+        object.__setattr__(self, "p", np.array(p, dtype=float))
 
     @classmethod
     def from_json(cls, text: str) -> "JointDistribution":
@@ -616,12 +625,6 @@ class JointDistribution:
             for n, a in zip(self.variables, self.alphabets)
         ))
 
-    @cached_property
-    def support(self) -> Dataset:
-        """The tuples of ``probs``, in its order, as the rows of a Dataset under ``schema()``."""
-        schema = self.schema()
-        return _from_cells(schema, [[f.codes[s] for f, s in zip(schema, t)] for t in self.probs])
-
     def index_of(self, var: str) -> int:
         try:
             return self.variables.index(var)
@@ -650,12 +653,11 @@ class JointDistribution:
 
 def sample_from(dist: JointDistribution, n: int, seed: int) -> Dataset:
     """Draw n i.i.d. rows of ``dist.support``: one uniform draw per row,
-    located in the cumulative probabilities of the tuples in sorted order."""
+    located in the cumulative ``dist.p`` of the tuples in sorted order."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    tuples = list(dist.probs)
-    order = sorted(range(len(tuples)), key=tuples.__getitem__)
-    cumulative = list(accumulate(dist.probs[tuples[k]] for k in order))
+    order = sorted(range(len(dist.probs)), key=list(dist.probs).__getitem__)
+    cumulative = list(accumulate(dist.p[order].tolist()))
     rng = random.Random(seed)
     picks = [order[bisect_left(cumulative, rng.random() * cumulative[-1])] for _ in range(n)]
     return dist.support.subset(picks)

@@ -306,30 +306,31 @@ def apply_percentile(model: PercentileModel, dataset: Dataset) -> Dataset:
 def equal_freq_bins(values: Sequence[float], k: int) -> tuple[float, ...]:
     """k-1 strictly increasing boundaries splitting values into equal-count bins.
 
-    Boundaries sit halfway between adjacent distinct values, as close to the
-    j*N/k order statistics as ties allow.  Fewer distinct values than bins
-    is an error.
+    Boundaries sit halfway between adjacent distinct values.  The j-th takes,
+    of the gaps past the (j-1)-th, the one nearest the j*N/k order statistic,
+    the lower on a tie.  Fewer distinct values than bins is an error, and so
+    are ties that leave no gap for a boundary.
     """
     if not values:
         raise ValueError("no values to bin")
     if k < 2:
         raise ValueError("need at least 2 bins")
-    s = sorted(float(v) for v in values)
-    n = len(s)
-    if len(set(s)) < k:
-        raise ValueError(f"only {len(set(s))} distinct values, cannot make {k} bins")
-    # positions where a boundary can legally fall (between distinct values)
-    gaps = [i for i in range(1, n) if s[i - 1] < s[i]]
-    boundaries: list[float] = []
-    last_gap = -1
-    for j in range(1, k):
-        target = j * n / k
-        candidates = sorted((abs(g - target), g) for g in gaps if g > last_gap)
-        if not candidates:
+    s = sorted(map(float, values))
+    v = np.array(s)
+    gaps = np.flatnonzero(v[:-1] < v[1:]) + 1  # where a boundary can fall: between distinct values
+    if len(gaps) + 1 < k:
+        raise ValueError(f"only {len(gaps) + 1} distinct values, cannot make {k} bins")
+    targets = [j * len(s) / k for j in range(1, k)]
+    past, gaps = np.searchsorted(gaps, targets).tolist(), gaps.tolist()
+    boundaries, start = [], 0  # start: the first gap past the last boundary
+    for target, i in zip(targets, past):
+        if start == len(gaps):
             raise ValueError(f"ties prevent {k} equal-frequency bins")
-        gap = candidates[0][1]
-        last_gap = gap
-        boundaries.append((s[gap - 1] + s[gap]) / 2.0)
+        i = max(i, start)  # the first gap from start at or past target
+        if i == len(gaps) or i > start and target - gaps[i - 1] <= gaps[i] - target:
+            i -= 1
+        boundaries.append((s[gaps[i] - 1] + s[gaps[i]]) / 2.0)
+        start = i + 1
     return tuple(boundaries)
 
 

@@ -62,19 +62,14 @@ def estimate_distribution(dataset: Dataset) -> JointDistribution:
             f"{int(missing.sum())} MISSING cells (first in feature {first!r}); "
             "the taxonomy tests need complete rows"
         )
-    n = dataset.n_rows
-    alphabets = [f.alphabet for f in dataset.schema]
     codes = dataset.values.astype(np.intp)
     _, first, counts = np.unique(_row_keys(codes), return_index=True, return_counts=True)
     order = np.argsort(first)  # the tuples in order of first occurrence
-    probs = {tuple(a[k] for a, k in zip(alphabets, row)): c / n
-             for row, c in zip(codes[first[order]].tolist(), counts[order].tolist())}
-    return JointDistribution(
-        variables=dataset.schema.names,
-        alphabets=tuple(f.alphabet for f in dataset.schema),
-        probs=probs,
-        class_var=dataset.schema.class_feature.name,
-    )
+    columns = [np.fromiter(f.alphabet, object, len(f.alphabet))[k].tolist()
+               for f, k in zip(dataset.schema, codes[first[order]].T)]
+    probs = dict(zip(zip(*columns), (counts[order] / dataset.n_rows).tolist()))
+    return JointDistribution(dataset.schema.names, tuple(f.alphabet for f in dataset.schema),
+                             probs, dataset.schema.class_feature.name)
 
 
 def _row_keys(codes: np.ndarray) -> np.ndarray:
@@ -124,18 +119,18 @@ class _Support:
 
     ``codes[k, j]`` is the code of tuple k's value of variable j, read from
     ``dist.support`` (``Feature.codes``), and ``p[k]`` is tuple k's
-    probability, both in ``probs`` order.  Tuples of probability 0 are left
-    out: they add nothing to a sum, and no test visits them.  ``eps``, the
-    tests' tolerance, must be finite and at least ``data.SUM_TOLERANCE``.
+    probability, from ``dist.p``, both in ``probs`` order.  Tuples of
+    probability 0 are left out: they add nothing to a sum, and no test visits
+    them.  ``eps``, the tests' tolerance, must be finite and at least
+    ``data.SUM_TOLERANCE``.
     """
 
     def __init__(self, dist: JointDistribution, eps: float = EXACT_EPS):
         if not SUM_TOLERANCE <= eps < np.inf:
             raise ValueError(f"need a finite tolerance >= {SUM_TOLERANCE:g}, got {eps}")
         self.dist, self.eps = dist, eps
-        p = np.fromiter(dist.probs.values(), dtype=float, count=len(dist.probs))
-        self.codes = dist.support.values.astype(np.intp)[p > 0]
-        self.p = p[p > 0]
+        self.codes = dist.support.values.astype(np.intp)[dist.p > 0]
+        self.p = dist.p[dist.p > 0]
         self.c = dist.index_of(dist.class_var)
         self.n_cls = len(dist.alphabets[self.c])
         self._groups: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}

@@ -535,6 +535,15 @@ def _unfused_fit_forward(x, y, params):
     return classify._fit_selected(x, y, tuple(selected))
 
 
+def _stacked_fit_selected(x, y, selected):
+    """_fit_selected as it was with its design stacked by np.hstack and one
+    float() per coefficient.  Kept as its bit-for-bit reference."""
+    design = np.hstack([np.ones((len(x), 1)), x[:, selected]])
+    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+    dropped = tuple(sorted(set(range(x.shape[1])) - set(selected)))
+    return float(coef[0]), selected, tuple(float(c) for c in coef[1:]), dropped
+
+
 @st.composite
 def wide_designs(draw):
     """A C-ordered design of 1-30 columns (often one) on 2-300 rows (often at
@@ -587,6 +596,16 @@ class TestFusedSumsMatchMultiplyThenSum:
         x, targets = design
         for y in targets:
             assert _bits(classify._fit_full(x, y)) == _bits(_unfused_fit_full(x, y))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(design=wide_designs(), picks=st.lists(st.integers(0, 29), unique=True))
+    def test_final_fit_is_bit_equal(self, design, picks):
+        x, targets = design
+        selected = tuple(j for j in picks if j < x.shape[1])
+        for y in targets:
+            got = classify._fit_selected(x, y, selected)
+            assert _bits(got) == _bits(_stacked_fit_selected(x, y, selected))
+            assert [type(c) for c in (got[0], *got[2])] == [float] * (len(selected) + 1)
 
     @pytest.mark.parametrize("d", [1, 2, 7])
     @pytest.mark.parametrize("n", [9, 100, 257])

@@ -84,6 +84,12 @@ class TestTaxonomyCommand:
         assert cli.main(["taxonomy", "--spec", str(spec_file), "--data", str(dp)]) == 1
         assert cli.main(["taxonomy"]) == 1
 
+    @pytest.mark.parametrize("flags", [["--schema", "s.json"], ["--bins", "3"],
+                                       ["--schema", "", "--bins", "3"]])
+    def test_spec_refuses_the_data_only_flags(self, spec_file, flags, capsys):
+        assert cli.main(["taxonomy", "--spec", str(spec_file), *flags]) == 1
+        assert capsys.readouterr() == ("", "taxonomy: --schema and --bins apply only to --data\n")
+
     def test_data_requires_schema(self, small_table):
         dp, _ = small_table
         assert cli.main(["taxonomy", "--data", str(dp)]) == 1

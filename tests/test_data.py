@@ -441,6 +441,28 @@ class TestJointDistributionValidation:
         with pytest.raises(ValueError, match="unknown class variable 'z'"):
             data.JointDistribution(("c",), (("0",),), {("0",): 1.0}, class_var="z")
 
+    @pytest.mark.parametrize("alphabets, probs, class_var, message", [
+        # a fault in an earlier tuple wins over one in a later tuple
+        ((("0", "1"), ("0", "1")), {("0", "0"): -0.5, ("0", "2"): 1.5}, "",
+         "probability -0.5 for ('0', '0') is negative or not a number"),
+        # of two bad symbols in one tuple, the earlier column's is named
+        ((("0", "1"), ("0", "1")), {("0", "0"): 0.5, ("2", "3"): 0.5}, "",
+         "symbol '2' not in alphabet of 'c'"),
+        # in one tuple, its symbols are checked before its probability
+        ((("0", "1"), ("0", "1")), {("0", "2"): -0.5, ("1", "1"): 1.5}, "",
+         "symbol '2' not in alphabet of 'x'"),
+        # in one tuple, its length is checked before its symbols
+        ((("0", "1"), ("0", "1")), {("2", "0", "0"): 1.0}, "",
+         "tuple ('2', '0', '0') does not match variable count"),
+        # the class variable and the alphabets are checked before any tuple
+        ((("0", "1"), ("0", "1")), {("2", "0"): 1.0}, "z", "unknown class variable 'z'"),
+        ((("0", "1"), ()), {("2", "0"): 1.0}, "",
+         "discrete feature 'x' needs a non-empty alphabet"),
+    ])
+    def test_first_fault_wins(self, alphabets, probs, class_var, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            data.JointDistribution(("c", "x"), alphabets, probs, class_var)
+
     def test_from_json_rejects_a_repeated_tuple(self):
         doc = {"variables": [{"name": v, "values": ["0", "1"]} for v in ("c", "x")],
                "probabilities": [{"tuple": t, "prob": 0.5}

@@ -1,10 +1,11 @@
 import math
 import random
+import struct
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from ctxclass import data, preprocess
@@ -185,6 +186,66 @@ class TestEqualFreqBins:
         b = equal_freq_bins([float(v) for v in range(1, 11)], 2)
         assert preprocess._bin_column(b, np.array([-100.0]))[0] == 0
         assert preprocess._bin_column(b, np.array([100.0]))[0] == 1
+
+
+def _scan_equal_freq_bins(values, k):
+    """equal_freq_bins as it was before its gap search became np.searchsorted:
+    each boundary sorts every gap past the last one by distance.  Kept as its
+    reference, outputs and messages alike."""
+    if not values:
+        raise ValueError("no values to bin")
+    if k < 2:
+        raise ValueError("need at least 2 bins")
+    s = sorted(float(v) for v in values)
+    n = len(s)
+    if len(set(s)) < k:
+        raise ValueError(f"only {len(set(s))} distinct values, cannot make {k} bins")
+    gaps = [i for i in range(1, n) if s[i - 1] < s[i]]
+    boundaries = []
+    last_gap = -1
+    for j in range(1, k):
+        target = j * n / k
+        candidates = sorted((abs(g - target), g) for g in gaps if g > last_gap)
+        if not candidates:
+            raise ValueError(f"ties prevent {k} equal-frequency bins")
+        gap = candidates[0][1]
+        last_gap = gap
+        boundaries.append((s[gap - 1] + s[gap]) / 2.0)
+    return tuple(boundaries)
+
+
+def _outcome(f, values, k):
+    """f(values, k) with each boundary as its type and bytes, or its ValueError's message."""
+    try:
+        return [(type(b), struct.pack("<d", b)) for b in f(values, k)]
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestEqualFreqBinsMatchesTheScan:
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(values=st.lists(st.sampled_from([-0.0, 0.0, -1.5, 2.0, 3.25, 1e-300])
+                           | st.floats(-1e6, 1e6) | st.integers(-3, 3), max_size=60),
+           k=st.integers(2, 8))
+    @example(values=[0.0] * 10 + [1.0, 2.0] + [3.0] * 88, k=4)  # ties prevent 4 bins
+    def test_outputs_and_messages(self, values, k):
+        assert _outcome(equal_freq_bins, values, k) == _outcome(_scan_equal_freq_bins, values, k)
+
+    @pytest.mark.parametrize("values, k, want", [
+        # gaps at 10, 11 and 12 of 100: the first boundary takes gap 12, leaving none
+        ([0.0] * 10 + [1.0, 2.0] + [3.0] * 88, 4, "ties prevent 4 equal-frequency bins"),
+        ([1.0] * 50 + [2.0] * 50, 5, "only 2 distinct values, cannot make 5 bins"),
+        ([], 3, "no values to bin"),
+        ([1.0, 2.0, 3.0], 1, "need at least 2 bins"),
+        # gaps 1 and 3 lie equally far from the target 2: the lower one wins
+        ([0.0, 1.0, 1.0, 2.0], 2, (0.5,)),
+        ([3.0, -0.0, 0.0, 1.0, 1.0, 2.0, 2.0, -3.0], 4, (-1.5, 0.5, 1.5)),
+    ])
+    def test_pinned_cases(self, values, k, want):
+        got = _outcome(equal_freq_bins, values, k)
+        assert got == _outcome(_scan_equal_freq_bins, values, k)
+        assert got == (want if isinstance(want, str) else
+                       [(float, struct.pack("<d", b)) for b in want])
 
 
 def quarter_grid(rng, n, d):
