@@ -167,9 +167,10 @@ def _cmd_taxonomy(args) -> None:
             raise _Refusal(EXIT_USAGE, "--data requires --schema")
         ds = data.load_table(args.data, args.schema)
         continuous = [f.name for f in ds.schema if f.kind == "continuous"]
-        if continuous and args.bins is None:
+        if bool(continuous) != (args.bins is not None):
             raise _Refusal(EXIT_PRECONDITION,
-                           f"continuous features {continuous} need --bins to discretize")
+                           f"continuous features {continuous} need --bins to discretize" if continuous
+                           else "--bins needs a continuous feature to discretize")
         with _mapped(EXIT_PRECONDITION):
             if continuous:
                 ds = _discretize(ds, args.bins)

@@ -3,12 +3,12 @@ joint distributions.
 
 A Dataset is one read-only float matrix with a column per feature: a
 continuous cell holds its float, a discrete cell the index of its symbol in
-the feature's alphabet, and NaN marks a MISSING cell.  Loaders decode a
-file, then parse each distinct line (a CSV file with quotes: each record) once
-in one pass, a cell at a time, by the one routine that also names a faulty
-line and its fault.  Writers and transforms work a whole column at a time.
-Rows of symbols, floats and the MISSING sentinel are derived views for
-callers that want Python cells.
+the feature's alphabet, and NaN marks a MISSING cell.  Loaders split each
+distinct line of a decoded file (with quotes: each csv record) once, then
+parse a column at a time: one map, or where it refuses a token the routine
+that defines a cell and names its fault.  Writers, transforms and the
+planted-context generator (one draw of its random stream) work a column at
+a time; rows of symbols, floats and MISSING are views derived on demand.
 
 A JointDistribution is an explicit table of tuple probabilities over
 discrete variables, one of them the class.  One checked walk at construction
@@ -254,33 +254,53 @@ def _cell(feat: Feature, raw: str, missing: tuple[str, ...]) -> float:
 def _parse_lines(schema: FeatureSchema, lines: Iterable[tuple[int, Hashable]],
                  fields_of: Callable[[Hashable], Sequence[str]], missing: tuple[str, ...],
                  path) -> Dataset:
-    """A file's lines, (line number, text), as a Dataset, in one pass with one
-    dict lookup a line: each distinct text is split into fields by
-    ``fields_of`` (none for a blank line, which is skipped) and parsed, cell by
-    cell through ``_cell``, once, and the rows are gathered with one fancy index.
+    """A file's lines, (line number, text), as a Dataset.  One pass, one dict
+    lookup a line, splits each distinct text by ``fields_of`` (no fields: a
+    blank line, skipped); then each column of the distinct lines is parsed by
+    one map through its codes or ``float``, or token by token through ``_cell``
+    where that map refuses a token (MISSING, padded, bad or non-finite).
 
-    The first fault in line order is a LoadError naming its line: a ValueError
-    or csv.Error from ``fields_of``, a field count other than the schema's, or
-    the line's first faulty cell.  A repeated text would fail where its first
-    occurrence, an earlier line, already has.  A fault that ``lines`` raises
-    ends the pass where it stands."""
-    width, index, rows, picks = len(schema), {}, [], []
-    for lineno, text in lines:
-        k = index.setdefault(text, len(rows))
-        if k == len(rows):
-            try:
+    The first fault in line order, then column order, is a LoadError naming its
+    line: a faulty cell, a ValueError or csv.Error from ``fields_of``, a wrong
+    field count, or a LoadError from ``lines``; the last three end the pass."""
+    width, index, records, linenos, picks, faults = len(schema), {}, [], [], [], []
+    try:
+        for lineno, text in lines:
+            k = index.setdefault(text, len(records))
+            if k == len(records):
                 fields = fields_of(text)
                 if not fields:
                     index[text] = k = -1
                 elif len(fields) != width:
                     raise ValueError(f"expected {width} fields, got {len(fields)}")
                 else:
-                    rows.append([_cell(f, raw.strip(), missing) for f, raw in zip(schema, fields)])
-            except (ValueError, csv.Error) as exc:
-                raise LoadError(f"{path}: line {lineno}: {exc}") from None
-        if k >= 0:
-            picks.append(k)
-    return _from_cells(schema, rows).subset(picks)
+                    records.append(fields)
+                    linenos.append(lineno)
+            if k >= 0:
+                picks.append(k)
+    except (ValueError, csv.Error, LoadError) as exc:  # after every distinct row so far
+        faults.append((len(records), 0, exc if isinstance(exc, LoadError)
+                       else LoadError(f"{path}: line {lineno}: {exc}")))
+    values = np.empty((len(records), width))
+    for j, (f, tokens) in enumerate(zip(schema, zip(*records))):
+        try:  # a MISSING symbol, or one with spaces round it, is left to _cell
+            column = list(map({s: c for s, c in f.codes.items() if s not in missing
+                               and s == s.strip()}.__getitem__, tokens) if f.alphabet
+                          else map(float, tokens))
+            if f.alphabet or math.isfinite(sum(column)):
+                values[:, j] = column
+                continue
+        except (KeyError, ValueError):
+            pass
+        for i, raw in enumerate(tokens):
+            try:
+                values[i, j] = _cell(f, raw.strip(), missing)
+            except ValueError as exc:
+                faults.append((i, j, LoadError(f"{path}: line {linenos[i]}: {exc}")))
+                break
+    if faults:  # (row, column) is unique to a fault, so min never compares two errors
+        raise min(faults)[2] from None
+    return Dataset(schema, values).subset(picks)
 
 
 # ---------------------------------------------------------------------------
@@ -711,21 +731,28 @@ def planted_context_schema(params: PlantedContextParams) -> FeatureSchema:
 def plant_context_dataset(
     params: PlantedContextParams, seed: int
 ) -> tuple[Dataset, Dataset]:
-    """Generate a train/test pair whose contexts do not overlap."""
+    """Generate a train/test pair whose contexts do not overlap: row r of a
+    set has class r mod n_classes, context c = uniform(lo, hi) and primaries
+    class + shift * c + noise * gauss(0, 1), as one Random(seed) gives them
+    row by row, train then test.  That stream is drawn at once, each uniform
+    and Box-Muller pair found in it by index; log, cos and sin are ``math``'s."""
     schema = planted_context_schema(params)
-    rng = random.Random(seed)
-
-    def make(n: int, ctx_range: tuple[float, float]) -> Dataset:
-        lo, hi = ctx_range
-        rows = []
-        for r in range(n):
-            cls = r % params.n_classes  # every class present in every set
-            c = rng.uniform(lo, hi)
-            feats = [
-                float(cls) + params.shift * c + params.noise * rng.gauss(0.0, 1.0)
-                for _ in range(params.n_primary)
-            ]
-            rows.append([c, *feats, cls])  # class c{cls} has code cls
-        return _from_cells(schema, rows)
-
-    return make(params.n_train, params.train_context), make(params.n_test, params.test_context)
+    n, d = params.n_train + params.n_test, params.n_primary
+    pairs = (n * d + 1) // 2  # two gauss values each; an odd n * d leaves a sin unused
+    draws = n + 2 * pairs  # random() calls: one a row, two a pair
+    stream = random.Random(seed).getrandbits(64 * draws).to_bytes(8 * draws, "little")
+    words = np.frombuffer(stream, "<u4")  # random() joins (w0 >> 5, w1 >> 6) of two words
+    u = ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) * 2.0 ** -53
+    rows, j = np.arange(n), np.arange(pairs)
+    at = 2 * j + 1 + 2 * j // d  # pair j's first draw: after its row's uniform
+    x2pi = (u[at] * (2.0 * math.pi)).tolist()
+    g2rad = np.sqrt(-2.0 * np.array(list(map(math.log, (1.0 - u[at + 1]).tolist()))))
+    gauss = (np.column_stack([list(map(math.cos, x2pi)), list(map(math.sin, x2pi))])
+             * g2rad[:, None]).ravel()[: n * d].reshape(n, d)
+    lo, hi = np.repeat([params.train_context, params.test_context],
+                       [params.n_train, params.n_test], axis=0).T
+    c = lo + (hi - lo) * u[rows + 2 * ((rows * d + 1) // 2)]  # after earlier rows' draws
+    cls = np.concatenate([np.arange(params.n_train), np.arange(params.n_test)]) % params.n_classes
+    primary = cls[:, None] + params.shift * c[:, None] + params.noise * gauss
+    values = np.column_stack([c, primary, cls])
+    return Dataset(schema, values[: params.n_train]), Dataset(schema, values[params.n_train:])

@@ -162,6 +162,15 @@ class TestTaxonomyCommand:
         assert code == 3
         assert "--bins" in capsys.readouterr().err
 
+    def test_bins_without_continuous_features(self, tmp_path, capsys):
+        data.write_table(data.sample_from(worked_spec(), 50, 0), tmp_path / "d.csv",
+                         tmp_path / "d.schema.json")
+        code = cli.main(["taxonomy", "--data", str(tmp_path / "d.csv"),
+                         "--schema", str(tmp_path / "d.schema.json"), "--bins", "3"])
+        assert code == 3
+        assert capsys.readouterr() == (
+            "", "taxonomy: --bins needs a continuous feature to discretize\n")
+
     def test_continuous_with_bins(self, small_table, capsys):
         dp, sp = small_table
         code = cli.main(["taxonomy", "--data", str(dp), "--schema", str(sp), "--bins", "2"])

@@ -528,6 +528,60 @@ class TestPlantedContext:
             data.PlantedContextParams(**{field: value})
 
 
+def plant_context_oracle(params, seed):
+    """The row-by-row generator: one uniform and n_primary gauss calls a row,
+    kept as the reference for the stream that plant_context_dataset draws at once."""
+    schema = data.planted_context_schema(params)
+    rng = random.Random(seed)
+
+    def make(n, ctx_range):
+        lo, hi = ctx_range
+        rows = []
+        for r in range(n):
+            cls = r % params.n_classes
+            c = rng.uniform(lo, hi)
+            feats = [
+                float(cls) + params.shift * c + params.noise * rng.gauss(0.0, 1.0)
+                for _ in range(params.n_primary)
+            ]
+            rows.append([c, *feats, cls])
+        return data._from_cells(schema, rows)
+
+    return make(params.n_train, params.train_context), make(params.n_test, params.test_context)
+
+
+@st.composite
+def planted_params(draw):
+    """Generator parameters over odd and even n_primary, 2-5 classes, zero
+    shift or noise, and context ranges that may start below zero."""
+    n_classes = draw(st.integers(2, 5))
+    lo = draw(st.sampled_from([0.0, -1.5, -3.0]) | st.floats(-10, 10))
+    train = (lo, lo + draw(st.sampled_from([1.0, 0.25]) | st.floats(1e-3, 10)))
+    return data.PlantedContextParams(
+        n_classes=n_classes,
+        n_primary=draw(st.integers(1, 12)),
+        n_train=draw(st.integers(n_classes, n_classes + 9)),
+        n_test=draw(st.integers(1, 9)),
+        shift=draw(st.sampled_from([0.0, 5.0]) | st.floats(0, 20)),
+        noise=draw(st.sampled_from([0.0, 0.1]) | st.floats(0, 5)),
+        train_context=train,
+        test_context=(train[1] + 1.0, train[1] + 2.0),
+    )
+
+
+class TestPlantedContextMatchesTheRowLoop:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(params=planted_params(), seed=st.integers(0, 2**32))
+    @example(params=data.PlantedContextParams(n_primary=1, n_train=3, n_test=1, n_classes=3),
+             seed=0)  # a pair spans two rows and train's last pair feeds test
+    @example(params=data.PlantedContextParams(n_primary=10, n_train=1000, n_test=1000), seed=0)
+    def test_bit_equal(self, params, seed):
+        for new, old in zip(data.plant_context_dataset(params, seed),
+                            plant_context_oracle(params, seed)):
+            assert new.schema == old.schema
+            assert np.array_equal(new.values.view(np.uint64), old.values.view(np.uint64))
+
+
 def _encoded(train, test):
     from ctxclass import preprocess
 
@@ -818,6 +872,83 @@ class TestQuotedFilesMatchTheRowWalk:
         assert _outcome(data.load_table, *args) == _outcome(load_table_oracle, *args)
 
 
+ODD_NUMBERS = ["1_0", "١٢", " 2.5", "-0.0", "1e999", " inf"]  # float() takes all six
+
+
+@st.composite
+def fault_order_tables(draw):
+    """A schema of the class and 1-3 features, whose alphabets may list "?",
+    "" or a padded symbol, over 2-8 lines with a faulty cell in a later column
+    of an earlier line and one in an earlier column of a later line, and maybe
+    a line with a field too few or too many, or one over the csv field limit."""
+    entries, pools, faults = [], [], []
+    for j in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            alphabet = draw(st.lists(st.sampled_from(["u", "v", "?", "", " w"]),
+                                     min_size=1, max_size=4, unique=True))
+            entries.append({"name": f"d{j}", "role": "primary", "kind": "discrete",
+                            "alphabet": alphabet})
+            pools.append(["u", "v", " v", "?", "", " w"])
+            faults.append(["z", "U"])
+        else:
+            entries.append({"name": f"x{j}", "role": "primary", "kind": "continuous"})
+            pools.append(NUMBERS + ODD_NUMBERS + ["?", ""])
+            faults.append(["x", "1e999", " inf", "nan"])
+    at = draw(st.integers(0, len(entries)))
+    entries.insert(at, {"name": "cls", "role": "class", "kind": "discrete",
+                        "alphabet": ["a", "b"] + draw(st.sampled_from([[], ["?"], [""]]))})
+    pools.insert(at, ["a", "b", " b"])
+    faults.insert(at, ["?", "", "c"])
+    width = len(entries)
+    lines = [[draw(st.sampled_from(pool)) for pool in pools] for _ in range(draw(st.integers(2, 8)))]
+    early, late = sorted(draw(st.lists(st.integers(0, len(lines) - 1), min_size=2, max_size=2,
+                                       unique=True)))
+    left, right = sorted(draw(st.lists(st.integers(0, width - 1), min_size=2, max_size=2,
+                                       unique=True)))
+    lines[early][right] = draw(st.sampled_from(faults[right]))
+    lines[late][left] = draw(st.sampled_from(faults[left]))
+    text = [",".join(line) for line in lines]
+    stop = draw(st.sampled_from(["none", "fewer", "more", "big"]))
+    if stop != "none":
+        field = "1" * (csv.field_size_limit() + 1) if stop == "big" else "a"
+        size = width - 1 if stop == "fewer" else width + 1 if stop == "more" else width
+        text.insert(draw(st.integers(0, len(text))), ",".join([field] + ["a"] * (size - 1)))
+    return json.dumps(entries), "\n".join(text) + "\n"
+
+
+def _table_oracle_outcome(path, schema_path):
+    """load_table_oracle's outcome, its csv.Error named as load_table names
+    one: by its line, here the first with a field over the limit."""
+    try:
+        return _outcome(load_table_oracle, path, schema_path)
+    except csv.Error as exc:
+        lineno = next(n for n, line in enumerate(path.read_text(encoding="utf-8").split("\n"), 1)
+                      if any(len(f) > csv.field_size_limit() for f in line.split(",")))
+        return f"LoadError: {path}: line {lineno}: {exc}"
+
+
+class TestFaultOrderMatchesTheRowWalk:
+    BIG = "1" * (csv.field_size_limit() + 1)
+
+    @TestColumnLoadersMatchTheRowWalk.SETTINGS
+    @given(table=fault_order_tables())
+    @example(table=(TABLE_SCHEMA, "a,1,u\na,1,z\nb,x,v\n"))  # a later column, an earlier line
+    @example(table=(TABLE_SCHEMA, "a,x,u\nb,2\n"))  # a cell fault, then a short line
+    @example(table=(TABLE_SCHEMA, "a,2,u,v\nb,x,v\n"))  # a long line, then a cell fault
+    @example(table=(TABLE_SCHEMA, f"a,1,u\nb,{BIG},v\na,1,z\n"))  # over the limit, then a cell fault
+    @example(table=(TABLE_SCHEMA, f"a,1,z\nb,{BIG},v\n"))  # a cell fault, then over the limit
+    @example(table=(TABLE_SCHEMA.replace('"w"]', '"w", "?", ""]'), "a,?,?\nb,,\n"))  # still MISSING
+    @example(table=(TABLE_SCHEMA, "".join(f"a,{x},u\n" for x in ODD_NUMBERS[:4])))  # all load
+    @example(table=(TABLE_SCHEMA, "".join(f"a,{x},u\n" for x in ODD_NUMBERS[::-1])))  # " inf" first
+    @example(table=(TABLE_SCHEMA.replace('"w"]', '" w"]'), "a,1,u\nb,2, w\n"))  # " w" strips to "w"
+    def test_load_table(self, tmp_path, table):
+        schema_text, text = table
+        (tmp_path / "t.schema.json").write_text(schema_text, encoding="utf-8")
+        (tmp_path / "t.csv").write_text(text, encoding="utf-8")
+        args = (tmp_path / "t.csv", tmp_path / "t.schema.json")
+        assert _outcome(data.load_table, *args) == _table_oracle_outcome(*args)
+
+
 def test_each_distinct_line_is_parsed_once(tmp_path, monkeypatch):
     distinct = ["a,1.5,u", "b,?,v", "a,2,w"]
     (tmp_path / "t.schema.json").write_text(TABLE_SCHEMA)
@@ -832,7 +963,9 @@ def test_each_distinct_line_is_parsed_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(data, "_cell", counting_cell)
     loaded = data.load_table(*args)
-    assert len(calls) == 3 * 3  # 3 distinct lines x width 3
+    # the other columns each go through one map; only x, which holds "?",
+    # is parsed token by token, one token a distinct line
+    assert [raw for _, raw, _ in calls] == ["1.5", "?", "2"]
     assert loaded == load_table_oracle(*args)
 
 
