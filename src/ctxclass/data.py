@@ -485,8 +485,10 @@ def load_table(path, schema_path) -> Dataset:
     lines = _text_lines(path, newline="")
     if '"' in "".join(lines):
         return _parse_lines(schema, _csv_records(path, lines), tuple, ("?", ""), path)
+    handed = []  # the one line the reader reads next
+    reader = csv.reader(iter(handed.pop, None))
     return _parse_lines(schema, enumerate(lines, start=1),
-                        lambda line: next(csv.reader((line,))), ("?", ""), path)
+                        lambda line: handed.append(line) or next(reader), ("?", ""), path)
 
 
 def _field_text(symbol: str, width: int) -> str:

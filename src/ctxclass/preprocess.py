@@ -34,8 +34,10 @@ from .data import Dataset, Feature, FeatureRole, FeatureSchema
 
 SIGMA_FLOOR = 1e-12
 
-_NN_BLOCK_ROWS = 64  # queries per L1 kernel block; reference rows per pruned-search leaf
+_NN_BLOCK_ROWS = 64  # most queries per L1 kernel block; reference rows per pruned-search leaf
 _NN_PRUNE_ROWS = 512  # reference rows above which _nearest_rows prunes its search
+_NN_BLOCK_CELLS = 1 << 17  # most terms a kernel block writes: 1 MB, to stay in cache
+_NN_BOUND_CELLS = 1 << 19  # leaf x query bounds per chunk of a pruned search: 4 MB
 
 
 def _require_numeric(dataset: Dataset, indices: Sequence[int]) -> np.ndarray:
@@ -67,47 +69,45 @@ def _mean_std(m: np.ndarray) -> tuple[tuple[float, ...], tuple[float, ...]]:
     return tuple(m.mean(axis=0)), tuple(m.std(axis=0))
 
 
-def _pairwise_sum(term, lo: int, hi: int, acc: np.ndarray) -> np.ndarray:
-    """acc[0] set to the sum of the terms term(j, out) writes into out and returns,
-    for j in lo..hi-1, added as numpy's pairwise summation (add.reduce along a
-    contiguous axis) adds them: fewer than 8 in sequence; up to 128 round 8 lanes,
-    joined as ((a0+a1)+(a2+a3))+((a4+a5)+(a6+a7)) before the rest add in order;
-    more as two halves split at n/2 rounded down to a multiple of 8, the second
-    summed from acc[1].  acc[-1] is scratch."""
+def _add_planes(planes: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """planes[lo] set to the sum of planes[lo:hi], added as numpy's pairwise
+    summation adds a contiguous axis (add.reduce): fewer than 8 in sequence; up
+    to 128 in 8 lanes, joined as ((a0+a1)+(a2+a3))+((a4+a5)+(a6+a7)) before the
+    rest add in order; more as two halves split at n/2 rounded down to a
+    multiple of 8.  Every add is one in-place elementwise add of whole planes."""
     n = hi - lo
     if n > 128:
         mid = lo + n // 2 - n // 2 % 8
-        return np.add(_pairwise_sum(term, lo, mid, acc), _pairwise_sum(term, mid, hi, acc[1:]),
-                      out=acc[0])
-    lanes, tail = (8, hi - n % 8) if n >= 8 else (1, hi)
+        _add_planes(planes, lo, mid)
+        planes[lo] += _add_planes(planes, mid, hi)
+        return planes[lo]
     if n == 0:
-        acc[0].fill(0.0)
-    for j in range(lo, tail):
-        if j < lo + lanes:
-            term(j, acc[j - lo])
-        else:
-            acc[(j - lo) % lanes] += term(j, acc[-1])
-    if lanes == 8:
-        for a, b in ((0, 1), (2, 3), (0, 2), (4, 5), (6, 7), (4, 6), (0, 4)):
-            acc[a] += acc[b]
+        planes[lo].fill(0.0)
+    tail = hi - n % 8 if n >= 8 else lo + 1
+    for j in range(lo + 8, tail, 8):
+        planes[lo:lo + 8] += planes[j:j + 8]
+    for a, b in ((0, 1), (2, 3), (0, 2), (4, 5), (6, 7), (4, 6), (0, 4)) if n >= 8 else ():
+        planes[lo + a] += planes[lo + b]  # one plane a time: numpy buffers strided stacks
     for j in range(tail, hi):
-        acc[0] += term(j, acc[-1])
-    return acc[0]
+        planes[lo] += planes[j]
+    return planes[lo]
 
 
-def _column_sums(n_queries: int, n_ref: int, d: int, term):
-    """Yield (start, sums) for each block of _NN_BLOCK_ROWS queries from start:
-    sums is _pairwise_sum over the d columns of term(j, rows, out), the block x
-    n_ref terms of the query rows in the slice rows, and is overwritten by the
-    next block.  The lanes, one more per split and scratch are allocated once."""
-    splits, n = 0, d
-    while n > 128:
-        splits, n = splits + 1, n - (n // 2 - n // 2 % 8)
-    buffers = np.empty((splits + (9 if d >= 8 else 2), min(n_queries, _NN_BLOCK_ROWS), n_ref))
-    for start in range(0, n_queries, _NN_BLOCK_ROWS):
-        rows = slice(start, min(start + _NN_BLOCK_ROWS, n_queries))
-        acc = buffers[:, :rows.stop - start]
-        yield start, _pairwise_sum(lambda j, out: term(j, rows, out), 0, d, acc)
+def _block_sums(n_queries: int, n_ref: int, d: int, fill):
+    """Yield (start, sums) for each block of queries from start: fill(rows, out)
+    writes the d x block x n_ref terms of the query rows in the slice rows into
+    out; sums (block x n_ref, overwritten by the next block) adds them as the
+    tensor's .sum(axis=2) does, bit for bit, whatever SIMD numpy dispatches to.
+    A buffer holds at most 9 x _NN_BLOCK_ROWS x n_ref and _NN_BLOCK_CELLS
+    cells, unless one query needs more."""
+    rows = max(1, min(_NN_BLOCK_ROWS, 9 * _NN_BLOCK_ROWS // max(d, 1),
+                      _NN_BLOCK_CELLS // max(d * n_ref, 1)))
+    buffer = np.empty(max(d, 1) * min(n_queries, rows) * n_ref)
+    for start in range(0, n_queries, rows):  # contiguous planes: numpy buffers strided ones
+        block = min(rows, n_queries - start)
+        planes = buffer[:max(d, 1) * block * n_ref].reshape(max(d, 1), block, n_ref)
+        fill(slice(start, start + block), planes[:d])
+        yield start, _add_planes(planes, 0, d)
 
 
 def _leaves(m: np.ndarray, index: np.ndarray):
@@ -122,17 +122,18 @@ def _leaves(m: np.ndarray, index: np.ndarray):
     yield from _leaves(m, index[order[half:]])
 
 
-def _nearest_among(queries: np.ndarray, columns: np.ndarray, rows: np.ndarray,
+def _nearest_among(queries: np.ndarray, reference: np.ndarray, rows: np.ndarray,
                    leave_one_out: bool = False):
-    """The first of the ascending reference rows (columns of columns) nearest
-    each query, and its distance; with leave_one_out query i skips rows[i]."""
-    sub = columns.take(rows, axis=1)  # in C order, so each column's terms are contiguous
+    """The first of the ascending reference rows nearest each query, and its
+    distance; with leave_one_out query i skips rows[i]."""
+    sub, query_columns = np.ascontiguousarray(reference[rows].T), queries.T
     best, dist = np.empty(len(queries), np.intp), np.empty(len(queries))
 
-    def term(j, block, out):
-        return np.abs(np.subtract(queries[block, j, None], sub[j], out=out), out=out)
+    def l1(block, out):  # a copy, then one broadcast operand: half the buffering of one subtract
+        np.copyto(out, query_columns[:, block, None])
+        np.abs(np.subtract(out, sub[:, None], out=out), out=out)
 
-    for start, sums in _column_sums(len(queries), len(rows), len(sub), term):
+    for start, sums in _block_sums(len(queries), len(rows), len(sub), l1):
         at = np.arange(len(sums))
         if leave_one_out:
             sums[at, start + at] = np.inf
@@ -141,35 +142,54 @@ def _nearest_among(queries: np.ndarray, columns: np.ndarray, rows: np.ndarray,
     return best, dist
 
 
+@np.errstate(over="ignore", invalid="ignore")  # sums of huge rows: inf, and inf - inf
 def _pruned_search(queries: np.ndarray, reference: np.ndarray, nearest: np.ndarray) -> bool:
-    """Fill nearest a group of queries (those nearest one leaf's box) at a time;
-    False, with nothing filled, if more than half the pairs might be computed."""
+    """Fill nearest a chunk of queries (_NN_BOUND_CELLS leaf x query bounds) at a
+    time; False, with nothing filled, if the first chunk would run in full."""
     leaves = list(_leaves(reference, np.arange(len(reference))))
     sizes = np.array([len(leaf) for leaf in leaves])
-    lo, hi = (f.reduceat(reference[np.concatenate(leaves)], np.cumsum(sizes) - sizes)
-              for f in (np.minimum, np.maximum))  # each leaf's box, L x d
-    query_columns = np.ascontiguousarray(queries.T)
-    below, above = np.empty((2, *query_columns.shape))
-    bound = np.empty((len(leaves), len(queries)))  # L1 from each leaf's box to each query
-    for row, lo_k, hi_k in zip(bound, lo[:, :, None], hi[:, :, None]):
-        np.maximum(np.subtract(lo_k, query_columns, out=below), 0.0, out=below)
-        below += np.maximum(np.subtract(query_columns, hi_k, out=above), 0.0, out=above)
-        below.sum(axis=0, out=row)
-    near = bound.argmin(axis=0)
-    groups = {k: np.flatnonzero(near == k) for k in np.unique(near)}
-    far = np.maximum(np.abs(queries - lo[near]), np.abs(queries - hi[near])).sum(axis=1)
-    if 2 * sum(len(g) * sizes[(bound[:, g] <= far[g]).any(axis=1)].sum()
-               for g in groups.values()) > len(queries) * len(reference):
-        return False
-    for k, group in groups.items():
-        best, dist = _nearest_among(queries[group], reference.T, leaves[k])
-        keep = (bound[:, group] <= dist * (1 + 1e-9)).any(axis=1)
-        keep[k] = False
-        if keep.any():
-            rows = np.sort(np.concatenate([leaves[i] for i in np.flatnonzero(keep)]))
-            alt, alt_dist = _nearest_among(queries[group], reference.T, rows)
-            best = np.where((alt_dist < dist) | (alt_dist == dist) & (alt < best), alt, best)
-        nearest[group] = best
+    order, starts = np.concatenate(leaves), np.cumsum(sizes) - sizes
+    lo, hi = (f.reduceat(reference[order], starts) for f in (np.minimum, np.maximum))  # L x d boxes
+    d, ones = queries.shape[1], np.ones(queries.shape[1])
+    bottom, top = (f.reduceat((reference @ ones)[order], starts) for f in (np.minimum, np.maximum))
+    # a sum of d cells, in any order, is off by under d x eps x d x the largest cell
+    margin = (np.abs(queries).max() + np.abs(reference).max()) * d * (d + 2) * np.finfo(float).eps
+    q_sum = queries @ ones
+    size = max(1, _NN_BOUND_CELLS // len(leaves))
+    bounds = np.empty((len(leaves), min(size, len(queries))))  # one chunk's, reused
+    for c in (slice(s, s + size) for s in range(0, len(queries), size)):
+        query_columns = np.ascontiguousarray(queries[c].T)
+        below, above = np.empty((2, *query_columns.shape))
+        bound = bounds[:, :query_columns.shape[1]]
+        for k, row in enumerate(bound):  # L1 from leaf k's box, or from its sums
+            np.maximum(np.subtract(lo[k, :, None], query_columns, out=below),
+                       np.subtract(query_columns, hi[k, :, None], out=above), out=below)
+            np.maximum(below, 0.0, out=below).sum(axis=0, out=row)
+            np.fmax(row, np.fmax(q_sum[c] - top[k], bottom[k] - q_sum[c]) - margin, out=row)
+        hit = bound == bound.min(axis=0)  # booleans: argmin(axis=0) would copy bound
+        near = hit.argmax(axis=0)  # the first leaf of least bound
+        groups = {k: np.flatnonzero(near == k) for k in np.unique(near)}
+        far = np.maximum(np.abs(queries[c] - lo[near]), np.abs(queries[c] - hi[near])).sum(axis=1)
+        np.less_equal(bound, far, out=hit)  # a group copies these columns, not its bounds
+        if 2 * sum(len(g) * sizes[hit[:, g].any(axis=1)].sum()
+                   for g in groups.values()) > len(near) * len(reference):
+            if c.start == 0:
+                return False
+            nearest[c] = _nearest_among(queries[c], reference, np.arange(len(reference)))[0]
+            continue
+        best, dist = np.empty(len(near), np.intp), np.empty(len(near))
+        for k, g in groups.items():
+            best[g], dist[g] = _nearest_among(queries[c][g], reference, leaves[k])
+        np.less_equal(bound, dist * (1 + 1e-9), out=hit)
+        for k, g in groups.items():
+            keep = hit[:, g].any(axis=1)
+            keep[k] = False
+            if keep.any():
+                rows = np.sort(np.concatenate([leaves[i] for i in np.flatnonzero(keep)]))
+                alt, alt_dist = _nearest_among(queries[c][g], reference, rows)
+                best[g] = np.where((alt_dist < dist[g]) | (alt_dist == dist[g]) & (alt < best[g]),
+                                   alt, best[g])
+        nearest[c] = best
     return True
 
 
@@ -178,30 +198,26 @@ def _nearest_rows(queries: np.ndarray, reference: np.ndarray,
     """Index of the L1-nearest reference row for every query row; the earliest
     reference row wins ties.  With leave_one_out the queries are the reference
     rows and none matches itself (a lone row, with nothing else to match, gets 0).
+    Each distance is bit-equal to np.abs(q - r).sum() (_block_sums), so equal
+    distances tie only if they round alike, and every tie breaks as it did.
 
-    Distances add their |q_j - r_j| terms a feature column at a time in
-    numpy's pairwise order (_pairwise_sum), not in sequence: equal distances
-    tie only if they round alike, so each stays bit-equal to the one
-    np.abs(q - r).sum() gives, and every tie breaks as it did.
-
-    Above _NN_PRUNE_ROWS reference rows, with a query, a column and only
-    finite cells, the search is pruned by the k-d bound of Friedman, Bentley &
-    Finkel, which holds for L1.  Reference rows are cut into leaves of
-    _NN_BLOCK_ROWS by the median of the widest column, and queries grouped by
-    the leaf whose box bounds their distance lowest.  The kernel runs each
-    group over that leaf; a query's smallest distance, plus a relative 1e-9
-    for rounding, is its upper bound.  It then runs over the ascending rows of
-    the leaves the group's bounds do not rule out, and the nearer candidate
-    wins, the lower index on equal distances: every distance and tie is as in
-    the full search.  The search runs in full with leave_one_out, or if more
-    than half the pairs might be computed, judged by the far corner of each
-    query's box (uniform data in many dimensions)."""
+    Above _NN_PRUNE_ROWS reference rows, with a query, a column and only finite
+    cells, the search is pruned.  Leaves of _NN_BLOCK_ROWS rows, cut at the median
+    of the widest column, bound their L1 distance to a query from below by their
+    box (Friedman, Bentley & Finkel) and by their rows' least and greatest sums:
+    |sum q - sum r| <= d(q, r) (Hoelder; a projection bound as in Nene & Nayar),
+    less more than rounding can add.  Queries bounded lowest at one leaf run
+    over it, then over the ascending rows of the leaves their distances, plus a
+    relative 1e-9, do not rule out; the nearer row wins, the lower index on
+    equal distances, so every distance and tie is as in the full search.  A
+    chunk of queries of which more than half the pairs might be computed (by
+    the far corner of each query's box) runs in full, as leave_one_out does."""
     nearest = np.empty(len(queries), dtype=np.intp)
     if (not leave_one_out and len(reference) > _NN_PRUNE_ROWS and queries.size
             and np.isfinite(queries).all() and np.isfinite(reference).all()
             and _pruned_search(queries, reference, nearest)):
         return nearest
-    return _nearest_among(queries, reference.T, np.arange(len(reference)), leave_one_out)[0]
+    return _nearest_among(queries, reference, np.arange(len(reference)), leave_one_out)[0]
 
 
 def _encoded_columns(dataset: Dataset, indices: Sequence[int]) -> np.ndarray:
@@ -593,7 +609,7 @@ def impute_missing(train: Dataset, target: Dataset) -> Dataset:
     by the training min/max (a constant training feature rescales to 0.5).
     The donor for a cell must itself have that cell present; otherwise the
     next-nearest donor supplies it.  Target rows with a MISSING cell are
-    ranked against the training rows in blocks of _NN_BLOCK_ROWS.
+    ranked against the training rows in blocks by the L1 kernel, _block_sums.
     """
     if train.n_rows == 0:
         raise ValueError("the training set is empty")
@@ -617,17 +633,17 @@ def impute_missing(train: Dataset, target: Dataset) -> Dataset:
     values = target.values.copy()
     incomplete = np.flatnonzero(np.isnan(values).any(axis=1))
     queries = target_m[incomplete]
-    train_columns = train_m.T.copy()
+    train_columns, query_columns = train_m.T.copy(), queries.T
     train_absent, query_absent = np.isnan(train_columns), np.isnan(queries)
 
-    def similarity(j, rows, out):  # 1 - |difference| where both cells are present, else 0
-        np.subtract(train_columns[j], queries[rows, j, None], out=out)
+    def similarity(rows, out):  # 1 - |difference| where both cells are present, else 0
+        np.copyto(out, train_columns[:, None])
+        np.subtract(out, query_columns[:, rows, None], out=out)
         np.subtract(1.0, np.abs(out, out=out), out=out)
-        np.copyto(out, 0.0, where=train_absent[j])
-        np.copyto(out, 0.0, where=query_absent[rows, j, None])
-        return out
+        np.copyto(out, 0.0, where=train_absent[:, None])
+        np.copyto(out, 0.0, where=query_absent.T[:, rows, None])
 
-    for start, sims in _column_sums(len(queries), train.n_rows, len(indices), similarity):
+    for start, sims in _block_sums(len(queries), train.n_rows, len(indices), similarity):
         rows = incomplete[start:start + len(sims)]
         # each MISSING cell's donor is the most similar row with that cell
         # present, the earliest on ties (argmax takes the first maximum);

@@ -331,12 +331,14 @@ class TestColumnKernelMatchesTheTensorSum:
         queries, reference = (rng.normal(size=(n, d)) * 10.0 ** rng.integers(-3, 4, size=d)
                               for n in (n_queries, n_ref))
 
-        def term(j, rows, out):
-            return np.abs(np.subtract(queries[rows, j, None], reference[:, j], out=out), out=out)
+        def fill(rows, out):
+            np.abs(np.subtract(queries[rows].T[:, :, None], reference.T[:, None], out=out), out=out)
 
         got = [(start, sums.copy())
-               for start, sums in preprocess._column_sums(n_queries, n_ref, d, term)]
-        assert [start for start, _ in got] == list(range(0, n_queries, block))
+               for start, sums in preprocess._block_sums(n_queries, n_ref, d, fill)]
+        rows = max(1, min(block, 9 * block // max(d, 1),  # at most 9 x block query cells
+                          preprocess._NN_BLOCK_CELLS // max(d * n_ref, 1)))
+        assert [start for start, _ in got] == list(range(0, n_queries, rows))
         want = np.abs(queries[:, None] - reference).sum(axis=2)
         assert np.array_equal(np.concatenate([sums for _, sums in got]), want)
 
@@ -380,14 +382,13 @@ def pruning(monkeypatch):
 
 def computed_pairs(monkeypatch):
     """A list that gathers the (query, reference) pairs of every kernel call."""
-    pairs, kernel = [], preprocess._pairwise_sum
+    pairs, kernel = [], preprocess._block_sums
 
-    def spy(term, lo, hi, acc):
-        if lo == 0:
-            pairs.append(acc.shape[1] * acc.shape[2])
-        return kernel(term, lo, hi, acc)
+    def spy(n_queries, n_ref, d, fill):
+        pairs.append(n_queries * n_ref)
+        return kernel(n_queries, n_ref, d, fill)
 
-    monkeypatch.setattr(preprocess, "_pairwise_sum", spy)
+    monkeypatch.setattr(preprocess, "_block_sums", spy)
     return pairs
 
 
@@ -507,6 +508,129 @@ class TestPrunedSearchMatchesTheOracle:
         got = preprocess._nearest_rows(rows, rows, leave_one_out=True)
         assert pruning == []
         assert got.tolist() == nearest_rows_oracle(rows, rows, leave_one_out=True).tolist()
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(d=st.integers(1, 12), n_queries=st.integers(1, 40), n_ref=st.integers(2, 60),
+           leaf=st.integers(1, 8), sides=st.sampled_from(["above", "below", "mixed"]),
+           cells=st.sampled_from([1, 7, 64, 1 << 19]), seed=st.integers(0, 2**32 - 1))
+    def test_queries_outside_the_box_in_every_dimension(self, monkeypatch, pruning, d, n_queries,
+                                                        n_ref, leaf, sides, cells, seed):
+        # above the box in every column, a query's distance to any row is
+        # sum q - sum r, so rows of equal sums tie in exact arithmetic, and
+        # twin rows, cut into other leaves, tie exactly; a few cells of bounds
+        # split the queries into many chunks
+        monkeypatch.setattr(preprocess, "_NN_BLOCK_ROWS", leaf)
+        monkeypatch.setattr(preprocess, "_NN_BOUND_CELLS", cells)
+        rng = np.random.default_rng(seed)
+        reference = rng.integers(0, 6, size=(n_ref, d)) / 10
+        twins = rng.integers(n_ref, size=(2, n_ref // 3 + 1))
+        reference[twins[0]] = reference[twins[1]]
+        side = {"above": np.ones(d), "below": -np.ones(d),
+                "mixed": rng.choice([-1.0, 1.0], size=d)}[sides]
+        outside = rng.integers(1, 8, size=(n_queries, d)) / 10
+        queries = np.where(side > 0, reference.max(axis=0) + outside, reference.min(axis=0) - outside)
+        pruning.clear()
+        got = preprocess._nearest_rows(queries, reference)
+        assert len(pruning) == 1
+        assert got.tolist() == nearest_rows_oracle(queries, reference).tolist()
+
+    def test_a_later_chunk_that_cannot_prune_runs_in_full(self, monkeypatch, pruning):
+        # rows on the L1 unit circle, leaves of 2, one query a chunk: the far
+        # first query prunes, the origin cannot rule a leaf out, so its chunk
+        # runs over every row and the search still returns True
+        monkeypatch.setattr(preprocess, "_NN_BLOCK_ROWS", 2)
+        monkeypatch.setattr(preprocess, "_NN_BOUND_CELLS", 1)
+        a = np.arange(-10, 11) / 10
+        reference = np.concatenate([np.stack([a, 1 - abs(a)], 1), np.stack([a, abs(a) - 1], 1)])
+        queries = np.array([[5.0, 0.3], [0.0, 0.0], [0.0, 0.1]])
+        rows, among = [], preprocess._nearest_among
+
+        def spy(q, reference, r, *args):
+            rows.append(len(r))
+            return among(q, reference, r, *args)
+
+        monkeypatch.setattr(preprocess, "_nearest_among", spy)
+        got = preprocess._nearest_rows(queries, reference)
+        assert pruning == [True]
+        assert rows[0] < len(reference) and rows.count(len(reference)) == 2
+        assert got.tolist() == nearest_rows_oracle(queries, reference).tolist()
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(d=st.integers(1, 10), n_queries=st.integers(1, 30), n_ref=st.integers(2, 60),
+           leaf=st.integers(1, 8), offset=st.sampled_from([1e6, -1e6, 3e6]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_rows_far_from_the_origin(self, monkeypatch, pruning, d, n_queries, n_ref, leaf,
+                                      offset, seed):
+        # sums near d x 1e6 round by about 1e-10, distances are a few 1e-3:
+        # only the rounding margin keeps the row-sum bound below them
+        monkeypatch.setattr(preprocess, "_NN_BLOCK_ROWS", leaf)
+        rng = np.random.default_rng(seed)
+        reference = offset + rng.integers(0, 4, size=(n_ref, d)) * 1e-3
+        queries = offset + rng.integers(-2, 6, size=(n_queries, d)) * 1e-3
+        pruning.clear()
+        got = preprocess._nearest_rows(queries, reference)
+        assert len(pruning) == 1
+        assert got.tolist() == nearest_rows_oracle(queries, reference).tolist()
+
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(d=st.integers(2, 4), n_queries=st.integers(1, 20), n_ref=st.integers(2, 40),
+           leaf=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+    def test_row_sums_that_overflow(self, monkeypatch, pruning, d, n_queries, n_ref, leaf, seed):
+        # finite cells whose sums (and margins) are infinite: the row-sum
+        # bound is then undefined, and the box bound alone must decide
+        monkeypatch.setattr(preprocess, "_NN_BLOCK_ROWS", leaf)
+        rng = np.random.default_rng(seed)
+        reference, queries = (rng.integers(5, 10, size=(n, d)) * 1e307 for n in (n_ref, n_queries))
+        pruning.clear()
+        got = preprocess._nearest_rows(queries, reference)
+        assert len(pruning) == 1
+        assert got.tolist() == nearest_rows_oracle(queries, reference).tolist()
+
+    @pytest.mark.parametrize("n_rows, share", [(1000, 0.065), (4000, 0.03)])
+    def test_prunes_the_contextual_nn_planted_pair(self, monkeypatch, n_rows, share):
+        # the test contexts lie past every training context, so each query
+        # is outside the normalized rows' box, where the box bounds rule out
+        # little (a quarter of the pairs was computed before the row-sum
+        # bound); the row sums rule out every leaf but one.  Each query runs
+        # over at least its own leaf of up to 64 rows: 6.3% of 1,000 rows
+        params = data.PlantedContextParams(n_primary=10, n_train=n_rows, n_test=n_rows)
+        train, test = data.plant_context_dataset(params, seed=0)
+        baseline = train.subset(np.flatnonzero(train.class_codes() == 0))
+        config = PipelineConfig(normalize="contextual-nn", context=ContextKey("condition"),
+                                baseline=baseline)
+        train, test = run_pipeline(config, train, test)
+        primaries = train.schema.primary_indices
+        reference, queries = (s.values.take(primaries, axis=1) for s in (train, test))
+        pairs = computed_pairs(monkeypatch)
+        got = preprocess._nearest_rows(queries, reference)
+        assert sum(pairs) <= share * len(queries) * len(reference)
+        assert got.tolist() == nearest_rows_oracle(queries, reference).tolist()
+
+
+def test_no_kernel_buffer_exceeds_nine_blocks_of_rows(monkeypatch, synthetic_hepatitis):
+    # the buffer of d x block x n_ref terms holds at most 9 x _NN_BLOCK_ROWS
+    # x n_ref cells, as the per-column kernel's lanes and scratch did
+    buffers, kernel = [], preprocess._block_sums
+
+    def spy(n_queries, n_ref, d, fill):
+        def recording(rows, out):
+            buffers.append((out.base.size, n_ref))
+            fill(rows, out)
+        return kernel(n_queries, n_ref, d, recording)
+
+    monkeypatch.setattr(preprocess, "_block_sums", spy)
+    rng = np.random.default_rng(10)
+    for d in (1, 8, 9, 10, 17, 64, 129, 520):
+        preprocess._nearest_rows(rng.normal(size=(150, d)), rng.normal(size=(7, d)))
+    params = data.PlantedContextParams(n_primary=10, n_train=1000, n_test=1000)
+    reference, queries = (s.values[:, 1:-1] for s in data.plant_context_dataset(params, seed=0))
+    preprocess._nearest_rows(queries, reference)
+    impute_missing(synthetic_hepatitis, synthetic_hepatitis)
+    assert len(buffers) > 20
+    assert all(cells <= 9 * preprocess._NN_BLOCK_ROWS * n_ref for cells, n_ref in buffers)
 
 
 class TestContextualGroups:
