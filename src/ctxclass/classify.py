@@ -18,6 +18,9 @@ from .data import Dataset
 from .preprocess import _nearest_rows, _require_numeric
 
 PIVOT_TOL = 1e-10
+#: cells of one stack's basis (128 KB, glibc's mmap threshold: a larger array is
+#: faulted in anew each time, and such stacks were slower than separate walks)
+_STACK_CELLS = 2 ** 14
 
 
 def similarity(x: Sequence[float], y: Sequence[float]) -> float:
@@ -107,20 +110,28 @@ def _fit_selected(x: np.ndarray, y: np.ndarray,
 
 
 def _column_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(a * b).sum(axis=0), a 1-D operand standing for every column, bit for bit
-    but without the (n, d) product; see _sweep for the summation order."""
-    if (a if a.ndim == 2 else b).shape[1] == 1:
-        return (a.reshape(len(a), -1) * b.reshape(len(b), -1)).sum(axis=0)
-    return np.einsum(f"{'ij'[:a.ndim]},{'ij'[:b.ndim]}->j", a, b)
+    """(a * b).sum(axis=-2) of (n, d) designs or (K, n, d) stacks, an operand of one
+    column standing for every column, bit for bit but without the product; see
+    _sweep for the summation order."""
+    if max(a.shape[-1], b.shape[-1]) == 1:
+        return (a * b).sum(axis=-2)
+    return np.einsum("...ij,...ij->...j", a, b)
+
+
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a_k . b_k for each row pair of two (K, n) stacks, by the BLAS dot of a_k @ b_k."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
 def _sweep(b: np.ndarray, z: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """Project the unit vector b out of every column of z, in place, and return
-    the squared column norms left; b (b'z) goes to work.  Each sum adds a column's
-    rows in sequence, not as a matrix product, so equal columns stay bit-equal and
-    tie: an einsum does so on a C-ordered (n, d >= 2) matrix, as .sum(axis=0) does,
-    which adds an (n, 1) column pairwise instead (so _column_dots keeps it there)."""
-    z -= np.multiply(b[:, None], _column_dots(b, z), out=work)
+    """Project the unit vector b out of every column of z, in place (z a design, or a
+    stack of them with a b each), and return the squared column norms left; b (b'z)
+    goes to work.  Each sum adds a column's rows in sequence, not as a matrix product, so
+    equal columns stay bit-equal and tie: an einsum does so on a C-ordered (n, d >= 2)
+    matrix, as .sum(axis=0) does, which adds an (n, 1) column pairwise instead (so
+    _column_dots keeps it there).  The product is an einsum, as numpy buffers a
+    ufunc operand broadcast across a stack's middle axis."""
+    z -= np.einsum("...i,...j->...ij", b, _column_dots(b[..., None], z), out=work)
     return _column_dots(z, z)
 
 
@@ -140,85 +151,107 @@ def _fit_full(x: np.ndarray, y: np.ndarray) -> tuple[float, tuple, tuple, tuple]
     return _fit_selected(x, y, tuple(sorted(selected)))
 
 
-def _fit_forward(
-    x: np.ndarray, y: np.ndarray, params: SelectionParams
-) -> tuple[float, tuple, tuple, tuple]:
-    """Greedy forward selection: admit the feature with the largest residual
+def _enters(rss: float, new_rss: float, no_drop: float, dof: int, f_enter: float) -> bool:
+    """Whether the best candidate's RSS drop beats float noise and its partial F f_enter."""
+    if rss - new_rss <= no_drop:
+        return False
+    f_stat = (np.inf if rss > 0.0 else 0.0) if new_rss <= 0.0 else (rss - new_rss) / (new_rss / dof)
+    return not f_stat <= f_enter
+
+
+def _fit_forward(x, y, params: SelectionParams) -> list[tuple[float, tuple, tuple, tuple]]:
+    """Greedy forward selection on each of K (n, d) designs x (a C-ordered stack or
+    a sequence) and targets y: admit the feature with the largest residual
     sum-of-squares reduction while its partial F statistic exceeds f_enter.
 
-    The stepwise-regression update: q is an orthonormal basis of the
-    intercept and the selected columns, r = y - q q'y the residual and
+    The stepwise-regression update (Efroymson 1960): q is an orthonormal basis
+    of the intercept and the selected columns, r = y - q q'y the residual and
     z = x - q q'x the candidates, so one step scores every candidate j as
     the residual sum ||r - t_j z_j||^2 with t_j = z_j.r / z_j.z_j.  A
     candidate with ||z_j|| at most PIVOT_TOL of ||x_j|| is collinear with
     the basis and scores no drop.  The first minimum wins: ties go to the
     lowest column.  An admitted z_j is normalized, orthogonalized against q
-    once more and projected out of r and z.  The coefficients come from one
-    least-squares fit of the selected columns.  Each column sum adds the rows
-    as multiply-then-sum does (see _sweep), so fits are bit for bit the same;
-    the (n, d) products b (b'z) and r - z t share one work buffer.
+    once more (Gram-Schmidt) and projected out of r and z.  The coefficients
+    come from one least-squares fit of each design's selected columns.  A step
+    admits one column per live member or stops it, and stopped members leave
+    the stack, so each member's sums, dots and matrix products (a stacked @ runs
+    one BLAS dot or gemv a member) are the ones it gets alone, bit for bit.
+    The products b (b'z) and r - z t share one work buffer.
     """
-    n, d = x.shape
+    z, r = np.array(x, dtype=float, order="C"), np.array(y, dtype=float, order="C")
+    k, n, d = z.shape
     limit = d if params.max_features is None else min(d, params.max_features)
-    selected: list[int] = []
-    collinear_below = PIVOT_TOL ** 2 * _column_dots(x, x)
-    q = np.empty((n, limit + 1))
-    r, z, work = y.copy(), x.copy(), np.empty_like(x)
-    b = np.full(n, 1.0 / np.sqrt(n))  # the intercept
+    collinear_below = PIVOT_TOL ** 2 * _column_dots(z, z)  # z is x until the first sweep
     # an RSS drop at float-noise scale is no evidence: the partial F would be a
     # ratio of rounding errors once the fit is already (numerically) perfect
-    no_drop = 1e-10 * max(1.0, float(y @ y))
-    while True:
-        q[:, len(selected)] = b
-        r -= b * (b @ r)
-        zz = _sweep(b, z, work)
-        rss = float(r @ r)
-        if len(selected) == limit:
-            break
-        collinear = zz <= collinear_below
-        zz[collinear] = 1.0  # t_j = z_j.r then; its score is rss anyway
-        t = _column_dots(z, r) / zz
-        np.subtract(r[:, None], np.multiply(z, t, out=work), out=work)
-        cand = _column_dots(work, work)
-        cand[collinear] = rss
-        cand[selected] = np.inf
-        j = int(cand.argmin())
-        new_rss = float(cand[j])
-        p = len(selected) + 2  # intercept + selected + candidate
-        if n - p <= 0:
-            break
-        if rss - new_rss <= no_drop:
-            break
-        if new_rss <= 0.0:
-            f_stat = np.inf if rss > 0.0 else 0.0
+    no_drop = 1e-10 * np.maximum(1.0, _dots(r, r))
+    q, work = np.empty((k, n, limit + 1)), np.empty_like(z)
+    b = np.full((k, n), 1.0 / np.sqrt(n))  # the intercept
+    members, chosen, fits = np.arange(k), np.empty((k, limit), dtype=np.intp), [None] * k
+    for s in range(limit + 1):  # s: the columns each live member has admitted
+        live, w = np.arange(len(members)), work[:len(members)]
+        q[:, :, s] = b
+        r -= b * _dots(b, r)[:, None]
+        zz = _sweep(b, z, w)
+        rss = _dots(r, r)
+        p = s + 2  # intercept + selected + candidate
+        if s == limit or n - p <= 0:
+            go = [False] * len(live)
         else:
-            f_stat = (rss - new_rss) / (new_rss / (n - p))
-        if f_stat <= params.f_enter:
+            collinear = zz <= collinear_below
+            zz[collinear] = 1.0  # t_j = z_j.r then; its score is rss anyway
+            t = _column_dots(z, r[..., None]) / zz
+            np.subtract(r[..., None], np.multiply(z, t[:, None, :], out=w), out=w)
+            cand = _column_dots(w, w)
+            np.copyto(cand, rss[:, None], where=collinear)
+            cand[live[:, None], chosen[:, :s]] = np.inf
+            j = cand.argmin(axis=1)
+            go = [_enters(*v, n - p, params.f_enter) for v in zip(
+                rss.tolist(), cand[live, j].tolist(), no_drop.tolist())]
+        for m, i in enumerate(members):
+            if not go[m]:
+                fits[i] = _fit_selected(x[i], y[i], tuple(chosen[m, :s].tolist()))
+        if not any(go):
             break
-        selected.append(j)
-        basis = q[:, :len(selected)]
-        b = z[:, j] / np.sqrt(zz[j])
-        b -= basis @ (basis.T @ b)
-        b /= np.sqrt(b @ b)
-    return _fit_selected(x, y, tuple(selected))
+        if not all(go):  # the stopped members leave the stack
+            keep = np.flatnonzero(go)
+            z, r, q, zz, j, chosen, collinear_below, no_drop, members = (v[keep] for v in (
+                z, r, q, zz, j, chosen, collinear_below, no_drop, members))
+            live = live[:len(keep)]
+        chosen[:, s] = j
+        basis = q[:, :, :s + 1]
+        b = z[live, :, j] / np.sqrt(zz[live, j])[:, None]
+        b -= (basis @ (basis.transpose(0, 2, 1) @ b[:, :, None]))[:, :, 0]
+        b /= np.sqrt(_dots(b, b))[:, None]
+    return fits
+
+
+def mlr_fit_many(trains: Sequence[Dataset],
+                 selection: SelectionParams | None = None) -> list[LinearDiscriminantModel]:
+    """mlr_fit of each train; with selection on, the (train, class) designs of one
+    shape are fitted as stacks whose basis holds at most _STACK_CELLS cells."""
+    selection, models = selection or SelectionParams(), [[] for _ in trains]
+    groups = {}  # design shape -> [(train index, class symbol, x, 0/1 target)]
+    for i, train in enumerate(trains):
+        if train.n_rows == 0:
+            raise ValueError("empty training set")
+        x = _require_numeric(train, train.schema.primary_indices)
+        codes, feature = train.class_codes(), train.schema.class_feature
+        groups.setdefault(x.shape, []).extend(
+            (i, cls, x, (codes == feature.codes[cls]).astype(float)) for cls in feature.alphabet)
+    for (n, d), group in groups.items():
+        size = max(1, _STACK_CELLS // (n * (d + 1)))
+        for part in (group[at:at + size] for at in range(0, len(group), size)):
+            xs, ys = [design[2] for design in part], [design[3] for design in part]
+            fits = _fit_forward(xs, ys, selection) if selection.enabled else map(_fit_full, xs, ys)
+            for (i, cls, _, _), (intercept, sel, coefs, dropped) in zip(part, fits):
+                models[i].append(ClassEquation(cls, sel, intercept, coefs, dropped))
+    return [LinearDiscriminantModel(tuple(equations)) for equations in models]
 
 
 def mlr_fit(train: Dataset, selection: SelectionParams | None = None) -> LinearDiscriminantModel:
     """One 0/1-target least-squares equation per class, intercept included."""
-    if train.n_rows == 0:
-        raise ValueError("empty training set")
-    selection = selection or SelectionParams()
-    x = _require_numeric(train, train.schema.primary_indices)
-    codes, feature = train.class_codes(), train.schema.class_feature
-    equations = []
-    for cls in feature.alphabet:
-        y = (codes == feature.codes[cls]).astype(float)
-        if selection.enabled:
-            intercept, sel, coefs, dropped = _fit_forward(x, y, selection)
-        else:
-            intercept, sel, coefs, dropped = _fit_full(x, y)
-        equations.append(ClassEquation(cls, sel, intercept, coefs, dropped))
-    return LinearDiscriminantModel(tuple(equations))
+    return mlr_fit_many([train], selection)[0]
 
 
 def mlr_predict_dataset(model: LinearDiscriminantModel, dataset: Dataset) -> np.ndarray:

@@ -35,11 +35,11 @@ class _Refusal(Exception):
 
 
 @contextlib.contextmanager
-def _mapped(code: int):
-    """Turn a ValueError raised in the block into a refusal with ``code``."""
+def _mapped(code: int, error: type[ValueError] = ValueError):
+    """Turn an ``error`` raised in the block into a refusal with ``code``."""
     try:
         yield
-    except ValueError as exc:
+    except error as exc:
         raise _Refusal(code, str(exc)) from exc
 
 
@@ -262,7 +262,8 @@ def _cmd_synth(args) -> None:
             shift=args.shift,
             noise=args.noise,
         )
-    train, test = data.plant_context_dataset(params, args.seed)
+    with _mapped(EXIT_USAGE, data.NonFiniteRowsError):
+        train, test = data.plant_context_dataset(params, args.seed)
     out = Path(args.out)
     data.write_table(train, out.with_suffix(".train.csv"), out.with_suffix(".train.schema.json"))
     data.write_table(test, out.with_suffix(".test.csv"), out.with_suffix(".test.schema.json"))

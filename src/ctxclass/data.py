@@ -39,6 +39,10 @@ class LoadError(Exception):
     """Raised when an input file cannot be parsed into a Dataset."""
 
 
+class NonFiniteRowsError(ValueError):
+    """Raised when generator parameters would give rows that are not finite."""
+
+
 def _text_lines(path, newline=None) -> list[str]:
     """The lines ``readlines()`` gives of a UTF-8 file opened with ``newline``, decoded
     in one piece: text that does not decode is a LoadError naming its file offset."""
@@ -753,8 +757,11 @@ def plant_context_dataset(
              * g2rad[:, None]).ravel()[: n * d].reshape(n, d)
     lo, hi = np.repeat([params.train_context, params.test_context],
                        [params.n_train, params.n_test], axis=0).T
-    c = lo + (hi - lo) * u[rows + 2 * ((rows * d + 1) // 2)]  # after earlier rows' draws
     cls = np.concatenate([np.arange(params.n_train), np.arange(params.n_test)]) % params.n_classes
-    primary = cls[:, None] + params.shift * c[:, None] + params.noise * gauss
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned
+        c = lo + (hi - lo) * u[rows + 2 * ((rows * d + 1) // 2)]  # after earlier rows' draws
+        primary = cls[:, None] + params.shift * c[:, None] + params.noise * gauss
     values = np.column_stack([c, primary, cls])
+    if not np.isfinite(values).all():
+        raise NonFiniteRowsError("planted rows would not be finite: shift or noise too large")
     return Dataset(schema, values[: params.n_train]), Dataset(schema, values[params.n_train:])

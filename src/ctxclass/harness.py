@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from ._dist import student_t_two_sided
-from .classify import mlr_fit, mlr_predict_dataset, nn_fit, nn_predict_dataset
+from .classify import mlr_fit, mlr_fit_many, mlr_predict_dataset, nn_fit, nn_predict_dataset
 from .data import Dataset, split_random
 from .preprocess import ContextKey, PipelineConfig, column_bins, run_pipeline
 
@@ -88,6 +88,15 @@ def evaluate(classifier: str, train: Dataset, test: Dataset) -> int:
     return int((preds == test.class_codes()).sum())
 
 
+def evaluate_many(classifier: str, pairs: Sequence[tuple[Dataset, Dataset]]) -> list[int]:
+    """evaluate on each (train, test) pair, the mlr models all from one mlr_fit_many call."""
+    if classifier != "mlr":
+        return [evaluate(classifier, train, test) for train, test in pairs]
+    models = mlr_fit_many([train for train, _ in pairs])
+    return [int((mlr_predict_dataset(model, test) == test.class_codes()).sum())
+            for model, (_, test) in zip(models, pairs)]
+
+
 def run_strategy_grid(
     train: Dataset,
     test: Dataset,
@@ -108,6 +117,7 @@ def run_strategy_grid(
     nothing, so each leaf equals the full per-combo run_pipeline output.
     The normalizer is ``normalize``: "contextual" fits group statistics on
     the training split, "contextual-transductive" on each split's own rows.
+    One evaluate_many call scores the 8 leaves, so their mlr fits run as stacks.
     """
     stages = (
         PipelineConfig(normalize=normalize, context=context),
@@ -122,12 +132,10 @@ def run_strategy_grid(
             for flags, pair in leaves.items()
             for on in (False, True)
         }
-    cells = []
-    for combo in STRATEGY_COMBOS:
-        normalize, expand, weight = combo  # table order
-        tr, te = leaves[(normalize, weight, expand)]
-        cells.append(CellResult(combo, evaluate(classifier, tr, te), test.n_rows))
-    return tuple(cells)
+    # table order (normalize, expand, weight) to pipeline order
+    pairs = [leaves[(normalize, weight, expand)] for normalize, expand, weight in STRATEGY_COMBOS]
+    return tuple(CellResult(combo, correct, test.n_rows)
+                 for combo, correct in zip(STRATEGY_COMBOS, evaluate_many(classifier, pairs)))
 
 
 def run_vowel_grid(train: Dataset, test: Dataset, classifier: str) -> ExperimentReport:

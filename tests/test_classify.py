@@ -10,14 +10,22 @@ from ctxclass import classify
 from ctxclass.classify import (
     SelectionParams,
     mlr_fit,
+    mlr_fit_many,
     mlr_predict_dataset,
     nn_fit,
     nn_predict_dataset,
     similarity,
 )
 from ctxclass.data import Dataset, Feature, FeatureRole, FeatureSchema, split_random
-from ctxclass.harness import evaluate
-from ctxclass.preprocess import encode_numeric, impute_missing
+from ctxclass.harness import STRATEGY_COMBOS, evaluate
+from ctxclass.preprocess import (
+    ContextKey,
+    PipelineConfig,
+    column_bins,
+    encode_numeric,
+    impute_missing,
+    run_pipeline,
+)
 
 from test_preprocess import numeric_dataset
 
@@ -587,7 +595,7 @@ class TestFusedSumsMatchMultiplyThenSum:
         x, targets = design
         params = SelectionParams(f_enter=f_enter, max_features=max_features)
         for y in targets:
-            got = classify._fit_forward(x, y, params)
+            (got,) = classify._fit_forward(x[None], y[None], params)  # a stack of one
             assert _bits(got) == _bits(_unfused_fit_forward(x, y, params))
 
     @settings(max_examples=300, deadline=None, derandomize=True)
@@ -622,3 +630,141 @@ class TestFusedSumsMatchMultiplyThenSum:
             got = classify._sweep(b, got_z, np.empty_like(z))
             assert got.tobytes() == want.tobytes()
             assert got_z.tobytes() == want_z.tobytes()
+
+
+@st.composite
+def design_stacks(draw):
+    """1-6 designs of one shape: 1-12 columns (often one) on 2-80 rows (often
+    at most one more than the columns), each column random at a scale from
+    1e-6 to 1e6, a duplicate, a constant or an exact sum of two earlier ones.
+    Each design has its own 0/1 target: random classes, a threshold on the sum
+    of up to three of its columns, or a target that one of its columns maps
+    affinely (a perfect fit), so members admit different numbers of columns."""
+    d = draw(st.sampled_from([1, 1, 2]) | st.integers(1, 12))
+    n = draw(st.integers(2, d + 1) | st.integers(2, 80))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    xs, ys = [], []
+    for _ in range(draw(st.integers(1, 6))):
+        columns = []
+        for _ in range(d):
+            kind = rng.choice(["random", "random", "duplicate", "constant", "sum"])
+            scale = 10.0 ** rng.integers(-6, 7)
+            if kind == "duplicate" and columns:
+                col = columns[rng.integers(len(columns))].copy()
+            elif kind == "sum" and len(columns) >= 2:
+                a, b = rng.choice(len(columns), size=2, replace=False)
+                col = columns[a] + columns[b]
+            elif kind == "constant":
+                col = np.full(n, rng.normal() * scale)
+            else:
+                col = rng.normal(size=n) * scale
+            columns.append(col)
+        x = np.column_stack(columns)
+        target = rng.choice(["classes", "threshold", "fit"])
+        if target == "threshold":
+            picks = rng.choice(d, size=min(d, rng.integers(1, 4)), replace=False)
+            signal = (x[:, picks] / np.abs(x[:, picks]).max(axis=0).clip(1e-300)).sum(axis=1)
+            y = (signal + 0.2 * rng.normal(size=n) > np.median(signal)).astype(float)
+        else:
+            y = (rng.integers(0, rng.integers(2, 4), size=n) == 0).astype(float)
+            if target == "fit":
+                x[:, rng.integers(d)] = rng.uniform(0.5, 3.0) * y + rng.normal()
+        xs.append(x)
+        ys.append(y)
+    return xs, ys
+
+
+def hepatitis_leaf_trains(dataset):
+    """The training sets of the 8 strategy leaves of one hepatitis stand-in
+    split, each from its full per-combo pipeline: 4 of 17 primary columns,
+    4 of 18 (expanded by age)."""
+    train, test = split_random(dataset, 100, seed=0)
+    context = ContextKey("age", column_bins(train, train.schema.index_of("age"), 5))
+    return [run_pipeline(PipelineConfig(normalize="contextual" if normalize else "none",
+                                        expand=("age",) if expand else (), weight=weight,
+                                        context=context, impute=True), train, test)[0]
+            for normalize, expand, weight in STRATEGY_COMBOS]
+
+
+class TestStackedForwardSelection:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(stack=design_stacks(),
+           f_enter=st.sampled_from([0.0, 4.0, 1e9]),
+           max_features=st.sampled_from([None, 1, 2]))
+    def test_each_member_is_bit_equal_to_its_walk_alone(self, stack, f_enter, max_features):
+        xs, ys = stack
+        params = SelectionParams(f_enter=f_enter, max_features=max_features)
+        got = classify._fit_forward(np.stack(xs), np.stack(ys), params)
+        assert [_bits(fit) for fit in got] == [
+            _bits(_unfused_fit_forward(x, y, params)) for x, y in zip(xs, ys)]
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(stack=design_stacks(), f_enter=st.sampled_from([0.0, 4.0]))
+    def test_a_members_bits_do_not_depend_on_its_stack_mates(self, stack, f_enter):
+        xs, ys = stack
+        params = SelectionParams(f_enter=f_enter)
+        alone = [_bits(classify._fit_forward(x[None], y[None], params)[0])
+                 for x, y in zip(xs, ys)]
+        reversed_stack = classify._fit_forward(xs[::-1], ys[::-1], params)[::-1]
+        doubled = classify._fit_forward(xs + xs, ys + ys, params)
+        assert [_bits(fit) for fit in reversed_stack] == alone
+        assert [_bits(fit) for fit in doubled] == alone + alone
+
+    def test_members_that_stop_at_different_steps(self):
+        # member k's target is a threshold on its first k columns; the members
+        # stop after 0, 2, 2 and 3 admissions, so they leave the stack at three steps
+        rng = np.random.default_rng(3)
+        xs = rng.normal(size=(4, 60, 5))
+        ys = [(xs[k, :, :k].sum(axis=1) + 0.2 * rng.normal(size=60) > 0).astype(float)
+              for k in range(4)]
+        params = SelectionParams()
+        got = classify._fit_forward(xs, ys, params)
+        assert [len(fit[1]) for fit in got] == [0, 2, 2, 3]
+        assert [_bits(fit) for fit in got] == [
+            _bits(_unfused_fit_forward(x, y, params)) for x, y in zip(xs, ys)]
+
+    def test_each_member_keeps_its_own_noise_floor(self):
+        # an RSS drop of 3e-10 is evidence for a target with one positive (floor
+        # 1e-10) but not for one with six (6e-10): member a must admit its second
+        # column after member b has left the stack, beside member c
+        rng, n = np.random.default_rng(5), 12
+        y_b = np.array([1.0] * 6 + [0.0] * 6)
+        x_b = np.tile([2.0, -3.0], (n, 1))  # constant: b stops at once
+        y_a = np.zeros(n)
+        y_a[3] = 1.0
+        col = y_a + 0.3 * rng.normal(size=n)
+        design = np.column_stack([np.ones(n), col])
+        residual = y_a - design @ np.linalg.lstsq(design, y_a, rcond=None)[0]
+        basis = np.linalg.qr(np.column_stack([design, residual]))[0]
+        u = rng.normal(size=n)
+        u -= basis @ (basis.T @ u)
+        tilt = np.sqrt(3e-10) / (residual @ residual)  # ||u|| = 1: the drop is 3e-10
+        x_a = np.column_stack([col, u / np.linalg.norm(u) + tilt * residual])
+        y_c = np.array([1.0, 0.0] * 6)
+        x_c = np.column_stack([y_c + 0.3 * rng.normal(size=n), y_c + 0.5 * rng.normal(size=n)])
+        params = SelectionParams(f_enter=0.0)
+        got = classify._fit_forward([x_b, x_a, x_c], [y_b, y_a, y_c], params)
+        assert [fit[1] for fit in got] == [(), (0, 1), (0, 1)]
+        assert [_bits(fit) for fit in got] == [_bits(_unfused_fit_forward(x, y, params))
+                                               for x, y in ((x_b, y_b), (x_a, y_a), (x_c, y_c))]
+
+    def test_mlr_fit_many_is_one_mlr_fit_per_train(self, synthetic_hepatitis, monkeypatch):
+        trains = hepatitis_leaf_trains(synthetic_hepatitis)
+        assert sorted(len(t.schema.primary_indices) for t in trains) == [17] * 4 + [18] * 4
+        models = mlr_fit_many(trains)
+        want = repr([mlr_fit(train) for train in trains])
+        assert repr(models) == want
+        for train, model in zip(trains, models):
+            x = train.values[:, list(train.schema.primary_indices)]
+            codes = train.class_codes()
+            for code, eq in enumerate(model.equations):
+                y = (codes == code).astype(float)
+                assert _bits((eq.intercept, eq.selected, eq.coefs, eq.dropped)) == _bits(
+                    _unfused_fit_forward(x, y, SelectionParams()))
+        # stacks of 1, of 2 and of 3, 3 and 2 designs (a basis of 100 x 18 or
+        # 100 x 19 cells a design): where the cap splits a group changes no fit
+        for cells in (1, 3800, 6000):
+            monkeypatch.setattr(classify, "_STACK_CELLS", cells)
+            assert repr(mlr_fit_many(trains)) == want
+        full = SelectionParams(enabled=False)
+        assert repr(mlr_fit_many(trains, full)) == repr([mlr_fit(t, full) for t in trains])

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -334,6 +335,17 @@ class TestSynth:
         assert list(tmp_path.iterdir()) == []
 
 
+    @pytest.mark.parametrize("flag", ["--shift", "--noise"])
+    def test_rows_that_would_not_be_finite_are_usage_errors(self, tmp_path, flag, capsys):
+        base = tmp_path / "pair"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning escapes
+            assert cli.main(["synth", flag, "1e308", "--out", str(base)]) == 1
+        assert capsys.readouterr().err == (
+            "synth: planted rows would not be finite: shift or noise too large\n")
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestCompareNormalizers:
     def test_synthetic_default(self, capsys):
         assert cli.main(["compare-normalizers", "--noise", "0.05"]) == 0
@@ -346,6 +358,12 @@ class TestCompareNormalizers:
                                                                       capsys):
         assert cli.main(["compare-normalizers", flag, value]) == 1
         assert "finite and nonnegative" in capsys.readouterr().err
+
+    def test_rows_that_would_not_be_finite_are_usage_errors(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["compare-normalizers", "--shift", "1e308"]) == 1
+        assert "planted rows would not be finite" in capsys.readouterr().err
 
     def test_unknown_baseline_class(self, capsys):
         code = cli.main(["compare-normalizers", "--baseline-class", "zz"])

@@ -295,15 +295,15 @@ def per_combo_grid(train, test, classifier, context, expand_feature,
 
 
 def scored_pairs(monkeypatch):
-    """Record every (train, test) pair that harness.evaluate scores."""
+    """Record every (train, test) pair that harness.evaluate_many scores."""
     pairs = []
-    real = harness.evaluate
+    real = harness.evaluate_many
 
-    def recording(classifier, train, test):
-        pairs.append((train, test))
-        return real(classifier, train, test)
+    def recording(classifier, scored):
+        pairs.extend(scored)
+        return real(classifier, scored)
 
-    monkeypatch.setattr(harness, "evaluate", recording)
+    monkeypatch.setattr(harness, "evaluate_many", recording)
     return pairs
 
 
