@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import Dataset
-from .preprocess import _nearest_rows, _require_numeric
+from .preprocess import _fit_matrix, _nearest_rows, _require_numeric
 
 PIVOT_TOL = 1e-10
 #: cells of one stack's basis (128 KB, glibc's mmap threshold: a larger array is
@@ -50,9 +50,7 @@ class NearestNeighborModel:
 
 
 def nn_fit(train: Dataset) -> NearestNeighborModel:
-    if train.n_rows == 0:
-        raise ValueError("empty training set")
-    x = _require_numeric(train, train.schema.primary_indices)
+    _, x = _fit_matrix(train, "empty training set")
     return NearestNeighborModel(x, train.class_codes(), train.schema.class_feature.alphabet)
 
 
@@ -233,9 +231,7 @@ def mlr_fit_many(trains: Sequence[Dataset],
     selection, models = selection or SelectionParams(), [[] for _ in trains]
     groups = {}  # design shape -> [(train index, class symbol, x, 0/1 target)]
     for i, train in enumerate(trains):
-        if train.n_rows == 0:
-            raise ValueError("empty training set")
-        x = _require_numeric(train, train.schema.primary_indices)
+        _, x = _fit_matrix(train, "empty training set")
         codes, feature = train.class_codes(), train.schema.class_feature
         groups.setdefault(x.shape, []).extend(
             (i, cls, x, (codes == feature.codes[cls]).astype(float)) for cls in feature.alphabet)

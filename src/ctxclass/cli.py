@@ -50,17 +50,10 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _data_dir() -> Path | None:
-    d = os.environ.get("CTXCLASS_DATA_DIR")
-    return Path(d) if d else None
-
-
 def _default_path(filename: str) -> Path | None:
-    d = _data_dir()
-    if d is None:
-        return None
-    p = d / filename
-    return p if p.exists() else None
+    d = os.environ.get("CTXCLASS_DATA_DIR")
+    p = Path(d) / filename if d else None
+    return p if p and p.exists() else None
 
 
 def _bin_count(text: str) -> int:
@@ -236,6 +229,7 @@ def _cmd_compare_normalizers(args) -> None:
     else:
         with _mapped(EXIT_USAGE):  # synthetic-pair parameters
             params = data.PlantedContextParams(shift=args.shift, noise=args.noise)
+        with _mapped(EXIT_USAGE, data.NonFiniteRowsError):
             train, test = data.plant_context_dataset(params, args.seed)
     if test.n_rows == 0:
         raise _Refusal(EXIT_PRECONDITION, "test set has no rows")
@@ -285,20 +279,22 @@ def _cmd_impute(args) -> None:
 
 
 def _cmd_normalize(args) -> None:
+    if args.mode != "contextual" and (args.context, args.bins) != (None, None):
+        raise _Refusal(EXIT_USAGE, "--context and --bins apply only to --mode contextual")
     ds = data.load_table(args.data, args.schema)
     context = None
     if args.mode == "contextual":
         if not args.context:
             raise _Refusal(EXIT_USAGE, "--mode contextual requires --context")
-        if args.context not in ds.schema.names:
-            raise _Refusal(EXIT_USAGE, f"no feature named {args.context!r}")
-        boundaries = None
+        if args.context not in [ds.schema.names[i] for i in ds.schema.contextual_indices]:
+            raise _Refusal(EXIT_USAGE, f"{args.context!r} is not a contextual feature")
         ctx_idx = ds.schema.index_of(args.context)
-        if ds.schema.features[ctx_idx].kind == "continuous":
-            if args.bins is None:
-                raise _Refusal(EXIT_PRECONDITION, "continuous context requires --bins")
-            with _mapped(EXIT_PRECONDITION):
-                boundaries = preprocess.column_bins(ds, ctx_idx, args.bins)
+        continuous = ds.schema.features[ctx_idx].kind == "continuous"
+        if continuous != (args.bins is not None):
+            raise _Refusal(EXIT_PRECONDITION, "continuous context requires --bins" if continuous
+                           else "--bins needs a continuous context to discretize")
+        with _mapped(EXIT_PRECONDITION):
+            boundaries = preprocess.column_bins(ds, ctx_idx, args.bins) if continuous else None
         context = preprocess.ContextKey(args.context, boundaries)
     with _mapped(EXIT_RUNTIME):
         config = preprocess.PipelineConfig(

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from ._dist import student_t_two_sided
-from .classify import mlr_fit, mlr_fit_many, mlr_predict_dataset, nn_fit, nn_predict_dataset
-from .data import Dataset, split_random
+from .classify import mlr_fit_many, mlr_predict_dataset, nn_fit, nn_predict_dataset
+from .data import Dataset, Feature, FeatureRole, FeatureSchema, schema_to_json, split_random
 from .preprocess import ContextKey, PipelineConfig, column_bins, run_pipeline
 
 CLASSIFIERS = ("nn", "mlr")
@@ -79,21 +79,20 @@ class ExperimentReport:
 
 def evaluate(classifier: str, train: Dataset, test: Dataset) -> int:
     """Fit on train, count correct predictions on test."""
-    if classifier == "nn":
-        preds = nn_predict_dataset(nn_fit(train), test)
-    elif classifier == "mlr":
-        preds = mlr_predict_dataset(mlr_fit(train), test)
-    else:
-        raise ValueError(f"unknown classifier {classifier!r}")
-    return int((preds == test.class_codes()).sum())
+    return evaluate_many(classifier, [(train, test)])[0]
 
 
 def evaluate_many(classifier: str, pairs: Sequence[tuple[Dataset, Dataset]]) -> list[int]:
-    """evaluate on each (train, test) pair, the mlr models all from one mlr_fit_many call."""
-    if classifier != "mlr":
-        return [evaluate(classifier, train, test) for train, test in pairs]
-    models = mlr_fit_many([train for train, _ in pairs])
-    return [int((mlr_predict_dataset(model, test) == test.class_codes()).sum())
+    """Fit on each train of the (train, test) pairs and count correct predictions
+    on its test: nn fits one train at a time, mlr fits them all in one mlr_fit_many."""
+    trains = [train for train, _ in pairs]
+    if classifier == "nn":
+        models, predict = map(nn_fit, trains), nn_predict_dataset
+    elif classifier == "mlr":
+        models, predict = mlr_fit_many(trains), mlr_predict_dataset
+    else:
+        raise ValueError(f"unknown classifier {classifier!r}")
+    return [int((predict(model, test) == test.class_codes()).sum())
             for model, (_, test) in zip(models, pairs)]
 
 
@@ -317,17 +316,13 @@ def emit_table(report: ExperimentReport, format: str = "text") -> str:
 
 def report_schema_json(report: ExperimentReport) -> str:
     """Sidecar schema so the CSV emission round-trips through load_table."""
-    import json
-
-    key_cols = _columns(report)
-    entries = []
-    for i, name in enumerate(key_cols):
-        values = sorted({_combo_words(c.combo)[i] for c in report.cells}) or ["No", "Yes"]
-        role = "contextual" if i else "class"
-        entries.append({"name": name, "role": role, "kind": "discrete", "alphabet": values})
-    for name in ("correct", "total", "percent"):
-        entries.append({"name": name, "role": "primary", "kind": "continuous"})
-    return json.dumps(entries, indent=2)
+    keys = tuple(
+        Feature(name, FeatureRole.CONTEXTUAL if i else FeatureRole.CLASS, "discrete",
+                tuple(sorted({_combo_words(c.combo)[i] for c in report.cells})) or ("No", "Yes"))
+        for i, name in enumerate(_columns(report)))
+    counts = tuple(Feature(name, FeatureRole.PRIMARY, "continuous")
+                   for name in ("correct", "total", "percent"))
+    return schema_to_json(FeatureSchema(keys + counts))
 
 
 def write_report(report: ExperimentReport, base_path) -> tuple[str, str]:

@@ -414,7 +414,7 @@ class GroupContextModel:
     indices: tuple[int, ...]
     key: ContextKey
     groups: Mapping[object, tuple[tuple[float, ...], tuple[float, ...]]] = field(hash=False)
-    fallback: tuple[tuple[float, ...], tuple[float, ...]] = None
+    fallback: tuple[tuple[float, ...], tuple[float, ...]]
 
     def row_stats(self, dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
         """Per-row mean and deviation matrices (n_rows x features) of the

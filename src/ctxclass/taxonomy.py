@@ -42,7 +42,7 @@ class FeatureVerdict:
 
     labels: Mapping[str, str]  # feature name -> "primary" | "contextual" | "irrelevant"
     sensitive_to: Mapping[str, tuple[str, ...]]  # primary name -> contextual names
-    witnesses: Mapping[str, tuple] = None
+    witnesses: Mapping[str, tuple]
 
 
 def estimate_distribution(dataset: Dataset) -> JointDistribution:
@@ -226,13 +226,9 @@ def is_primary(dist: JointDistribution, feature: str, eps: float = EXACT_EPS) ->
     return _Support(dist, eps).primary_witness(feature) is not None
 
 
-def _contextual_witness(dist: JointDistribution, feature: str, eps: float):
-    """Contextual witness (a0, full assignment) of a feature, whether primary or not."""
-    return _Support(dist, eps).contextual_witness(feature)
-
-
 def is_contextual(dist: JointDistribution, feature: str, eps: float = EXACT_EPS) -> bool:
-    return not is_primary(dist, feature, eps) and _contextual_witness(dist, feature, eps) is not None
+    support = _Support(dist, eps)
+    return support.primary_witness(feature) is None and support.contextual_witness(feature) is not None
 
 
 def is_context_sensitive(
@@ -290,5 +286,5 @@ def verdict_json(verdict: FeatureVerdict) -> dict:
     return {
         "labels": dict(verdict.labels),
         "sensitive_to": {k: list(v) for k, v in verdict.sensitive_to.items()},
-        "witnesses": {k: list(v) if v else None for k, v in (verdict.witnesses or {}).items()},
+        "witnesses": {k: list(v) for k, v in verdict.witnesses.items()},
     }

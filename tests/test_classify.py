@@ -768,3 +768,18 @@ class TestStackedForwardSelection:
             assert repr(mlr_fit_many(trains)) == want
         full = SelectionParams(enabled=False)
         assert repr(mlr_fit_many(trains, full)) == repr([mlr_fit(t, full) for t in trains])
+
+
+def test_empty_training_set_is_refused():
+    empty = numeric_dataset([[0.0, 1.0]], ["a", "b"]).subset([])
+    for fit in (mlr_fit, nn_fit):
+        with pytest.raises(ValueError) as raised:
+            fit(empty)
+        assert str(raised.value) == "empty training set"
+
+
+def test_describe_lists_the_columns_a_fit_dropped():
+    # x1 repeats x0, so no fit can admit both
+    x = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+    model = mlr_fit(numeric_dataset([x, x], ["a", "a", "a", "b", "b", "b"]))
+    assert "  dropped (singular): [1]" in model.describe().splitlines()

@@ -603,6 +603,29 @@ class TestNormalize:
             "normalize: feature 'g' is entirely MISSING in the training set\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, loads, code, message", [
+        (["--mode", "zscore", "--context", "g"], False, 1,
+         "--context and --bins apply only to --mode contextual"),
+        (["--bins", "5"], False, 1, "--context and --bins apply only to --mode contextual"),
+        (["--mode", "contextual", "--context", "cls"], True, 1, "'cls' is not a contextual feature"),
+        (["--mode", "contextual", "--context", "x", "--bins", "3"], True, 1,
+         "'x' is not a contextual feature"),
+        (["--mode", "contextual", "--context", "g", "--bins", "3"], True, 3,
+         "--bins needs a continuous context to discretize"),
+    ], ids=["context-without-contextual", "bins-without-contextual", "class-as-context",
+            "primary-as-context", "bins-with-a-discrete-context"])
+    def test_flags_and_contexts_the_mode_cannot_use_are_refused(self, tmp_path, small_table,
+                                                                 flags, loads, code, message,
+                                                                 capsys):
+        dp, sp = small_table
+        # the mode's own flags are checked before a (here absent) data file is read
+        data_path = dp if loads else tmp_path / "absent.csv"
+        out = tmp_path / "o.csv"
+        assert cli.main(["normalize", "--data", str(data_path), "--schema", str(sp), *flags,
+                         "--out", str(out)]) == code
+        assert capsys.readouterr().err == f"normalize: {message}\n"
+        assert not out.exists()
+
     def test_binned_continuous_context(self, tmp_path, continuous_context_table):
         dp, sp = continuous_context_table
         out = tmp_path / "norm.csv"
@@ -680,7 +703,10 @@ class TestExitPath:
             f"{argv[0]}: {big}: line 2: field larger than field limit "
             f"({csv.field_size_limit()})\n")
 
-    def test_value_error_outside_a_mapped_region_is_not_reported(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("argv", [["synth", "--out", "{tmp}/x"], ["compare-normalizers"]],
+                             ids=["synth", "compare-normalizers"])
+    def test_value_error_outside_a_mapped_region_is_not_reported(self, argv, tmp_path,
+                                                                  monkeypatch):
         # a ValueError that no command maps to an exit code is a bug, so it
         # keeps its traceback
         def broken(params, seed):
@@ -688,7 +714,7 @@ class TestExitPath:
 
         monkeypatch.setattr(data, "plant_context_dataset", broken)
         with pytest.raises(ValueError, match="a bug"):
-            cli.main(["synth", "--out", str(tmp_path / "x")])
+            cli.main([a.format(tmp=tmp_path) for a in argv])
 
 
 class TestParser:

@@ -1021,3 +1021,55 @@ class TestWriterMatchesTheRowWriter:
         data.write_table(dataset, tmp_path / "new.csv")
         write_table_oracle(dataset, tmp_path / "old.csv")
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def _load_sidecar(text):
+    path = "s.schema.json"
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(text)
+    return data.load_schema(path)
+
+
+_XY_SCHEMA = data.FeatureSchema((
+    data.Feature("x", FeatureRole.PRIMARY, "continuous"),
+    data.Feature("cls", FeatureRole.CLASS, "discrete", ("a", "b")),
+))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: data.Feature("f", FeatureRole.PRIMARY, "ordinal"), ValueError,
+                 "unknown feature kind 'ordinal'", id="unknown-kind"),
+    pytest.param(lambda: data.Feature("x", FeatureRole.PRIMARY, "continuous", ("a",)),
+                 ValueError, "continuous feature 'x' must not carry an alphabet",
+                 id="continuous-with-alphabet"),
+    pytest.param(lambda: data.FeatureSchema(_XY_SCHEMA.features + _XY_SCHEMA.features[:1]),
+                 ValueError, "feature names must be unique", id="duplicate-names"),
+    pytest.param(lambda: data.FeatureSchema(_XY_SCHEMA.features[:1]), ValueError,
+                 "schema must have exactly one class feature, got 0", id="no-class"),
+    pytest.param(lambda: _XY_SCHEMA.index_of("z"), KeyError, "no feature named 'z'",
+                 id="unknown-name"),
+    pytest.param(lambda: _XY_SCHEMA.check_row((0.5,), where=" (row 3)"), ValueError,
+                 "row (row 3) has 1 cells, schema has 2", id="row-length"),
+    pytest.param(lambda: _XY_SCHEMA.check_row((0.5, MISSING)), ValueError,
+                 "class cell is MISSING", id="missing-class-cell"),
+    pytest.param(lambda: _XY_SCHEMA.check_row((0.5, "z")), ValueError,
+                 "value 'z' not in alphabet of 'cls'", id="symbol-outside-alphabet"),
+    pytest.param(lambda: _XY_SCHEMA.check_row(("a", "a")), ValueError,
+                 "continuous feature 'x' got 'a'", id="symbol-in-continuous-cell"),
+    pytest.param(lambda: _load_sidecar('{"name": "x"}'), LoadError,
+                 "s.schema.json: schema sidecar must be a JSON list", id="sidecar-not-a-list"),
+    pytest.param(lambda: _load_sidecar('[{"name": "x", "role": "primary"}]'), LoadError,
+                 "s.schema.json: bad schema entry {'name': 'x', 'role': 'primary'}: 'kind'",
+                 id="sidecar-bad-entry"),
+    pytest.param(lambda: data.JointDistribution(("a", "b"), (("0", "1"),), {}), ValueError,
+                 "one alphabet per variable required", id="alphabet-count"),
+    pytest.param(lambda: data.sample_from(worked_spec(), -1, 0), ValueError,
+                 "n must be nonnegative", id="negative-sample-size"),
+    pytest.param(lambda: data.PlantedContextParams(n_train=3), ValueError,
+                 "too few rows requested", id="too-few-rows"),
+])
+def test_refusals_name_their_cause(tmp_path, monkeypatch, call, error, message):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(error) as raised:
+        call()
+    assert raised.value.args[0] == message

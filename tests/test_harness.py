@@ -423,3 +423,24 @@ def test_grid_and_comparison_build_no_rows_after_loading(synthetic_hepatitis, pl
     train, test, baseline = planted
     run_normalization_comparison(train, test, baseline=baseline)
     assert calls == {"check_row": 0, "build": 0, "column": 0}
+
+
+def _no_context_pair():
+    schema = data.FeatureSchema((
+        data.Feature("x", data.FeatureRole.PRIMARY, "continuous"),
+        data.Feature("cls", data.FeatureRole.CLASS, "discrete", ("a", "b")),
+    ))
+    return data.Dataset.build(schema, [(i / 10, "ab"[i % 2]) for i in range(6)])
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: CellResult((), 5, 4), "correct count out of range", id="count-range"),
+    pytest.param(lambda: run_normalization_comparison(_no_context_pair(), _no_context_pair()),
+                 "dataset has no contextual features", id="comparison-without-context"),
+    pytest.param(lambda: emit_table(fake_report([50] * 8), "xml"), "unknown format 'xml'",
+                 id="unknown-format"),
+])
+def test_refusals_name_their_cause(call, message):
+    with pytest.raises(ValueError) as raised:
+        call()
+    assert str(raised.value) == message

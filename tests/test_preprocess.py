@@ -1413,3 +1413,30 @@ class TestNormalizerMenu:
         config = PipelineConfig(normalize=name, context=key, baseline=holed, impute=True)
         expected = normalized_by_hand(name, train, test, impute_missing(holed, holed), key)
         assert run_pipeline(config, train, test) == expected
+
+
+# a discrete and a continuous context, both entirely MISSING, and one primary feature
+_UNRESOLVED = Dataset(FeatureSchema((
+    Feature("g", FeatureRole.CONTEXTUAL, "discrete", ("0", "1")),
+    Feature("c", FeatureRole.CONTEXTUAL, "continuous"),
+    Feature("x", FeatureRole.PRIMARY, "continuous"),
+    Feature("cls", FeatureRole.CLASS, "discrete", ("a", "b")),
+)), np.array([[np.nan, np.nan, 0.1, 0.0], [np.nan, np.nan, 0.2, 1.0]]))
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: ContextKey("c", (1.0, 1.0)), "bin boundaries must be strictly increasing",
+                 id="boundaries-not-increasing"),
+    pytest.param(lambda: fit_contextual(_UNRESOLVED, ContextKey("g")),
+                 "context feature 'g' has no resolvable values", id="fit-contextual-all-missing"),
+    pytest.param(lambda: compute_weights(_UNRESOLVED, ContextKey("g")),
+                 "context feature 'g' has no resolvable values", id="weights-all-missing"),
+    pytest.param(lambda: fit_expansion(_UNRESOLVED, ["x"]), "'x' is not a contextual feature",
+                 id="expand-a-primary-feature"),
+    pytest.param(lambda: fit_expansion(_UNRESOLVED, ["c"]),
+                 "contextual feature 'c' is entirely MISSING", id="expand-all-missing"),
+])
+def test_refusals_name_their_cause(call, message):
+    with pytest.raises(ValueError) as raised:
+        call()
+    assert str(raised.value) == message

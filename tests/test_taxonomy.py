@@ -260,7 +260,7 @@ class TestClassifyFeatures:
         # primary at small eps, so only x2 and x3 are monotone here
         for name in ("x2", "x3"):
             ctx = [
-                taxonomy._contextual_witness(worked_dist, name, e) is not None for e in grid
+                taxonomy._Support(worked_dist, e).contextual_witness(name) is not None for e in grid
             ]
             assert ctx == sorted(ctx, reverse=True)
 
@@ -401,7 +401,7 @@ class TestMatchesEnumerationOracle:
         feats = [v for v in dist.variables if v != dist.class_var]
         for f in feats:
             assert is_primary(dist, f, eps) == (_oracle_primary(dist, f, eps) is not None)
-            assert taxonomy._contextual_witness(dist, f, eps) == _oracle_contextual(dist, f, eps)
+            assert taxonomy._Support(dist, eps).contextual_witness(f) == _oracle_contextual(dist, f, eps)
             for x in feats:
                 if x != f:
                     assert is_context_sensitive(dist, f, x, eps) == _oracle_sensitive(
@@ -492,3 +492,15 @@ class TestEstimateOrder:
         want = {t: c / n for t, c in Counter(rows).items()}
         got = estimate_distribution(ds).probs
         assert list(got.items()) == list(want.items())
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda d: is_primary(d, "x0"), "the class variable is not a feature under test",
+                 id="class-under-test"),
+    pytest.param(lambda d: is_context_sensitive(d, "x1", "x1"),
+                 "primary and contextual feature must differ", id="same-feature-twice"),
+])
+def test_refusals_name_their_cause(worked_dist, call, message):
+    with pytest.raises(ValueError) as raised:
+        call(worked_dist)
+    assert str(raised.value) == message
