@@ -3,10 +3,11 @@ joint distributions.
 
 A Dataset is one read-only float matrix with a column per feature: a
 continuous cell holds its float, a discrete cell the index of its symbol in
-the feature's alphabet, and NaN marks a MISSING cell.  Loaders split each
-distinct line of a decoded file (with quotes: each csv record) once, then
-parse a column at a time: one map, or where it refuses a token the routine
-that defines a cell and names its fault.  Writers, transforms and the
+the feature's alphabet, and NaN marks a MISSING cell.  Loaders read a decoded
+file a block of lines at a time, split each distinct line (with quotes: each
+csv record) once, and parse a block's new lines a column at a time: one map,
+or where it refuses a token the routine that defines a cell and names its
+fault.  The writer (a block of rows at a time), transforms and the
 planted-context generator (one draw of its random stream) work a column at
 a time; rows of symbols, floats and MISSING are views derived on demand.
 
@@ -28,11 +29,14 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, islice
 from pathlib import Path
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
+
+
+_BLOCK_ROWS = 4096  # lines a loader reads, or rows the table writer formats, at once
 
 
 class LoadError(Exception):
@@ -43,13 +47,30 @@ class NonFiniteRowsError(ValueError):
     """Raised when generator parameters would give rows that are not finite."""
 
 
-def _text_lines(path, newline=None) -> list[str]:
-    """The lines ``readlines()`` gives of a UTF-8 file opened with ``newline``, decoded
-    in one piece: text that does not decode is a LoadError naming its file offset."""
+def _open_text(path, newline=None) -> tuple[bool, io.TextIOWrapper]:
+    """Whether a UTF-8 file holds a quote character, and the file opened with
+    ``newline``, past one leading byte-order mark.  It is decoded a chunk at a
+    time before any line is read (a pipe, which cannot be read twice, is held
+    whole): text that does not decode is a LoadError naming its file offset."""
+    raw = open(path, "rb")
+    if not raw.seekable():
+        with raw:
+            raw = io.BytesIO(raw.read())
+    fh = io.TextIOWrapper(raw, encoding="utf-8", newline=newline)
     try:
-        return io.StringIO(Path(path).read_bytes().decode("utf-8"), newline=newline).readlines()
-    except UnicodeDecodeError as exc:
-        raise LoadError(f"{path}: {exc}") from None
+        quoted = any(['"' in chunk for chunk in iter(lambda: fh.read(1 << 16), "")])
+    except UnicodeDecodeError:  # its position counts from the chunk: decode the file for its own
+        with fh:
+            raw.seek(0)
+            try:
+                raw.read().decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise LoadError(f"{path}: {exc}") from None
+        raise
+    fh.seek(0)
+    if fh.read(1) != "\ufeff":
+        fh.seek(0)
+    return quoted, fh
 
 
 class _Missing:
@@ -258,53 +279,62 @@ def _cell(feat: Feature, raw: str, missing: tuple[str, ...]) -> float:
 def _parse_lines(schema: FeatureSchema, lines: Iterable[tuple[int, Hashable]],
                  fields_of: Callable[[Hashable], Sequence[str]], missing: tuple[str, ...],
                  path) -> Dataset:
-    """A file's lines, (line number, text), as a Dataset.  One pass, one dict
-    lookup a line, splits each distinct text by ``fields_of`` (no fields: a
-    blank line, skipped); then each column of the distinct lines is parsed by
-    one map through its codes or ``float``, or token by token through ``_cell``
-    where that map refuses a token (MISSING, padded, bad or non-finite).
+    """A file's lines, (line number, text), as a Dataset, _BLOCK_ROWS lines at a
+    time.  One dict lookup a line splits each distinct text once by
+    ``fields_of`` (no fields: a blank line, skipped); then each column of a
+    block's new texts is parsed by one map through its codes or ``float``, or
+    token by token through ``_cell`` where that map refuses a token (MISSING,
+    padded, bad or non-finite).
 
     The first fault in line order, then column order, is a LoadError naming its
     line: a faulty cell, a ValueError or csv.Error from ``fields_of``, a wrong
     field count, or a LoadError from ``lines``; the last three end the pass."""
-    width, index, records, linenos, picks, faults = len(schema), {}, [], [], [], []
-    try:
-        for lineno, text in lines:
-            k = index.setdefault(text, len(records))
-            if k == len(records):
-                fields = fields_of(text)
-                if not fields:
-                    index[text] = k = -1
-                elif len(fields) != width:
-                    raise ValueError(f"expected {width} fields, got {len(fields)}")
-                else:
-                    records.append(fields)
-                    linenos.append(lineno)
-            if k >= 0:
-                picks.append(k)
-    except (ValueError, csv.Error, LoadError) as exc:  # after every distinct row so far
-        faults.append((len(records), 0, exc if isinstance(exc, LoadError)
-                       else LoadError(f"{path}: line {lineno}: {exc}")))
-    values = np.empty((len(records), width))
-    for j, (f, tokens) in enumerate(zip(schema, zip(*records))):
-        try:  # a MISSING symbol, or one with spaces round it, is left to _cell
-            column = list(map({s: c for s, c in f.codes.items() if s not in missing
-                               and s == s.strip()}.__getitem__, tokens) if f.alphabet
-                          else map(float, tokens))
-            if f.alphabet or math.isfinite(sum(column)):
-                values[:, j] = column
-                continue
-        except (KeyError, ValueError):
-            pass
-        for i, raw in enumerate(tokens):
+    width, index, lines, blocks, picks, new = len(schema), {}, iter(lines), [], [], 0
+    maps = [{s: c for s, c in f.codes.items() if s not in missing and s == s.strip()}.__getitem__
+            if f.alphabet else float for f in schema]  # a MISSING or padded symbol: _cell's
+    while True:
+        records, linenos, rows, faults, lineno = [], [], [], [], None
+        try:
+            for lineno, text in islice(lines, _BLOCK_ROWS):
+                k = index.setdefault(text, new)
+                if k == new:
+                    fields = fields_of(text)
+                    if not fields:
+                        index[text] = k = -1
+                    elif len(fields) != width:
+                        raise ValueError(f"expected {width} fields, got {len(fields)}")
+                    else:
+                        records.append(fields)
+                        linenos.append(lineno)
+                        new += 1
+                if k >= 0:
+                    rows.append(k)
+        except (ValueError, csv.Error, LoadError) as exc:  # after every distinct row so far
+            faults.append((len(records), 0, exc if isinstance(exc, LoadError)
+                           else LoadError(f"{path}: line {lineno}: {exc}")))
+        values = np.empty((len(records), width))
+        for j, (f, parse, tokens) in enumerate(zip(schema, maps, zip(*records))):
             try:
-                values[i, j] = _cell(f, raw.strip(), missing)
-            except ValueError as exc:
-                faults.append((i, j, LoadError(f"{path}: line {linenos[i]}: {exc}")))
-                break
-    if faults:  # (row, column) is unique to a fault, so min never compares two errors
-        raise min(faults)[2] from None
-    return Dataset(schema, values).subset(picks)
+                column = list(map(parse, tokens))
+                if f.alphabet or math.isfinite(sum(column)):
+                    values[:, j] = column
+                    continue
+            except (KeyError, ValueError):
+                pass
+            for i, raw in enumerate(tokens):
+                try:
+                    values[i, j] = _cell(f, raw.strip(), missing)
+                except ValueError as exc:
+                    faults.append((i, j, LoadError(f"{path}: line {linenos[i]}: {exc}")))
+                    break
+        if faults:  # (row, column) is unique to a fault, so min never compares two errors
+            raise min(faults)[2] from None
+        blocks.append(values)
+        picks.append(np.array(rows, dtype=np.intp))
+        if lineno is None:  # no line left
+            break
+    values, picks = np.concatenate(blocks), np.concatenate(picks)
+    return Dataset(schema, values if len(picks) == new else values[picks])  # no line repeats
 
 
 # ---------------------------------------------------------------------------
@@ -327,20 +357,20 @@ def _vowel_schema(speakers: Sequence[str]) -> FeatureSchema:
 def _parse_vowel_file(path) -> list[tuple[int, int, list[str]]]:
     """(flag, line number, cells in schema order) of each data line, with
     speaker, sex and class written as plain integers."""
-    rows = []
-    for lineno, line in enumerate(_text_lines(path), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        fields = line.split()
-        if len(fields) != 14:
-            raise LoadError(f"{path}: line {lineno}: expected 14 fields, got {len(fields)}")
-        try:
-            flag = int(fields[0])
-            speaker, sex, vowel = (str(int(fields[i])) for i in (1, 2, 13))
-        except ValueError as exc:
-            raise LoadError(f"{path}: line {lineno}: {exc}") from None
-        rows.append((flag, lineno, [speaker, sex, *fields[3:13], vowel]))
+    rows, (_, fh) = [], _open_text(path)
+    with fh:
+        for lineno, line in enumerate(fh, start=1):
+            fields = line.split()
+            if not fields:
+                continue
+            if len(fields) != 14:
+                raise LoadError(f"{path}: line {lineno}: expected 14 fields, got {len(fields)}")
+            try:
+                flag = int(fields[0])
+                speaker, sex, vowel = (str(int(fields[i])) for i in (1, 2, 13))
+            except ValueError as exc:
+                raise LoadError(f"{path}: line {lineno}: {exc}") from None
+            rows.append((flag, lineno, [speaker, sex, *fields[3:13], vowel]))
     if not rows:
         raise LoadError(f"{path}: file contains no data rows")
     return rows
@@ -423,8 +453,9 @@ def _hepatitis_fields(line: str) -> list[str]:
 
 def load_hepatitis(path) -> Dataset:
     """Load the UCI hepatitis file (comma layout, "?" for missing, class first)."""
-    lines = enumerate(_text_lines(path), start=1)
-    dataset = _parse_lines(hepatitis_schema(), lines, _hepatitis_fields, ("?",), path)
+    with _open_text(path)[1] as fh:
+        dataset = _parse_lines(hepatitis_schema(), enumerate(fh, start=1), _hepatitis_fields,
+                               ("?",), path)
     if not dataset.n_rows:
         raise LoadError(f"{path}: file contains no data rows")
     return dataset
@@ -437,9 +468,10 @@ _ROLE_BY_NAME = {r.value: r for r in FeatureRole}
 
 
 def load_schema(schema_path) -> FeatureSchema:
-    """Read a JSON sidecar: a list of {name, role, kind, alphabet?} objects."""
+    """Read a JSON sidecar (after one byte-order mark): a list of {name, role,
+    kind, alphabet?} objects."""
     try:
-        entries = json.loads(Path(schema_path).read_text(encoding="utf-8"))
+        entries = json.loads(Path(schema_path).read_text(encoding="utf-8").removeprefix("\ufeff"))
     except (OSError, ValueError) as exc:  # unreadable, undecodable or not JSON
         raise LoadError(f"{schema_path}: {exc}") from None
     if not isinstance(entries, list):
@@ -468,7 +500,7 @@ def schema_to_json(schema: FeatureSchema) -> str:
     return json.dumps(entries, indent=2)
 
 
-def _csv_records(path, lines: list[str]):
+def _csv_records(path, lines: Iterable[str]):
     """(line number, fields) of each csv record, numbered by the file line it
     starts on; a record the csv reader rejects is a LoadError when the walk
     reaches it."""
@@ -483,16 +515,18 @@ def _csv_records(path, lines: list[str]):
 
 
 def load_table(path, schema_path) -> Dataset:
-    """Load a comma-separated data file against its JSON schema sidecar.  In a
-    file without a quote character each line is one whole csv record."""
+    """Load a comma-separated data file against its JSON schema sidecar; one
+    leading byte-order mark is dropped from each.  In a file without a quote
+    character each line is one whole csv record."""
     schema = load_schema(schema_path)
-    lines = _text_lines(path, newline="")
-    if '"' in "".join(lines):
-        return _parse_lines(schema, _csv_records(path, lines), tuple, ("?", ""), path)
-    handed = []  # the one line the reader reads next
-    reader = csv.reader(iter(handed.pop, None))
-    return _parse_lines(schema, enumerate(lines, start=1),
-                        lambda line: handed.append(line) or next(reader), ("?", ""), path)
+    quoted, fh = _open_text(path, newline="")
+    with fh:
+        if quoted:
+            return _parse_lines(schema, _csv_records(path, fh), tuple, ("?", ""), path)
+        handed = []  # the one line the reader reads next
+        reader = csv.reader(iter(handed.pop, None))
+        return _parse_lines(schema, enumerate(fh, start=1),
+                            lambda line: handed.append(line) or next(reader), ("?", ""), path)
 
 
 def _field_text(symbol: str, width: int) -> str:
@@ -506,13 +540,16 @@ def _field_text(symbol: str, width: int) -> str:
 
 def write_table(dataset: Dataset, path, schema_path=None) -> None:
     """Write a dataset as CSV (floats via repr, so values round-trip exactly),
-    a column at a time: the bytes ``csv.writer`` writes, "?" for MISSING."""
-    schema, columns = dataset.schema, []
-    for f, cells in zip(schema, dataset.values.T.tolist()):
-        text = [_field_text(s, len(schema)) for s in f.alphabet] if f.alphabet else None
-        columns.append(["?" if c != c else text[int(c)] if text else repr(c) for c in cells])
+    _BLOCK_ROWS rows at a time, each block a column at a time: the bytes
+    ``csv.writer`` writes, "?" for MISSING."""
+    schema = dataset.schema
+    texts = [[_field_text(s, len(schema)) for s in f.alphabet] if f.alphabet else None
+             for f in schema]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\r\n".join([*map(",".join, zip(*columns)), ""]))  # "\r\n" ends each row
+        for block in np.split(dataset.values, range(_BLOCK_ROWS, dataset.n_rows, _BLOCK_ROWS)):
+            columns = [["?" if c != c else text[int(c)] if text else repr(c) for c in cells]
+                       for text, cells in zip(texts, block.T.tolist())]
+            fh.write("\r\n".join([*map(",".join, zip(*columns)), ""]))  # "\r\n" ends each row
     if schema_path is not None:
         Path(schema_path).write_text(schema_to_json(schema) + "\n", encoding="utf-8")
 

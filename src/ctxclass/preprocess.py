@@ -718,6 +718,21 @@ def _normalizer(config: PipelineConfig, train: Dataset):
     return partial(apply_contextual, fit_context_linear(fit_set, key))
 
 
+def _applied(stage: str, apply, train: Dataset, test: Dataset) -> tuple[Dataset, Dataset]:
+    """apply(train), apply(test); a cell that apply turns from finite into
+    infinite or NaN is a ValueError naming the stage and the first such feature."""
+    pair = apply(train), apply(test)
+    for before, after in zip((train, test), pair):
+        if after is before or -np.inf < after.values.sum() < np.inf:  # every cell is finite
+            continue
+        turned = (np.isfinite(before.values) > np.isfinite(after.values)).any(axis=0)
+        if turned.any():
+            name = after.schema.features[int(turned.argmax())].name
+            raise ValueError(f"{stage} turned finite cells of feature {name!r} non-finite")
+    return pair
+
+
+@np.errstate(all="ignore")  # an overflow is refused by _applied, not warned
 def run_pipeline(
     config: PipelineConfig, train: Dataset, test: Dataset
 ) -> tuple[Dataset, Dataset]:
@@ -725,6 +740,9 @@ def run_pipeline(
 
     Imputation, weighting and expansion are fitted on the training split;
     the normalizer on its fit set (see PipelineConfig), then applied to both.
+    A normalizer, weighting or expansion that turns a finite cell non-finite
+    is refused by name; imputation and encoding only copy finite cells and
+    codes.
     """
     if config.impute:
         train, test = impute_missing(train, train), impute_missing(train, test)
@@ -732,14 +750,14 @@ def run_pipeline(
 
     if config.normalize != "none":
         normalize = _normalizer(config, train)
-        train, test = normalize(train), normalize(test)
+        train, test = _applied(f"{config.normalize} normalization", normalize, train, test)
 
     if config.weight:
         w = compute_weights(train, config.context)
-        train, test = apply_weights(w, train), apply_weights(w, test)
+        train, test = _applied("weighting", partial(apply_weights, w), train, test)
 
     if config.expand:
         model = fit_expansion(train, config.expand)
-        train, test = apply_expansion(model, train), apply_expansion(model, test)
+        train, test = _applied("expansion", partial(apply_expansion, model), train, test)
 
     return train, test

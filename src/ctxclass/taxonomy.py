@@ -55,34 +55,35 @@ def estimate_distribution(dataset: Dataset) -> JointDistribution:
             f"continuous features {continuous} must be binned first "
             "(see preprocess.equal_freq_bins)"
         )
-    missing = np.isnan(dataset.values)
+    missing = np.isnan(dataset.values.sum(axis=0))  # codes are small: only a NaN cell sums to NaN
     if missing.any():
-        first = dataset.schema.features[int(missing.any(axis=0).argmax())].name
+        first = dataset.schema.features[int(missing.argmax())].name
         raise ValueError(
-            f"{int(missing.sum())} MISSING cells (first in feature {first!r}); "
+            f"{dataset.missing_count()} MISSING cells (first in feature {first!r}); "
             "the taxonomy tests need complete rows"
         )
-    codes = dataset.values.astype(np.intp)
-    _, first, counts = np.unique(_row_keys(codes), return_index=True, return_counts=True)
+    _, first, counts = np.unique(_row_keys(dataset.values), return_index=True, return_counts=True)
     order = np.argsort(first)  # the tuples in order of first occurrence
     columns = [np.fromiter(f.alphabet, object, len(f.alphabet))[k].tolist()
-               for f, k in zip(dataset.schema, codes[first[order]].T)]
+               for f, k in zip(dataset.schema, dataset.values[first[order]].astype(np.intp).T)]
     probs = dict(zip(zip(*columns), (counts[order] / dataset.n_rows).tolist()))
     return JointDistribution(dataset.schema.names, tuple(f.alphabet for f in dataset.schema),
                              probs, dataset.schema.class_feature.name)
 
 
 def _row_keys(codes: np.ndarray) -> np.ndarray:
-    """One int64 key per row of a matrix of codes (integers >= 0), ordered as
-    the rows are in lexicographic order: the columns folded left to right, each
-    with its largest code + 1 as the radix, and the partial keys re-ranked, which
-    keeps their order, before a product of radixes would pass the int64 range."""
+    """One int64 key per row of a matrix of codes (integers >= 0, or floats
+    that hold them), ordered as the rows are in lexicographic order: the
+    columns folded left to right into one key vector, in place, each with its
+    largest code + 1 as the radix, and the partial keys re-ranked, which keeps
+    their order, before a product of radixes would pass the int64 range."""
     keys, radix = np.zeros(len(codes), dtype=np.int64), 1
-    for column, size in zip(codes.T, (codes.max(axis=0, initial=0) + 1).tolist()):
+    for column, size in zip(codes.T, (codes.max(axis=0, initial=0) + 1).astype(np.int64).tolist()):
         if radix * size > np.iinfo(np.int64).max:
             ranked, keys = np.unique(keys, return_inverse=True)
             radix = len(ranked)
-        keys = keys * size + column
+        keys *= size
+        np.add(keys, column, out=keys, dtype=np.int64, casting="unsafe")  # exact: int64 adds
         radix *= size
     return keys
 

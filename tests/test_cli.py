@@ -626,6 +626,26 @@ class TestNormalize:
         assert capsys.readouterr().err == f"normalize: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("mode, flags", [
+        ("contextual", ["--context", "condition", "--bins", "4"]),
+        ("zscore", []),
+    ])
+    def test_an_overflowing_stage_is_refused(self, tmp_path, mode, flags, capsys):
+        # finite cells up to about 4.2e307, whose column sums overflow
+        base = tmp_path / "b"
+        assert cli.main(["synth", "--shift", "5e307", "--out", str(base)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "c.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning escapes
+            code = cli.main(["normalize", "--data", str(base.with_suffix(".train.csv")),
+                             "--schema", str(base.with_suffix(".train.schema.json")),
+                             "--mode", mode, *flags, "--out", str(out)])
+        assert code == 4
+        assert capsys.readouterr().err == (
+            f"normalize: {mode} normalization turned finite cells of feature 'p1' non-finite\n")
+        assert not out.exists()
+
     def test_binned_continuous_context(self, tmp_path, continuous_context_table):
         dp, sp = continuous_context_table
         out = tmp_path / "norm.csv"

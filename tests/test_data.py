@@ -1,9 +1,14 @@
 import csv
 import hashlib
+import io
 import json
 import math
+import os
 import random
 import re
+import threading
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -302,6 +307,48 @@ class TestUndecodableInput:
         (tmp_path / "t.csv").write_text("a,1.5,0\n")
         with self.expect(p):
             data.load_table(tmp_path / "t.csv", p)
+
+
+class TestByteOrderMark:
+    """One leading U+FEFF (the UTF-8 bytes EF BB BF) is dropped from a data
+    file and a schema sidecar; decode errors still name file offsets."""
+
+    BOM = b"\xef\xbb\xbf"
+
+    def test_table(self, tmp_path):
+        (tmp_path / "t.schema.json").write_text(TestGenericTable.SCHEMA)
+        (tmp_path / "t.csv").write_text("a,1.5,0\nb,2.5,1\n")
+        (tmp_path / "bom.csv").write_bytes(self.BOM + b"a,1.5,0\nb,2.5,1\n")
+        schema = tmp_path / "t.schema.json"
+        assert (data.load_table(tmp_path / "bom.csv", schema)
+                == data.load_table(tmp_path / "t.csv", schema))
+
+    def test_only_one_is_dropped(self, tmp_path):
+        (tmp_path / "t.schema.json").write_text(TestGenericTable.SCHEMA)
+        (tmp_path / "t.csv").write_bytes(self.BOM * 2 + b"a,1.5,0\n")
+        with pytest.raises(LoadError, match=r"line 1: symbol '\\ufeffa' not valid for 'cls'$"):
+            data.load_table(tmp_path / "t.csv", tmp_path / "t.schema.json")
+
+    def test_hepatitis_and_vowel(self, tmp_path):
+        for name, text, load in (("h.data", make_hepatitis_text(), data.load_hepatitis),
+                                 ("v.data", make_vowel_text(), lambda p: data.load_vowel(p, p))):
+            (tmp_path / name).write_bytes(self.BOM + text.encode())
+            (tmp_path / f"plain-{name}").write_text(text)
+            assert load(tmp_path / name) == load(tmp_path / f"plain-{name}")
+
+    def test_schema_sidecar(self, tmp_path):
+        (tmp_path / "t.schema.json").write_bytes(self.BOM + TestGenericTable.SCHEMA.encode())
+        assert data.load_schema(tmp_path / "t.schema.json").names == ("cls", "x", "g")
+
+    def test_decode_error_names_the_file_offset(self, tmp_path):
+        (tmp_path / "t.schema.json").write_text(TestGenericTable.SCHEMA)
+        p = tmp_path / "t.csv"
+        p.write_bytes(self.BOM + b"a,1.5,0\n\xff,2.5,1\n")  # 0xff at 3 + 8
+        with pytest.raises(LoadError, match="can't decode byte 0xff in position 11:"):
+            data.load_table(p, tmp_path / "t.schema.json")
+        (tmp_path / "t.schema.json").write_bytes(self.BOM + b'[{"name": "\xff"}]')
+        with pytest.raises(LoadError, match="can't decode byte 0xff in position 14:"):
+            data.load_schema(tmp_path / "t.schema.json")
 
 
 class TestDatasetMatrix:
@@ -778,6 +825,181 @@ class TestColumnLoadersMatchTheRowWalk:
 
 
 # ---------------------------------------------------------------------------
+# The streamed, blocked loaders against the whole-file reader they replaced
+
+def whole_file_text(path, newline=None):
+    """The reader the loaders had before they streamed, kept as their
+    reference: the whole file decoded at once, a quote looked for in it, and
+    its lines as ``StringIO.readlines()`` gives them."""
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise LoadError(f"{path}: {exc}") from None
+    return '"' in text, io.StringIO(text, newline=newline)
+
+
+def unblocked_parse(schema, lines, fields_of, missing, path):
+    """The parse before it went a block at a time: every distinct line split
+    first, then each whole column parsed, the first fault reported."""
+    width, index, records, linenos, picks, faults = len(schema), {}, [], [], [], []
+    try:
+        for lineno, text in lines:
+            k = index.setdefault(text, len(records))
+            if k == len(records):
+                fields = fields_of(text)
+                if not fields:
+                    index[text] = k = -1
+                elif len(fields) != width:
+                    raise ValueError(f"expected {width} fields, got {len(fields)}")
+                else:
+                    records.append(fields)
+                    linenos.append(lineno)
+            if k >= 0:
+                picks.append(k)
+    except (ValueError, csv.Error, LoadError) as exc:
+        faults.append((len(records), 0, exc if isinstance(exc, LoadError)
+                       else LoadError(f"{path}: line {lineno}: {exc}")))
+    values = np.empty((len(records), width))
+    for j, (f, tokens) in enumerate(zip(schema, zip(*records))):
+        try:
+            column = list(map({s: c for s, c in f.codes.items() if s not in missing
+                               and s == s.strip()}.__getitem__, tokens) if f.alphabet
+                          else map(float, tokens))
+            if f.alphabet or math.isfinite(sum(column)):
+                values[:, j] = column
+                continue
+        except (KeyError, ValueError):
+            pass
+        for i, raw in enumerate(tokens):
+            try:
+                values[i, j] = data._cell(f, raw.strip(), missing)
+            except ValueError as exc:
+                faults.append((i, j, LoadError(f"{path}: line {linenos[i]}: {exc}")))
+                break
+    if faults:
+        raise min(faults)[2] from None
+    return data.Dataset(schema, values).subset(picks)
+
+
+def _bits(load, *args):
+    """A loader's datasets as (schema, shape, bytes of the matrix), bit for
+    bit, NaN included; or the text of the LoadError it raises."""
+    try:
+        loaded = load(*args)
+    except LoadError as exc:
+        return f"LoadError: {exc}"
+    return [(d.schema, d.values.shape, d.values.tobytes())
+            for d in (loaded if isinstance(loaded, tuple) else (loaded,))]
+
+
+def _crlf_across_a_read(offset=8191):
+    """CRLF lines whose "\\r" is the byte at offset, the last of the first 8 KB
+    that a text file reads, and its "\\n" the first of the next."""
+    head = "a,1,u\r\n" * ((offset - 20) // 7)
+    return head + "a,1" + "0" * (offset - len(head) - 5) + ",u\r\nb,2,v\r\n"
+
+
+_REPEATS = "a,1,u\nb,2,v\na,1,u\n\na,1,u\nb,?,w\nb,2,v\na,1,u\n"
+_HEPATITIS = make_hepatitis_text(n_rows=12)
+_VOWEL = "\n".join(line for line in make_vowel_text().splitlines()
+                   if line.split()[1] in ("0", "9")) + "\n"  # a speaker of each side
+BLOCK_EDGE_CASES = {
+    "lf": ("table", _REPEATS),
+    "crlf": ("table", _REPEATS.replace("\n", "\r\n")),
+    "lone-cr": ("table", _REPEATS.replace("\n", "\r")),
+    "mixed": ("table", "a,1,u\r\nb,2,v\ra,1,u\n\r\nb,3,w\r\ra,1,u\n"),
+    "crlf-across-a-read": ("table", _crlf_across_a_read()),
+    "no-final-newline": ("table", _REPEATS.rstrip("\n")),
+    "blank-lines": ("table", "\n\na,1,u\n\n  \n\nb,2,v\n\n\n,\n"),
+    "repeats-across-blocks": ("table", "a,1,u\nb,2,v\n" * 5 + "a, 1,u\nb,2,v\na,1,u\n"),
+    "quoted-field-over-lines": ("symbols", 'a,1,"l\nm"\nb,2,0\na,1,"l\nm"\n\nb,3,"l\nm"\nb,2,0\n'),
+    "fault-after-a-multi-line-record": ("symbols", 'a,1,0\nb,2,"l\nm"\na,1,0\nb,x,0\n'),
+    "faults-in-two-blocks": ("table", "a,1,u\nb,x,v\na,1,u\nb,2,z\na,y,u\n"),
+    "later-column-first": ("table", "a,1,u\na,2,v\nb,1,z\nb,x,u\n"),
+    "short-line-in-a-later-block": ("table", "a,1,u\nb,2,v\na,1,u\nb,3,v\nb,2\n"),
+    "bad-byte-past-8-kb": ("table", "a,x,u\n" + "a,1,u\n" * 2000 + "\udcff,1,u\n"),
+    "bad-byte-past-a-64-kb-read": ("table", "a,1,u\n" * 20000 + "\udcff,1,u\na,x,u\n"),
+    "hepatitis-crlf": ("hepatitis", _HEPATITIS.replace("\n", "\r\n") + "\r\n"),
+    "hepatitis-lone-cr": ("hepatitis", _HEPATITIS.replace("\n", "\r")),
+    "hepatitis-bad-class-late": ("hepatitis", _HEPATITIS + "3" + _HEPATITIS.split("\n")[0][1:]),
+    "vowel-crlf": ("vowel", _VOWEL.replace("\n", "\r\n")),
+    "vowel-no-final-newline": ("vowel", "\n" + _VOWEL.rstrip("\n")),
+}
+
+
+class TestBlockedLoadersMatchTheWholeFileReader:
+    """Every loader streams its file and parses a block of _BLOCK_ROWS lines
+    at a time; at any block size it gives what the whole-file reader and the
+    unblocked parse gave: the same Dataset bit for bit, or the same error."""
+
+    @staticmethod
+    def load_args(tmp_path, kind, text):
+        path = tmp_path / "f.data"
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))  # "\udcff" is the byte 0xff
+        if kind == "hepatitis":
+            return data.load_hepatitis, path
+        if kind == "vowel":
+            return data.load_vowel, path, path
+        schema = TABLE_SCHEMA if kind == "table" else TestGenericTable.SYMBOL_SCHEMA
+        (tmp_path / "f.schema.json").write_text(schema, encoding="utf-8")
+        return data.load_table, path, tmp_path / "f.schema.json"
+
+    @pytest.mark.parametrize("block", [1, 2, 3, data._BLOCK_ROWS])
+    @pytest.mark.parametrize("case", BLOCK_EDGE_CASES)
+    @pytest.mark.filterwarnings("ignore:vowel")
+    def test_same_outcome(self, tmp_path, monkeypatch, case, block):
+        load, *args = self.load_args(tmp_path, *BLOCK_EDGE_CASES[case])
+        with monkeypatch.context() as m:
+            m.setattr(data, "_open_text", whole_file_text)
+            m.setattr(data, "_parse_lines", unblocked_parse)
+            want = _bits(load, *args)
+        monkeypatch.setattr(data, "_BLOCK_ROWS", block)
+        assert _bits(load, *args) == want
+
+    def test_the_cases_reach_what_they_name(self, tmp_path):
+        outcomes = {case: _bits(*self.load_args(tmp_path, *BLOCK_EDGE_CASES[case]))
+                    for case in ("faults-in-two-blocks", "later-column-first", "bad-byte-past-8-kb",
+                                 "bad-byte-past-a-64-kb-read", "crlf-across-a-read")}
+        assert outcomes["faults-in-two-blocks"].endswith("line 2: bad number 'x' for 'x'")
+        assert outcomes["later-column-first"].endswith("line 3: symbol 'z' not valid for 'd'")
+        assert "can't decode byte 0xff in position 12006:" in outcomes["bad-byte-past-8-kb"]
+        assert "byte 0xff in position 120000:" in outcomes["bad-byte-past-a-64-kb-read"]
+        assert _crlf_across_a_read().encode().index(b"\r\n", 8180) == 8191
+        [(_, shape, _)] = outcomes["crlf-across-a-read"]
+        assert shape == (1169, 3)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="named pipes are POSIX")
+    @pytest.mark.parametrize("text", ["a,1.5,u\nb,2,v\n", "a,1.5,u\n\xff,2,v\n"])
+    def test_a_pipe_is_read_once(self, tmp_path, text):
+        # a pipe cannot be decoded first and read again: it is held whole
+        (tmp_path / "t.schema.json").write_text(TABLE_SCHEMA)
+        (tmp_path / "t.csv").write_bytes(text.encode("latin-1"))
+        os.mkfifo(tmp_path / "pipe.csv")
+        writer = threading.Thread(target=(tmp_path / "pipe.csv").write_bytes,
+                                  args=(text.encode("latin-1"),), daemon=True)
+        writer.start()
+        try:
+            piped = _bits(data.load_table, tmp_path / "pipe.csv", tmp_path / "t.schema.json")
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        want = _bits(data.load_table, tmp_path / "t.csv", tmp_path / "t.schema.json")
+        assert piped == (want.replace("t.csv", "pipe.csv") if isinstance(want, str) else want)
+
+    def test_each_distinct_line_is_split_once_across_blocks(self, tmp_path, monkeypatch):
+        (tmp_path / "t.schema.json").write_text(TABLE_SCHEMA)
+        (tmp_path / "t.csv").write_text("a,1.5,u\nb,?,v\na,2,w\n" * 5)
+        calls = []
+        real = data._cell
+        monkeypatch.setattr(data, "_cell", lambda *args: calls.append(args[1]) or real(*args))
+        monkeypatch.setattr(data, "_BLOCK_ROWS", 2)
+        loaded = data.load_table(tmp_path / "t.csv", tmp_path / "t.schema.json")
+        # only the first block's x column holds "?"; later blocks repeat its lines
+        assert calls == ["1.5", "?"]
+        assert loaded == load_table_oracle(tmp_path / "t.csv", tmp_path / "t.schema.json")
+
+
+# ---------------------------------------------------------------------------
 # Files with repeated lines: each distinct line is parsed once
 
 def _repeat(draw, text, separator):
@@ -1021,6 +1243,42 @@ class TestWriterMatchesTheRowWriter:
         data.write_table(dataset, tmp_path / "new.csv")
         write_table_oracle(dataset, tmp_path / "old.csv")
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def _traced_peak(call, *args):
+    """The most memory tracemalloc saw allocated at once during call(*args)."""
+    tracemalloc.start()
+    try:
+        call(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestTableMemory:
+    """Table I/O holds the matrix plus one block: no copy of the file's text,
+    and no cell strings for more than _BLOCK_ROWS rows at once."""
+
+    def test_writer_peak_does_not_grow_with_the_rows(self, tmp_path):
+        peaks = []
+        for n in (20_000, 40_000):
+            train, _ = data.plant_context_dataset(data.PlantedContextParams(n_train=n), 0)
+            peaks.append(_traced_peak(data.write_table, train, tmp_path / "t.csv"))
+        # the whole-table writer held every cell's text: 11 and 22 MB here
+        assert peaks[1] < 1.05 * peaks[0] < 4 * 2**20
+
+    def test_loader_peak_is_the_matrix_plus_a_block(self, tmp_path):
+        rng, n, width = random.Random(3), 20_000, 8
+        schema = [{"name": f"x{j}", "role": "class" if j == 0 else "primary",
+                   "kind": "discrete", "alphabet": ["0", "1"]} for j in range(width)]
+        (tmp_path / "t.schema.json").write_text(json.dumps(schema), encoding="utf-8")
+        (tmp_path / "t.csv").write_text("".join(",".join(rng.choice("01") for _ in range(width))
+                                                + "\n" for _ in range(n)), encoding="utf-8")
+        matrix = n * width * 8
+        peak = _traced_peak(data.load_table, tmp_path / "t.csv", tmp_path / "t.schema.json")
+        # the rest is each line's row index (8 bytes a line) and one block;
+        # the whole-file reader held 1.9 MB more than the matrix here
+        assert peak < matrix + 512 * 1024
 
 
 def _load_sidecar(text):

@@ -1297,6 +1297,28 @@ class TestPipeline:
         assert len(tr.schema.primary_indices) == 11
         assert tr.n_rows == train.n_rows and te.n_rows == test.n_rows
 
+    def test_a_stage_that_overflows_is_named(self, monkeypatch):
+        ds = numeric_dataset([[1.0, 2.0, 3.0, 4.0], [1e300, -1e300, 1e300, 1.0]],
+                             ["a", "b", "a", "b"], context=["0", "0", "1", "1"])
+        config = PipelineConfig(weight=True, context=ContextKey("ctx"))
+        monkeypatch.setattr(preprocess, "apply_weights", lambda w, d: d.replace_columns(
+            w.indices, d.values[:, list(w.indices)] * 1e10))  # 1e310: inf, unwarned
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as raised:
+                run_pipeline(config, ds, ds.subset([]))
+        assert str(raised.value) == "weighting turned finite cells of feature 'x1' non-finite"
+
+    def test_missing_cells_that_stay_missing_are_not_refused(self):
+        schema = FeatureSchema((Feature("x", FeatureRole.PRIMARY, "continuous"),
+                                Feature("g", FeatureRole.CONTEXTUAL, "discrete", ("u", "v")),
+                                Feature("cls", FeatureRole.CLASS, "discrete", ("a", "b"))))
+        ds = Dataset.build(schema, [(1.0, "u", "a"), (2.0, MISSING, "b"), (3.0, "v", "a")])
+        # the normalizer leaves the context column, and its MISSING cell, as they are
+        train, _ = run_pipeline(PipelineConfig(normalize="zscore"), ds, ds)
+        assert np.isnan(train.values).tolist() == np.isnan(ds.values).tolist()
+        assert not np.array_equal(train.values[:, 0], ds.values[:, 0])
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             PipelineConfig(normalize="contextual")  # no context key

@@ -481,6 +481,29 @@ class TestRowKeys:
         assert rows.tolist() == want_rows.tolist()
         assert full_of.tolist() == want_of.reshape(-1).tolist()
 
+    def test_float_codes_past_two_to_the_53(self):
+        # estimate_distribution keys the float matrix itself: each column is
+        # added as int64, so keys past 2^53 keep every bit
+        codes = np.random.default_rng(62).integers(0, 2, size=(300, 62))
+        assert taxonomy._row_keys(codes.astype(float)).tolist() == taxonomy._row_keys(codes).tolist()
+
+
+def test_estimate_allocates_no_rows_by_features_array():
+    n, d = 20_000, 96
+    rng = np.random.default_rng(0)
+    codes = rng.integers(0, 2, size=(16, d))[rng.integers(0, 16, size=n)]
+    feats = tuple(data.Feature(f"x{j}", data.FeatureRole.CLASS if j == 0 else
+                               data.FeatureRole.PRIMARY, "discrete", ("0", "1")) for j in range(d))
+    dataset = data.Dataset(data.FeatureSchema(feats), codes)
+    tracemalloc.start()
+    try:
+        dist = estimate_distribution(dataset)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(dist.probs.values()) == pytest.approx(1.0)
+    assert peak < n * d  # less than an n x d array of one byte a cell
+
 
 class TestEstimateOrder:
     @settings(max_examples=100, deadline=None, derandomize=True)
