@@ -57,7 +57,7 @@ def _open_text(path, newline=None) -> tuple[bool, io.TextIOWrapper]:
         with raw:
             raw = io.BytesIO(raw.read())
     fh = io.TextIOWrapper(raw, encoding="utf-8", newline=newline)
-    try:
+    try:  # a list, not a generator, so that every chunk is decoded
         quoted = any(['"' in chunk for chunk in iter(lambda: fh.read(1 << 16), "")])
     except UnicodeDecodeError:  # its position counts from the chunk: decode the file for its own
         with fh:
