@@ -227,11 +227,17 @@ def _fit_forward(x, y, params: SelectionParams) -> list[tuple[float, tuple, tupl
 def mlr_fit_many(trains: Sequence[Dataset],
                  selection: SelectionParams | None = None) -> list[LinearDiscriminantModel]:
     """mlr_fit of each train; with selection on, the (train, class) designs of one
-    shape are fitted as stacks whose basis holds at most _STACK_CELLS cells."""
+    shape are fitted as stacks whose basis holds at most _STACK_CELLS cells.  A
+    design whose column sums of squares overflow is refused before any walk."""
     selection, models = selection or SelectionParams(), [[] for _ in trains]
     groups = {}  # design shape -> [(train index, class symbol, x, 0/1 target)]
     for i, train in enumerate(trains):
-        _, x = _fit_matrix(train, "empty training set")
+        idx, x = _fit_matrix(train, "empty training set")
+        with np.errstate(over="ignore"):  # bit for bit _column_dots(x, x), a walk's first sums
+            finite = (x * x).sum(axis=0) < np.inf
+        if not finite.all():
+            name = train.schema.features[idx[int(finite.argmin())]].name
+            raise ValueError(f"mlr fit would overflow the column sums of feature {name!r}")
         codes, feature = train.class_codes(), train.schema.class_feature
         groups.setdefault(x.shape, []).extend(
             (i, cls, x, (codes == feature.codes[cls]).astype(float)) for cls in feature.alphabet)

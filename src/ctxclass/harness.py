@@ -109,11 +109,14 @@ def run_strategy_grid(
 
     Each pipeline stage runs once per distinct prefix of the fixed order
     impute+encode -> normalize -> weight -> expand: the root pair is imputed
-    and encoded once, then each stage runs on every pair of the level before
-    it when its flag is on and passes the pair through when it is off (1
-    normalization, 2 weightings, 4 expansions).  Every stage reads only the
-    output of the stage before it and encoding already-encoded data changes
-    nothing, so each leaf equals the full per-combo run_pipeline output.
+    (both splits in one ranking) and encoded once, then normalization and
+    weighting run on every pair of the level before them when their flag is
+    on and pass the pair through when it is off (1 normalization, 2
+    weightings).  They rewrite only primary columns, and the expanded feature
+    is contextual, so the one expansion of the root pair gives every expanded
+    leaf its column and schema.  Every stage reads only the output of the
+    stage before it and encoding already-encoded data changes nothing, so
+    each leaf equals the full per-combo run_pipeline output.
     The normalizer is ``normalize``: "contextual" fits group statistics on
     the training split, "contextual-transductive" on each split's own rows.
     One evaluate_many call scores the 8 leaves, so their mlr fits run as stacks.
@@ -121,7 +124,6 @@ def run_strategy_grid(
     stages = (
         PipelineConfig(normalize=normalize, context=context),
         PipelineConfig(weight=True, context=context),
-        PipelineConfig(expand=(expand_feature,)),
     )
     # leaf pairs keyed by the pipeline-order flags (normalize, weight, expand)
     leaves = {(): run_pipeline(PipelineConfig(impute=impute), train, test)}
@@ -131,6 +133,14 @@ def run_strategy_grid(
             for flags, pair in leaves.items()
             for on in (False, True)
         }
+    expanded = run_pipeline(PipelineConfig(expand=(expand_feature,)), *leaves[False, False])
+    at = [train.schema.index_of(expand_feature)]
+    leaves = {
+        flags + (on,): tuple(ds.replace_columns(at, e.values[:, at], e.schema)
+                             for ds, e in zip(pair, expanded)) if on else pair
+        for flags, pair in leaves.items()
+        for on in (False, True)
+    }
     # table order (normalize, expand, weight) to pipeline order
     pairs = [leaves[(normalize, weight, expand)] for normalize, expand, weight in STRATEGY_COMBOS]
     return tuple(CellResult(combo, correct, test.n_rows)

@@ -15,17 +15,16 @@ A normalizer is a fit, an apply, and the set it is fitted on: the training
 split ("minmax", "zscore", "percentile", "contextual"), a baseline set
 ("baseline", "contextual-nn", "contextual-linear"), or each split itself
 ("contextual-transductive").  NORMALIZERS lists them after "none", and one
-dispatch turns each into a function of one split that run_pipeline applies
-to both.  The context fits take the fit set and a ContextKey: fit_contextual
-groups by it; fit_context_nn and fit_context_linear regress on its feature's
-raw values.
+dispatch gives each one's apply and fitted models, which run_pipeline
+applies to both splits.  The context fits take the fit set and a ContextKey:
+fit_contextual groups by it; fit_context_nn and fit_context_linear regress on
+its feature's raw values.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
-from functools import partial
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -67,6 +66,23 @@ def _fit_matrix(fit_set: Dataset, empty_message: str) -> tuple[tuple[int, ...], 
 
 def _mean_std(m: np.ndarray) -> tuple[tuple[float, ...], tuple[float, ...]]:
     return tuple(m.mean(axis=0)), tuple(m.std(axis=0))
+
+
+def _group_moments(m: np.ndarray, group: np.ndarray, n_groups: int
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Each group's mean and population deviation, as n_groups x columns
+    matrices: bit for bit m[group == g].mean(axis=0) and .std(axis=0) of
+    groups 0 to n_groups - 1, each with a row (group -1 is skipped).  A stable
+    sort makes each group a contiguous slice of its rows in their order, and
+    the slice runs numpy's own steps: sum / n, deviations squared in place,
+    sum / n, then one square root."""
+    ends = np.cumsum(np.bincount(group + 1, minlength=n_groups + 1)).tolist()
+    rows, mean, var = m[np.argsort(group, kind="stable")], *np.empty((2, n_groups, m.shape[1]))
+    for g, (lo, hi) in enumerate(zip(ends, ends[1:])):
+        mean[g] = rows[lo:hi].sum(axis=0) / (hi - lo)
+        dev = rows[lo:hi] - mean[g]
+        var[g] = np.multiply(dev, dev, out=dev).sum(axis=0) / (hi - lo)
+    return mean, np.sqrt(var, out=var)
 
 
 def _add_planes(planes: np.ndarray, lo: int, hi: int) -> np.ndarray:
@@ -433,7 +449,8 @@ def fit_contextual(train: Dataset, key: ContextKey) -> GroupContextModel:
     group, labels = key.groups(train)
     if not labels:
         raise ValueError(f"context feature {key.feature!r} has no resolvable values")
-    groups = {label: _mean_std(m[group == g]) for g, label in enumerate(labels)}
+    mean, std = _group_moments(m, group, len(labels))
+    groups = {label: (tuple(mu), tuple(sigma)) for label, mu, sigma in zip(labels, mean, std)}
     return GroupContextModel(idx, key, groups, _mean_std(m))
 
 
@@ -537,8 +554,8 @@ def compute_weights(train: Dataset, key: ContextKey) -> WeightVector:
     classes = train.class_codes()
     n_classes = len(train.schema.class_feature.alphabet)
     cell, cells = _first_occurrence(np.where(group >= 0, group * n_classes + classes, np.nan))
-    inter = np.mean([m[group == g].std(axis=0) for g in range(len(labels))], axis=0)
-    intra = np.mean([m[cell == c].std(axis=0) for c in range(len(cells))], axis=0)
+    inter = _group_moments(m, group, len(labels))[1].mean(axis=0)
+    intra = _group_moments(m, cell, len(cells))[1].mean(axis=0)
     weights = inter / np.maximum(intra, SIGMA_FLOOR)
     return WeightVector(idx, tuple(weights), tuple(inter), tuple(intra))
 
@@ -625,23 +642,20 @@ def impute_missing(train: Dataset, target: Dataset) -> Dataset:
         return target
 
     lo, hi = np.nanmin(train_raw, axis=0), np.nanmax(train_raw, axis=0)
-    train_m = _minmax_scale(train_raw, lo, hi)
-    target_m = (train_m if target is train
-                else _minmax_scale(_encoded_columns(target, indices), lo, hi))
-
     cols = np.asarray(indices)
     values = target.values.copy()
     incomplete = np.flatnonzero(np.isnan(values).any(axis=1))
-    queries = target_m[incomplete]
-    train_columns, query_columns = train_m.T.copy(), queries.T
+    # scaling is cell by cell, so only the incomplete target rows are scaled
+    queries = _minmax_scale(_encoded_columns(target, indices)[incomplete], lo, hi)
+    train_columns, query_columns = _minmax_scale(train_raw, lo, hi).T.copy(), queries.T
     train_absent, query_absent = np.isnan(train_columns), np.isnan(queries)
 
     def similarity(rows, out):  # 1 - |difference| where both cells are present, else 0
         np.copyto(out, train_columns[:, None])
         np.subtract(out, query_columns[:, rows, None], out=out)
         np.subtract(1.0, np.abs(out, out=out), out=out)
-        np.copyto(out, 0.0, where=train_absent[:, None])
-        np.copyto(out, 0.0, where=query_absent.T[:, rows, None])
+        # a training cell is in [0, 1] or NaN, so a term is NaN just where a cell is
+        np.copyto(out, 0.0, where=np.isnan(out))
 
     for start, sims in _block_sums(len(queries), train.n_rows, len(indices), similarity):
         rows = incomplete[start:start + len(sims)]
@@ -693,35 +707,38 @@ class PipelineConfig:
         object.__setattr__(self, "expand", tuple(self.expand))
 
 
-def _normalizer(config: PipelineConfig, train: Dataset):
-    """config.normalize as a function of one split: the model fitted on its fit
-    set, applied; for "contextual-transductive", fitted on the split itself.
-    Each fit is named here, not in a table built at import, so a patched
-    module attribute (a test double, the benchmark's tracer) sees its call."""
+def _normalizer(config: PipelineConfig, train: Dataset, test: Dataset):
+    """config.normalize as its apply and its models: one fitted on its fit set
+    for both splits, or, for "contextual-transductive", one fitted on each
+    split itself.  Each fit is named here, not in a table built at import, so a
+    patched module attribute (a test double, the benchmark's tracer) sees its call."""
     name, key, fit_set = config.normalize, config.context, train
     if name == "contextual-transductive":
-        return lambda ds: apply_contextual(fit_contextual(ds, key), ds)
+        return apply_contextual, (fit_contextual(train, key), fit_contextual(test, key))
     if name in _BASELINE_FITTED:
         fit_set = encode_numeric(config.baseline)
         if config.impute:
             fit_set = impute_missing(fit_set, fit_set)
     if name == "minmax":
-        return partial(apply_minmax, fit_minmax(fit_set))
+        return apply_minmax, (fit_minmax(fit_set),)
     if name == "percentile":
-        return partial(apply_percentile, fit_percentile(fit_set))
+        return apply_percentile, (fit_percentile(fit_set),)
     if name in ("zscore", "baseline"):
-        return partial(apply_zscore, fit_zscore(fit_set))
+        return apply_zscore, (fit_zscore(fit_set),)
     if name == "contextual":
-        return partial(apply_contextual, fit_contextual(fit_set, key))
+        return apply_contextual, (fit_contextual(fit_set, key),)
     if name == "contextual-nn":
-        return partial(apply_contextual, fit_context_nn(fit_set, key))
-    return partial(apply_contextual, fit_context_linear(fit_set, key))
+        return apply_contextual, (fit_context_nn(fit_set, key),)
+    return apply_contextual, (fit_context_linear(fit_set, key),)
 
 
-def _applied(stage: str, apply, train: Dataset, test: Dataset) -> tuple[Dataset, Dataset]:
-    """apply(train), apply(test); a cell that apply turns from finite into
-    infinite or NaN is a ValueError naming the stage and the first such feature."""
-    pair = apply(train), apply(test)
+def _applied(stage: str, apply, models: tuple, train: Dataset, test: Dataset
+             ) -> tuple[Dataset, Dataset]:
+    """apply(models[0], train), apply(models[-1], test).  A cell that apply
+    turns from finite into infinite or NaN, then a statistic fitted in a model
+    that is not finite (a deviation that overflows to inf makes every z-score
+    0), is a ValueError naming the stage and the first such feature."""
+    pair = apply(models[0], train), apply(models[-1], test)
     for before, after in zip((train, test), pair):
         if after is before or -np.inf < after.values.sum() < np.inf:  # every cell is finite
             continue
@@ -729,6 +746,16 @@ def _applied(stage: str, apply, train: Dataset, test: Dataset) -> tuple[Dataset,
         if turned.any():
             name = after.schema.features[int(turned.argmax())].name
             raise ValueError(f"{stage} turned finite cells of feature {name!r} non-finite")
+    for model in models:  # statistics: tuples of one float a feature; arrays hold cells
+        if isinstance(model, GroupContextModel):
+            stats = [*model.groups.values(), model.fallback]
+        else:
+            stats = [v for v in vars(model).values()
+                     if isinstance(v, tuple) and v and isinstance(v[0], float)]
+        bad = ~np.isfinite(np.array(stats, dtype=float))
+        if bad.any():
+            name = train.schema.features[model.indices[np.nonzero(bad)[-1].min()]].name
+            raise ValueError(f"{stage} fitted a non-finite statistic of feature {name!r}")
     return pair
 
 
@@ -740,24 +767,29 @@ def run_pipeline(
 
     Imputation, weighting and expansion are fitted on the training split;
     the normalizer on its fit set (see PipelineConfig), then applied to both.
-    A normalizer, weighting or expansion that turns a finite cell non-finite
+    A normalizer, weighting or expansion that turns a finite cell non-finite,
+    then a normalizer or weighting fitted to a statistic that is not finite,
     is refused by name; imputation and encoding only copy finite cells and
-    codes.
+    codes, and an expansion's ranges are cells of the training split.
+    Imputation ranks the rows of both splits in one pass: a row's donors
+    depend on its own similarities alone.
     """
     if config.impute:
-        train, test = impute_missing(train, train), impute_missing(train, test)
+        n, both = train.n_rows, Dataset(train.schema, np.vstack([train.values, test.values]))
+        filled = impute_missing(train, both).values
+        train, test = Dataset(train.schema, filled[:n]), Dataset(test.schema, filled[n:])
     train, test = encode_numeric(train), encode_numeric(test)
 
     if config.normalize != "none":
-        normalize = _normalizer(config, train)
-        train, test = _applied(f"{config.normalize} normalization", normalize, train, test)
+        apply, models = _normalizer(config, train, test)
+        train, test = _applied(f"{config.normalize} normalization", apply, models, train, test)
 
     if config.weight:
         w = compute_weights(train, config.context)
-        train, test = _applied("weighting", partial(apply_weights, w), train, test)
+        train, test = _applied("weighting", apply_weights, (w,), train, test)
 
     if config.expand:
         model = fit_expansion(train, config.expand)
-        train, test = _applied("expansion", partial(apply_expansion, model), train, test)
+        train, test = _applied("expansion", apply_expansion, (model,), train, test)
 
     return train, test

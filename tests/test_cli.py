@@ -646,6 +646,34 @@ class TestNormalize:
             f"normalize: {mode} normalization turned finite cells of feature 'p1' non-finite\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, cell, message", [
+        # the squared deviations overflow, so the deviation is inf and every z-score 0
+        ("normalize", "1e160",
+         "normalize: zscore normalization fitted a non-finite statistic of feature 'p'\n"),
+        ("compare-normalizers", "1e300",
+         "compare-normalizers: mlr fit would overflow the column sums of feature 'p'\n"),
+    ])
+    def test_a_fit_that_overflows_is_refused(self, tmp_path, command, cell, message, capsys):
+        sp = tmp_path / "s.json"
+        sp.write_text(
+            '[{"name": "cls", "role": "class", "kind": "discrete", "alphabet": ["a", "b"]},\n'
+            ' {"name": "c", "role": "contextual", "kind": "continuous"},\n'
+            ' {"name": "p", "role": "primary", "kind": "continuous"},\n'
+            ' {"name": "q", "role": "primary", "kind": "discrete", "alphabet": ["u", "v"]}]\n')
+        dp = tmp_path / "t.csv"
+        dp.write_text(f"a,1,{cell},u\nb,2,-{cell},v\na,3,-{cell},u\n")
+        out = tmp_path / "out"
+        argv = {"normalize": ["--data", str(dp), "--schema", str(sp), "--mode", "zscore",
+                              "--out", str(out)],
+                "compare-normalizers": ["--train", str(dp), "--train-schema", str(sp),
+                                        "--test", str(dp), "--test-schema", str(sp),
+                                        "--out", str(out)]}[command]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning escapes
+            assert cli.main([command, *argv]) == 4
+        assert capsys.readouterr() == ("", message)
+        assert sorted(tmp_path.iterdir()) == sorted([dp, sp])  # no file written
+
     def test_binned_continuous_context(self, tmp_path, continuous_context_table):
         dp, sp = continuous_context_table
         out = tmp_path / "norm.csv"

@@ -348,7 +348,7 @@ class TestGridMatchesPerComboPipeline:
 
 
 def test_grid_runs_each_shared_stage_once_per_prefix(synthetic_hepatitis, monkeypatch):
-    calls = {"impute_missing": 0, "fit_contextual": 0, "compute_weights": 0}
+    calls = {"impute_missing": 0, "fit_contextual": 0, "compute_weights": 0, "fit_expansion": 0}
     for name in calls:
         real = getattr(preprocess, name)
 
@@ -358,8 +358,10 @@ def test_grid_runs_each_shared_stage_once_per_prefix(synthetic_hepatitis, monkey
 
         monkeypatch.setattr(preprocess, name, counting)
     run_hepatitis_grid(synthetic_hepatitis, n_splits=3)
-    # per split: impute train and test once, one normalization, two weightings
-    assert calls == {"impute_missing": 6, "fit_contextual": 3, "compute_weights": 6}
+    # per split: impute train and test in one ranking, one normalization, two
+    # weightings, one expansion
+    assert calls == {"impute_missing": 3, "fit_contextual": 3, "compute_weights": 6,
+                     "fit_expansion": 3}
 
 
 def test_comparison_reaches_each_fit_through_its_module_attribute(planted, monkeypatch):

@@ -698,6 +698,43 @@ class TestContextualGroups:
         assert out.column(1) == (0.0,)
 
 
+@st.composite
+def grouped_matrices(draw):
+    """A matrix of 1-6 columns, each random, constant or zero at a magnitude
+    from 1e-8 to 1e8, with zeros of either sign sprinkled in, and a group
+    number for each of its 1-60 rows: -1 (MISSING) or 0 to k - 1, every one of
+    which has a row; one-row groups are common."""
+    n, d = draw(st.integers(1, 60)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = []
+    for _ in range(d):
+        kind, scale = draw(st.sampled_from(["random", "constant", "zero"])), 10.0 ** draw(
+            st.integers(-8, 8))
+        col = {"random": rng.normal(size=n), "constant": np.full(n, rng.normal()),
+               "zero": np.zeros(n)}[kind] * scale
+        col[rng.random(n) < 0.1] = 0.0
+        col[rng.random(n) < 0.1] = -0.0
+        columns.append(col)
+    raw = draw(st.lists(st.integers(-1, draw(st.integers(1, 8))), min_size=n, max_size=n))
+    raw[0] = max(raw[0], 0)
+    number = {g: i for i, g in enumerate(dict.fromkeys(g for g in raw if g >= 0))}
+    return np.stack(columns, axis=1), np.array([number.get(g, -1) for g in raw]), len(number)
+
+
+class TestGroupMomentsMatchTheMaskedMoments:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(case=grouped_matrices())
+    def test_bit_for_bit(self, case):
+        m, group, n_groups = case
+        mean, std = preprocess._group_moments(m, group, n_groups)
+        assert mean.shape == std.shape == (n_groups, m.shape[1])
+        for g in range(n_groups):
+            rows = m[group == g]
+            # the bytes hold the sign of a zero as well
+            assert mean[g].tobytes() == rows.mean(axis=0).tobytes()
+            assert std[g].tobytes() == rows.std(axis=0).tobytes()
+
+
 class TestContextualModel:
     def _baseline(self, slope, noise, n=60, seed=5):
         rng = random.Random(seed)
@@ -1237,6 +1274,19 @@ class TestImputationMatchesOracle:
         got, want = impute_missing(train, target), impute_oracle(train, target)
         assert got == want
         assert got.rows == want.rows
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(tables=imputation_tables())
+    def test_the_pipeline_ranks_both_splits_at_once(self, monkeypatch, tables):
+        # blocks of 3 rows: training and target rows share blocks
+        monkeypatch.setattr(preprocess, "_NN_BLOCK_ROWS", 3)
+        train, target = tables
+        got = run_pipeline(PipelineConfig(impute=True), train, target)
+        # every discrete feature of the tables is contextual, so encoding keeps it
+        want = impute_oracle(train, train), impute_oracle(train, target)
+        assert got == want
+        assert [ds.rows for ds in got] == [ds.rows for ds in want]
 
 
 class TestEncodeNumeric:
