@@ -140,7 +140,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--context", help="context feature for --mode contextual")
     p.add_argument("--bins", type=_bin_count, default=None,
                    help="equal-frequency bins for a continuous context feature")
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True, help="output CSV (and its .schema.json sidecar)")
     return parser
 
 
@@ -301,7 +301,8 @@ def _cmd_normalize(args) -> None:
             normalize=args.mode, context=context, impute=ds.missing_count() > 0
         )
         out, _ = preprocess.run_pipeline(config, ds, ds.subset([]))
-    data.write_table(out, args.out)
+    # discrete primaries come out as continuous codes: the input's sidecar no longer fits
+    data.write_table(out, args.out, Path(args.out).with_suffix(".schema.json"))
     print(f"wrote {args.out}")
 
 

@@ -36,7 +36,6 @@ SIGMA_FLOOR = 1e-12
 _NN_BLOCK_ROWS = 64  # most queries per L1 kernel block; reference rows per pruned-search leaf
 _NN_PRUNE_ROWS = 512  # reference rows above which _nearest_rows prunes its search
 _NN_BLOCK_CELLS = 1 << 17  # most terms a kernel block writes: 1 MB, to stay in cache
-_NN_BOUND_CELLS = 1 << 19  # leaf x query bounds per chunk of a pruned search: 4 MB
 
 
 def _require_numeric(dataset: Dataset, indices: Sequence[int]) -> np.ndarray:
@@ -158,54 +157,53 @@ def _nearest_among(queries: np.ndarray, reference: np.ndarray, rows: np.ndarray,
     return best, dist
 
 
+def _boxes(m: np.ndarray, parts) -> tuple[np.ndarray, np.ndarray]:
+    """Each part's least and greatest cell by column of m, then of its row sums."""
+    rows, starts = m[np.concatenate(parts)], np.cumsum([0] + [len(part) for part in parts[:-1]])
+    rows = np.column_stack([rows, rows @ np.ones(m.shape[1])])
+    return np.minimum.reduceat(rows, starts), np.maximum.reduceat(rows, starts)
+
+
 @np.errstate(over="ignore", invalid="ignore")  # sums of huge rows: inf, and inf - inf
 def _pruned_search(queries: np.ndarray, reference: np.ndarray, nearest: np.ndarray) -> bool:
-    """Fill nearest a chunk of queries (_NN_BOUND_CELLS leaf x query bounds) at a
-    time; False, with nothing filled, if the first chunk would run in full."""
-    leaves = list(_leaves(reference, np.arange(len(reference))))
-    sizes = np.array([len(leaf) for leaf in leaves])
-    order, starts = np.concatenate(leaves), np.cumsum(sizes) - sizes
-    lo, hi = (f.reduceat(reference[order], starts) for f in (np.minimum, np.maximum))  # L x d boxes
-    d, ones = queries.shape[1], np.ones(queries.shape[1])
-    bottom, top = (f.reduceat((reference @ ones)[order], starts) for f in (np.minimum, np.maximum))
+    """Fill nearest a leaf of queries at a time; False, with nothing filled,
+    if no query leaf can rule out half the reference rows."""
+    d, n, dist = queries.shape[1], len(reference), np.empty(len(queries))
     # a sum of d cells, in any order, is off by under d x eps x d x the largest cell
     margin = (np.abs(queries).max() + np.abs(reference).max()) * d * (d + 2) * np.finfo(float).eps
-    q_sum = queries @ ones
-    size = max(1, _NN_BOUND_CELLS // len(leaves))
-    bounds = np.empty((len(leaves), min(size, len(queries))))  # one chunk's, reused
-    for c in (slice(s, s + size) for s in range(0, len(queries), size)):
-        query_columns = np.ascontiguousarray(queries[c].T)
-        below, above = np.empty((2, *query_columns.shape))
-        bound = bounds[:, :query_columns.shape[1]]
-        for k, row in enumerate(bound):  # L1 from leaf k's box, or from its sums
-            np.maximum(np.subtract(lo[k, :, None], query_columns, out=below),
-                       np.subtract(query_columns, hi[k, :, None], out=above), out=below)
-            np.maximum(below, 0.0, out=below).sum(axis=0, out=row)
-            np.fmax(row, np.fmax(q_sum[c] - top[k], bottom[k] - q_sum[c]) - margin, out=row)
-        hit = bound == bound.min(axis=0)  # booleans: argmin(axis=0) would copy bound
-        near = hit.argmax(axis=0)  # the first leaf of least bound
-        groups = {k: np.flatnonzero(near == k) for k in np.unique(near)}
-        far = np.maximum(np.abs(queries[c] - lo[near]), np.abs(queries[c] - hi[near])).sum(axis=1)
-        np.less_equal(bound, far, out=hit)  # a group copies these columns, not its bounds
-        if 2 * sum(len(g) * sizes[hit[:, g].any(axis=1)].sum()
-                   for g in groups.values()) > len(near) * len(reference):
-            if c.start == 0:
-                return False
-            nearest[c] = _nearest_among(queries[c], reference, np.arange(len(reference)))[0]
-            continue
-        best, dist = np.empty(len(near), np.intp), np.empty(len(near))
-        for k, g in groups.items():
-            best[g], dist[g] = _nearest_among(queries[c][g], reference, leaves[k])
-        np.less_equal(bound, dist * (1 + 1e-9), out=hit)
-        for k, g in groups.items():
-            keep = hit[:, g].any(axis=1)
-            keep[k] = False
-            if keep.any():
-                rows = np.sort(np.concatenate([leaves[i] for i in np.flatnonzero(keep)]))
-                alt, alt_dist = _nearest_among(queries[c][g], reference, rows)
-                best[g] = np.where((alt_dist < dist[g]) | (alt_dist == dist[g]) & (alt < best[g]),
-                                   alt, best[g])
-        nearest[c] = best
+    leaves, parts = (list(_leaves(m, np.arange(len(m)))) for m in (reference, queries))
+    (lo, hi), (q_lo, q_hi) = _boxes(reference, leaves), _boxes(queries, parts)
+    bound, sizes = np.zeros((len(parts), len(leaves))), np.array([len(leaf) for leaf in leaves])
+    for j in range(d + 1):  # a column at a time: leaves x leaves x d gaps would be large
+        gap = np.maximum(lo[:, j] - q_hi[:, j, None], q_lo[:, j, None] - hi[:, j])
+        if j < d:  # the boxes' gaps add up to below the L1 distance of two leaves' rows
+            bound += np.maximum(gap, 0.0, out=gap)
+    bound = np.fmax(bound, gap - margin, out=bound)  # or the sums' gap; inf - inf gives NaN: none
+    near = (bound == bound.min(axis=1, keepdims=True)).argmax(axis=1)  # first leaf of least bound
+    # above every distance from a query leaf's rows to its near leaf's rows
+    far = np.maximum(np.abs(q_hi - lo[near]), np.abs(hi[near] - q_lo))[:, :d].sum(axis=1)
+    if (2 * ((bound <= far[:, None]) @ sizes) > n).all():
+        return False
+    for k in set(near.tolist()):  # the query leaves nearest one leaf run over it at once
+        group = np.concatenate([parts[a] for a in np.flatnonzero(near == k)])
+        nearest[group], dist[group] = _nearest_among(queries[group], reference, leaves[k])
+    keep = bound <= np.array([dist[part].max() for part in parts])[:, None] * (1 + 1e-9)
+    keep[np.arange(len(parts)), near] = False  # the other leaves that might hold a nearer row
+    runs = {}  # the query leaves that run over the same leaves next
+    for a in np.flatnonzero(keep.any(axis=1)):
+        part, kept = parts[a], np.flatnonzero(keep[a])
+        if 2 * sizes[kept].sum() <= n:  # else most rows might be nearer: run over all it keeps
+            points = np.column_stack([queries[part], queries[part] @ np.ones(d)])[:, None]
+            gap = np.maximum(lo[kept] - points, points - hi[kept])  # each query's, as above
+            bounds = np.fmax(np.maximum(gap[..., :d], 0.0).sum(axis=2), gap[..., d] - margin)
+            kept = kept[(bounds <= dist[part, None] * (1 + 1e-9)).any(axis=0)]
+        if kept.size:
+            runs.setdefault(tuple(kept), []).append(part)
+    for kept, group in runs.items():  # the nearer row wins, the lower index on equal distances
+        group, rows = np.concatenate(group), np.sort(np.concatenate([leaves[k] for k in kept]))
+        alt, alt_dist = _nearest_among(queries[group], reference, rows)
+        won = (alt_dist < dist[group]) | (alt_dist == dist[group]) & (alt < nearest[group])
+        nearest[group[won]] = alt[won]
     return True
 
 
@@ -218,16 +216,21 @@ def _nearest_rows(queries: np.ndarray, reference: np.ndarray,
     distances tie only if they round alike, and every tie breaks as it did.
 
     Above _NN_PRUNE_ROWS reference rows, with a query, a column and only finite
-    cells, the search is pruned.  Leaves of _NN_BLOCK_ROWS rows, cut at the median
-    of the widest column, bound their L1 distance to a query from below by their
-    box (Friedman, Bentley & Finkel) and by their rows' least and greatest sums:
-    |sum q - sum r| <= d(q, r) (Hoelder; a projection bound as in Nene & Nayar),
-    less more than rounding can add.  Queries bounded lowest at one leaf run
-    over it, then over the ascending rows of the leaves their distances, plus a
-    relative 1e-9, do not rule out; the nearer row wins, the lower index on
-    equal distances, so every distance and tie is as in the full search.  A
-    chunk of queries of which more than half the pairs might be computed (by
-    the far corner of each query's box) runs in full, as leave_one_out does."""
+    cells, the search is pruned, a leaf of queries against a leaf of rows
+    (dual-tree search: Gray & Moore, "N-Body Problems in Statistical Learning",
+    2001).  Queries and rows are cut into leaves of _NN_BLOCK_ROWS rows at the
+    median of the widest column.  Two leaves bound the L1 distance between
+    their rows from below by their boxes (Friedman, Bentley & Finkel) and by
+    their rows' least and greatest sums: |sum q - sum r| <= d(q, r) (Hoelder; a
+    projection bound as in Nene & Nayar), less more than rounding can add; a
+    query and a leaf, likewise.  Each query leaf runs over the leaf it bounds
+    lowest, then over the ascending rows of the other leaves that neither its
+    own bound nor, where they hold under half the rows, each query's bound
+    rules out, given the distances found plus a relative 1e-9; the nearer row
+    wins, the lower index on equal distances, so every distance and tie is as
+    in the full search.  If every query leaf would keep more than half the
+    rows (by the far corner of the leaf it bounds lowest), the search runs in
+    full, as leave_one_out does."""
     nearest = np.empty(len(queries), dtype=np.intp)
     if (not leave_one_out and len(reference) > _NN_PRUNE_ROWS and queries.size
             and np.isfinite(queries).all() and np.isfinite(reference).all()
@@ -627,6 +630,9 @@ def impute_missing(train: Dataset, target: Dataset) -> Dataset:
     The donor for a cell must itself have that cell present; otherwise the
     next-nearest donor supplies it.  Target rows with a MISSING cell are
     ranked against the training rows in blocks by the L1 kernel, _block_sums.
+    A feature whose training range, or whose present cell in such a row,
+    scales past the float range is a ValueError naming it: rescaling to
+    dodge the overflow would change the bits of every ordinary fill.
     """
     if train.n_rows == 0:
         raise ValueError("the training set is empty")
@@ -646,9 +652,20 @@ def impute_missing(train: Dataset, target: Dataset) -> Dataset:
     values = target.values.copy()
     incomplete = np.flatnonzero(np.isnan(values).any(axis=1))
     # scaling is cell by cell, so only the incomplete target rows are scaled
-    queries = _minmax_scale(_encoded_columns(target, indices)[incomplete], lo, hi)
+    target_raw = _encoded_columns(target, indices)[incomplete]
+    query_absent = np.isnan(target_raw)  # the target's own MISSING cells, not a NaN of scaling
+    with np.errstate(over="ignore", invalid="ignore"):  # what overflows is refused below
+        wide, queries = ~np.isfinite(hi - lo), _minmax_scale(target_raw, lo, hi)
+    # a present cell scaled past max / (d + 2) could overflow a similarity sum
+    far = (~(np.abs(queries) <= np.finfo(float).max / (len(indices) + 2))
+           & ~query_absent).any(axis=0)
+    for bad, problem in ((wide, "spans a training range too wide to scale"),
+                         (far, "has a cell too far outside its training range to scale")):
+        if bad.any():
+            name = schema.features[indices[int(bad.argmax())]].name
+            raise ValueError(f"feature {name!r} {problem}")
     train_columns, query_columns = _minmax_scale(train_raw, lo, hi).T.copy(), queries.T
-    train_absent, query_absent = np.isnan(train_columns), np.isnan(queries)
+    train_absent = np.isnan(train_columns)
 
     def similarity(rows, out):  # 1 - |difference| where both cells are present, else 0
         np.copyto(out, train_columns[:, None])

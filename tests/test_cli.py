@@ -4,10 +4,14 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ctxclass import cli, data, harness, preprocess
 
@@ -520,6 +524,31 @@ class TestImpute:
         assert code == 3
         assert "the training set is empty" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("train, target, message", [
+        # p spans 2e308: its present cell would scale to NaN and be overwritten
+        ("a,1e308,1\na,-1e308,2\na,0,3\n", "a,1e308,?\n",
+         "impute: feature 'p' spans a training range too wide to scale\n"),
+        # p scales to inf: every similarity is -inf, and q would stay MISSING
+        ("a,-1e308,?\na,-0.9e308,5\n", "a,1e308,?\n",
+         "impute: feature 'p' has a cell too far outside its training range to scale\n"),
+    ])
+    def test_a_feature_that_cannot_be_scaled_is_refused(self, tmp_path, train, target, message,
+                                                        capsys):
+        sp = tmp_path / "s.json"
+        sp.write_text(
+            '[{"name": "cls", "role": "class", "kind": "discrete", "alphabet": ["a"]},\n'
+            ' {"name": "p", "role": "primary", "kind": "continuous"},\n'
+            ' {"name": "q", "role": "primary", "kind": "continuous"}]\n')
+        train_csv, target_csv, out = tmp_path / "train.csv", tmp_path / "target.csv", tmp_path / "o"
+        train_csv.write_text(train)
+        target_csv.write_text(target)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning escapes
+            assert cli.main(["impute", "--data", str(target_csv), "--schema", str(sp),
+                             "--train", str(train_csv), "--out", str(out)]) == 3
+        assert capsys.readouterr() == ("", message)
+        assert not out.exists()
+
 
 class TestNormalize:
     def test_zscore(self, tmp_path, small_table):
@@ -531,6 +560,27 @@ class TestNormalize:
         ds = data.load_table(out, sp)
         col = [float(v) for v in ds.column(1)]
         assert abs(sum(col) / len(col)) < 1e-9
+
+    def test_output_reloads_through_its_own_sidecar(self, tmp_path, capsys):
+        # a discrete primary comes out as continuous codes, which the input's
+        # sidecar would refuse as symbols of q
+        sp = tmp_path / "s.json"
+        sp.write_text(
+            '[{"name": "cls", "role": "class", "kind": "discrete", "alphabet": ["a", "b"]},\n'
+            ' {"name": "p", "role": "primary", "kind": "continuous"},\n'
+            ' {"name": "q", "role": "primary", "kind": "discrete", "alphabet": ["u", "v"]}]\n')
+        dp = tmp_path / "t.csv"
+        dp.write_text("a,0.5,u\nb,?,v\na,1.5,u\nb,2,?\n")
+        out, filled = tmp_path / "n.csv", tmp_path / "i.csv"
+        assert cli.main(["normalize", "--data", str(dp), "--schema", str(sp), "--mode", "zscore",
+                         "--out", str(out)]) == 0
+        assert capsys.readouterr().out == f"wrote {out}\n"
+        normalized = data.load_table(out, tmp_path / "n.schema.json")
+        assert [f.kind for f in normalized.schema] == ["discrete", "continuous", "continuous"]
+        assert cli.main(["impute", "--data", str(out), "--schema", str(tmp_path / "n.schema.json"),
+                         "--out", str(filled)]) == 0
+        assert data.load_table(filled, tmp_path / "n.schema.json").values.tolist() == \
+            normalized.values.tolist()
 
     def test_non_finite_cell_is_load_error(self, tmp_path, small_table, capsys):
         _, sp = small_table
@@ -846,3 +896,127 @@ def test_commands_name_utf8_in_every_locale(hepatitis_file, spec_file, tmp_path)
              *argv],
             env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, (argv[0], proc.stderr)
+
+
+# cells far apart in relative terms, so that a z-score of a column is well
+# conditioned; half the tables also draw cells up to the float range's end,
+# whose sums and spans overflow
+ORDINARY = [0.0, 0.5, 1.0, 1.5, 3.0, 7.25, 40.0, 1e6, 2.5e6]
+EXTREME = [0.0, 1.0, 7.25, 1e150, 3e153, 1e300, 1e308, 1.7e308]
+CONTEXT_SYMBOLS = ("0", "1", "2")
+
+
+@st.composite
+def contract_tables(draw):
+    """A schema (one or two classes, a discrete or continuous context, one to
+    three primaries of either kind) and a train and a test table for it, with
+    MISSING cells or none, maybe a constant column, and test contexts that the
+    training rows may not hold."""
+    kinds = draw(st.lists(st.sampled_from(["continuous", "discrete"]), min_size=2, max_size=4))
+    classes = draw(st.sampled_from([("a",), ("a", "b")]))
+    features = [{"name": "cls", "role": "class", "kind": "discrete", "alphabet": list(classes)}]
+    for i, kind in enumerate(kinds):
+        feature = {"name": "ctx" if i == 0 else f"p{i}", "kind": kind,
+                   "role": "contextual" if i == 0 else "primary"}
+        if kind == "discrete":
+            feature["alphabet"] = list(CONTEXT_SYMBOLS if i == 0 else ("u", "v"))
+        features.append(feature)
+    magnitudes = draw(st.sampled_from([ORDINARY, EXTREME]))
+    number = st.builds(lambda sign, m: repr(sign * m), st.sampled_from([1.0, -1.0]),
+                       st.sampled_from(magnitudes))
+
+    def table(min_rows, max_rows, contexts, missing):
+        cells = []
+        for f in features:
+            present = st.sampled_from(f["alphabet"]) if f["kind"] == "discrete" else number
+            cells.append(st.sampled_from([True, True, True, False]).flatmap(
+                lambda p, present=present: present if p else st.just("?"))
+                if missing and f["role"] != "class" else present)
+        rows = [list(row) for row in draw(st.lists(st.tuples(*cells), min_size=min_rows,
+                                                   max_size=max_rows))]
+        if features[1]["kind"] == "discrete":  # a training set may hold fewer groups
+            for row in rows:
+                row[1] = row[1] if row[1] == "?" or row[1] in contexts else contexts[0]
+        return rows
+
+    missing = draw(st.booleans())
+    train = table(1, 6, draw(st.sampled_from([("0",), ("0", "1"), CONTEXT_SYMBOLS])), missing)
+    test = table(1, 4, CONTEXT_SYMBOLS, missing)
+    constant = draw(st.none() | st.integers(1, len(kinds)))
+    if constant is not None:
+        for row in train + test:
+            row[constant] = train[0][constant]
+    return features, train, test
+
+
+class TestCommandContract:
+    """Each command, on small tables that hit the degenerate cases, exits
+    with a documented code; a failure writes one "<command>: ..." line and
+    no file; a written table reloads and keeps what the command promises."""
+
+    @staticmethod
+    def run(argv, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a RuntimeWarning is a failure, as is a traceback
+            warnings.filterwarnings("ignore", "degenerate context design", UserWarning)
+            code = cli.main(argv)
+        out, err = capsys.readouterr()
+        assert code in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_LOAD, cli.EXIT_PRECONDITION,
+                        cli.EXIT_RUNTIME)
+        if code:
+            assert err.startswith(f"{argv[0]}: ") and err.count("\n") == 1 and err[-1] == "\n"
+        else:
+            assert err == ""
+        return code
+
+    # 100 examples reach both faults the contract once missed: RuntimeWarnings
+    # from impute on spans past the float range, and a normalize output that
+    # the input's sidecar could not load
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+    @given(tables=contract_tables())
+    def test_every_command_keeps_the_contract(self, tables, capsys):
+        features, train_rows, test_rows = tables
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            sp, train, test = tmp / "t.schema.json", tmp / "train.csv", tmp / "test.csv"
+            sp.write_text(json.dumps(features))
+            for path, rows in ((train, train_rows), (test, test_rows)):
+                path.write_text("".join(",".join(row) + "\n" for row in rows))
+            source = {path: data.load_table(path, sp) for path in (train, test)}
+
+            for target, donors in ((train, []), (test, ["--train", str(train)])):
+                out = tmp / "imputed.csv"
+                code = self.run(["impute", "--data", str(target), "--schema", str(sp), *donors,
+                                 "--out", str(out)], capsys)
+                assert out.exists() == (code == 0)
+                if code == 0:
+                    before, after = source[target].values, data.load_table(out, sp).values
+                    present = ~np.isnan(before)
+                    assert not np.isnan(after).any()
+                    assert np.array_equal(after[present], before[present])
+                    out.unlink()
+
+            for mode in ("minmax", "zscore", "percentile", "contextual"):
+                out, sidecar = tmp / f"{mode}.csv", tmp / f"{mode}.schema.json"
+                flags = []
+                if mode == "contextual":
+                    flags = ["--context", "ctx"] + (
+                        ["--bins", "2"] if features[1]["kind"] == "continuous" else [])
+                code = self.run(["normalize", "--data", str(train), "--schema", str(sp),
+                                 "--mode", mode, *flags, "--out", str(out)], capsys)
+                assert out.exists() == sidecar.exists() == (code == 0)
+                if code == 0:
+                    written = data.load_table(out, sidecar)
+                    assert written.n_rows == source[train].n_rows
+                    for j in written.schema.primary_indices if mode == "zscore" else ():
+                        column = written.values[:, j]
+                        if column.min() < column.max():
+                            assert abs(column.mean()) <= 1e-9
+                            assert abs(column.std() - 1.0) <= 1e-9
+
+            self.run(["compare-normalizers", "--train", str(train), "--train-schema", str(sp),
+                      "--test", str(test), "--test-schema", str(sp)], capsys)
+            self.run(["taxonomy", "--data", str(train), "--schema", str(sp), "--bins", "2"],
+                     capsys)
+

@@ -1,6 +1,7 @@
 import math
 import random
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -513,15 +514,13 @@ class TestPrunedSearchMatchesTheOracle:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(d=st.integers(1, 12), n_queries=st.integers(1, 40), n_ref=st.integers(2, 60),
            leaf=st.integers(1, 8), sides=st.sampled_from(["above", "below", "mixed"]),
-           cells=st.sampled_from([1, 7, 64, 1 << 19]), seed=st.integers(0, 2**32 - 1))
+           seed=st.integers(0, 2**32 - 1))
     def test_queries_outside_the_box_in_every_dimension(self, monkeypatch, pruning, d, n_queries,
-                                                        n_ref, leaf, sides, cells, seed):
+                                                        n_ref, leaf, sides, seed):
         # above the box in every column, a query's distance to any row is
         # sum q - sum r, so rows of equal sums tie in exact arithmetic, and
-        # twin rows, cut into other leaves, tie exactly; a few cells of bounds
-        # split the queries into many chunks
+        # twin rows, cut into other leaves, tie exactly
         monkeypatch.setattr(preprocess, "_NN_BLOCK_ROWS", leaf)
-        monkeypatch.setattr(preprocess, "_NN_BOUND_CELLS", cells)
         rng = np.random.default_rng(seed)
         reference = rng.integers(0, 6, size=(n_ref, d)) / 10
         twins = rng.integers(n_ref, size=(2, n_ref // 3 + 1))
@@ -535,26 +534,68 @@ class TestPrunedSearchMatchesTheOracle:
         assert len(pruning) == 1
         assert got.tolist() == nearest_rows_oracle(queries, reference).tolist()
 
-    def test_a_later_chunk_that_cannot_prune_runs_in_full(self, monkeypatch, pruning):
-        # rows on the L1 unit circle, leaves of 2, one query a chunk: the far
-        # first query prunes, the origin cannot rule a leaf out, so its chunk
-        # runs over every row and the search still returns True
+    def test_one_query_leaf_prunes_and_another_runs_in_full(self, monkeypatch, pruning):
+        # rows on the L1 unit circle, leaves of 2: the far query leaf prunes;
+        # from the origin no leaf can be ruled out, so that query leaf runs
+        # over every row, and the search still returns True
         monkeypatch.setattr(preprocess, "_NN_BLOCK_ROWS", 2)
-        monkeypatch.setattr(preprocess, "_NN_BOUND_CELLS", 1)
         a = np.arange(-10, 11) / 10
         reference = np.concatenate([np.stack([a, 1 - abs(a)], 1), np.stack([a, abs(a) - 1], 1)])
-        queries = np.array([[5.0, 0.3], [0.0, 0.0], [0.0, 0.1]])
-        rows, among = [], preprocess._nearest_among
+        queries = np.array([[5.0, 0.3], [0.0, 0.0], [5.0, 0.2], [0.0, 0.1]])
+        searched, among = [set() for _ in queries], preprocess._nearest_among
 
         def spy(q, reference, r, *args):
-            rows.append(len(r))
+            for i, query in enumerate(queries):
+                if (q == query).all(axis=1).any():
+                    searched[i].update(r.tolist())
             return among(q, reference, r, *args)
 
         monkeypatch.setattr(preprocess, "_nearest_among", spy)
         got = preprocess._nearest_rows(queries, reference)
         assert pruning == [True]
-        assert rows[0] < len(reference) and rows.count(len(reference)) == 2
+        assert [len(rows) == len(reference) for rows in searched] == [False, True, False, True]
         assert got.tolist() == nearest_rows_oracle(queries, reference).tolist()
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(d=st.integers(1, 6), active=st.integers(1, 3), n_queries=st.integers(1, 60),
+           n_ref=st.integers(1, 80), leaf=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+    def test_query_leaves_across_reference_leaves(self, monkeypatch, pruning, d, active,
+                                                  n_queries, n_ref, leaf, seed):
+        # whole-number rows, twins among them, and queries at whole or half
+        # steps from the same range: every distance is exact, a query half way
+        # between rows ties with both, and a median cut puts equal cells in
+        # two leaves, so query leaves straddle reference leaves and ties cross
+        # them
+        monkeypatch.setattr(preprocess, "_NN_BLOCK_ROWS", leaf)
+        rng = np.random.default_rng(seed)
+        wide = np.arange(d) < active
+        reference = np.where(wide, rng.integers(0, 8, size=(n_ref, d)),
+                             rng.integers(0, 2, size=(n_ref, d))).astype(float)
+        twins = rng.integers(n_ref, size=(2, n_ref // 3))
+        reference[twins[0]] = reference[twins[1]]
+        queries = np.where(wide, rng.integers(-2, 18, size=(n_queries, d)) / 2,
+                           rng.integers(0, 2, size=(n_queries, d)))
+        pruning.clear()
+        got = preprocess._nearest_rows(queries, reference)
+        assert len(pruning) == 1
+        assert got.tolist() == nearest_rows_oracle(queries, reference).tolist()
+
+    def test_a_planted_search_holds_its_bounds_in_little_memory(self):
+        # one 4,000 x 4,000 x 10 planted search: the leaf-to-leaf bounds are
+        # 64 x 64 cells, and a query leaf's point bounds 63 x its kept leaves
+        # x 11 (bounding each query against every leaf peaked at about 4.5 MB)
+        params = data.PlantedContextParams(n_primary=10, n_train=4000, n_test=4000)
+        train, test = data.plant_context_dataset(params, seed=0)
+        primaries = train.schema.primary_indices
+        reference, queries = (s.values.take(primaries, axis=1) for s in (train, test))
+        tracemalloc.start()
+        try:
+            preprocess._nearest_rows(queries, reference)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
     @settings(max_examples=200, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -1058,6 +1099,30 @@ class TestImputation:
         train = Dataset.build(sch, [(1.0, MISSING, MISSING, "a")])
         with pytest.raises(ValueError, match="'y' is entirely MISSING"):
             impute_missing(train, train)
+
+    @pytest.mark.parametrize("train_rows, target_row, problem", [
+        # p spans 2e308, past the float range: scaled, the target's present p
+        # was NaN, taken for MISSING and overwritten by a donor's
+        ([(1e308, 1.0), (-1e308, 2.0), (0.0, 3.0)], (1e308, MISSING),
+         "'p' spans a training range too wide to scale"),
+        # the target's p scales to inf, every similarity to -inf, and the
+        # donor was row 0, whose q is MISSING too
+        ([(-1e308, MISSING), (-0.9e308, 5.0)], (1e308, MISSING),
+         "'p' has a cell too far outside its training range to scale"),
+        # each cell scales to about 1e308, and two of them sum past the float range
+        ([(0.0, 0.0, MISSING), (1e-300, 1e-300, 5.0)], (-1e8, -1e8, MISSING),
+         "'p' has a cell too far outside its training range to scale"),
+    ])
+    def test_a_feature_that_cannot_be_scaled_is_an_error(self, train_rows, target_row, problem):
+        names = ["p", "q"] if len(target_row) == 2 else ["p", "r", "q"]
+        sch = FeatureSchema(tuple(Feature(n, FeatureRole.PRIMARY, "continuous") for n in names)
+                            + (Feature("cls", FeatureRole.CLASS, "discrete", ("a",)),))
+        train = Dataset.build(sch, [(*row, "a") for row in train_rows])
+        target = Dataset.build(sch, [(*target_row, "a")])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=problem):
+                impute_missing(train, target)
 
     def test_constant_training_column(self):
         # x has span 0 in training: every present x rescales to 0.5, whatever
