@@ -9,6 +9,7 @@ column-pivoted Gram-Schmidt, and ties there go to the lowest column.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -18,6 +19,7 @@ from .data import Dataset
 from .preprocess import _fit_matrix, _nearest_rows, _require_numeric
 
 PIVOT_TOL = 1e-10
+F_ENTER = 4.0  # the standard partial-F entry threshold of forward selection
 #: cells of one stack's basis (128 KB, glibc's mmap threshold: a larger array is
 #: faulted in anew each time, and such stacks were slower than separate walks)
 _STACK_CELLS = 2 ** 14
@@ -63,13 +65,6 @@ def nn_predict_dataset(model: NearestNeighborModel, dataset: Dataset) -> np.ndar
 
 # ---------------------------------------------------------------------------
 # One-vs-rest linear discriminant with forward selection
-
-@dataclass(frozen=True)
-class SelectionParams:
-    enabled: bool = True
-    f_enter: float = 4.0  # standard entry threshold for forward selection
-    max_features: int | None = None
-
 
 @dataclass(frozen=True)
 class ClassEquation:
@@ -121,6 +116,18 @@ def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
+def _aligned(stack) -> np.ndarray:
+    """A (K, ...) stack copied so that each member starts 16-byte aligned, as a fresh
+    array does: OpenBLAS's generic kernel sums a dot in an order that depends on its
+    operands' addresses, so a member must sit where it would alone.  The members lie
+    an even count of float64 apart in one buffer, each a view of its true length."""
+    shape = np.shape(stack)
+    size = math.prod(shape[1:])
+    out = np.empty((shape[0], size + size % 2))[:, :size].reshape(shape)
+    out[...] = stack
+    return out
+
+
 def _sweep(b: np.ndarray, z: np.ndarray, work: np.ndarray) -> np.ndarray:
     """Project the unit vector b out of every column of z, in place (z a design, or a
     stack of them with a b each), and return the squared column norms left; b (b'z)
@@ -149,18 +156,18 @@ def _fit_full(x: np.ndarray, y: np.ndarray) -> tuple[float, tuple, tuple, tuple]
     return _fit_selected(x, y, tuple(sorted(selected)))
 
 
-def _enters(rss: float, new_rss: float, no_drop: float, dof: int, f_enter: float) -> bool:
-    """Whether the best candidate's RSS drop beats float noise and its partial F f_enter."""
+def _enters(rss: float, new_rss: float, no_drop: float, dof: int) -> bool:
+    """Whether the best candidate's RSS drop beats float noise and its partial F F_ENTER."""
     if rss - new_rss <= no_drop:
         return False
     f_stat = (np.inf if rss > 0.0 else 0.0) if new_rss <= 0.0 else (rss - new_rss) / (new_rss / dof)
-    return not f_stat <= f_enter
+    return not f_stat <= F_ENTER
 
 
-def _fit_forward(x, y, params: SelectionParams) -> list[tuple[float, tuple, tuple, tuple]]:
+def _fit_forward(x, y) -> list[tuple[float, tuple, tuple, tuple]]:
     """Greedy forward selection on each of K (n, d) designs x (a C-ordered stack or
     a sequence) and targets y: admit the feature with the largest residual
-    sum-of-squares reduction while its partial F statistic exceeds f_enter.
+    sum-of-squares reduction while its partial F statistic exceeds F_ENTER.
 
     The stepwise-regression update (Efroymson 1960): q is an orthonormal basis
     of the intercept and the selected columns, r = y - q q'y the residual and
@@ -173,27 +180,27 @@ def _fit_forward(x, y, params: SelectionParams) -> list[tuple[float, tuple, tupl
     come from one least-squares fit of each design's selected columns.  A step
     admits one column per live member or stops it, and stopped members leave
     the stack, so each member's sums, dots and matrix products (a stacked @ runs
-    one BLAS dot or gemv a member) are the ones it gets alone, bit for bit.
-    The products b (b'z) and r - z t share one work buffer.
+    one BLAS dot or gemv a member) are the ones it gets alone, bit for bit: the
+    BLAS operands r, q and b are kept _aligned.  The products b (b'z) and r - z t
+    share one work buffer.
     """
-    z, r = np.array(x, dtype=float, order="C"), np.array(y, dtype=float, order="C")
+    z, r = np.array(x, dtype=float, order="C"), _aligned(y)
     k, n, d = z.shape
-    limit = d if params.max_features is None else min(d, params.max_features)
     collinear_below = PIVOT_TOL ** 2 * _column_dots(z, z)  # z is x until the first sweep
     # an RSS drop at float-noise scale is no evidence: the partial F would be a
     # ratio of rounding errors once the fit is already (numerically) perfect
     no_drop = 1e-10 * np.maximum(1.0, _dots(r, r))
-    q, work = np.empty((k, n, limit + 1)), np.empty_like(z)
-    b = np.full((k, n), 1.0 / np.sqrt(n))  # the intercept
-    members, chosen, fits = np.arange(k), np.empty((k, limit), dtype=np.intp), [None] * k
-    for s in range(limit + 1):  # s: the columns each live member has admitted
+    q, work = _aligned(np.empty((k, n, d + 1))), np.empty_like(z)
+    b = _aligned(np.full((k, n), 1.0 / np.sqrt(n)))  # the intercept
+    members, chosen, fits = np.arange(k), np.empty((k, d), dtype=np.intp), [None] * k
+    for s in range(d + 1):  # s: the columns each live member has admitted
         live, w = np.arange(len(members)), work[:len(members)]
         q[:, :, s] = b
         r -= b * _dots(b, r)[:, None]
         zz = _sweep(b, z, w)
         rss = _dots(r, r)
         p = s + 2  # intercept + selected + candidate
-        if s == limit or n - p <= 0:
+        if s == d or n - p <= 0:
             go = [False] * len(live)
         else:
             collinear = zz <= collinear_below
@@ -204,7 +211,7 @@ def _fit_forward(x, y, params: SelectionParams) -> list[tuple[float, tuple, tupl
             np.copyto(cand, rss[:, None], where=collinear)
             cand[live[:, None], chosen[:, :s]] = np.inf
             j = cand.argmin(axis=1)
-            go = [_enters(*v, n - p, params.f_enter) for v in zip(
+            go = [_enters(*v, n - p) for v in zip(
                 rss.tolist(), cand[live, j].tolist(), no_drop.tolist())]
         for m, i in enumerate(members):
             if not go[m]:
@@ -215,21 +222,20 @@ def _fit_forward(x, y, params: SelectionParams) -> list[tuple[float, tuple, tupl
             keep = np.flatnonzero(go)
             z, r, q, zz, j, chosen, collinear_below, no_drop, members = (v[keep] for v in (
                 z, r, q, zz, j, chosen, collinear_below, no_drop, members))
-            live = live[:len(keep)]
+            r, q, live = _aligned(r), _aligned(q), live[:len(keep)]
         chosen[:, s] = j
         basis = q[:, :, :s + 1]
-        b = z[live, :, j] / np.sqrt(zz[live, j])[:, None]
+        b = _aligned(z[live, :, j] / np.sqrt(zz[live, j])[:, None])
         b -= (basis @ (basis.transpose(0, 2, 1) @ b[:, :, None]))[:, :, 0]
         b /= np.sqrt(_dots(b, b))[:, None]
     return fits
 
 
-def mlr_fit_many(trains: Sequence[Dataset],
-                 selection: SelectionParams | None = None) -> list[LinearDiscriminantModel]:
-    """mlr_fit of each train; with selection on, the (train, class) designs of one
-    shape are fitted as stacks whose basis holds at most _STACK_CELLS cells.  A
-    design whose column sums of squares overflow is refused before any walk."""
-    selection, models = selection or SelectionParams(), [[] for _ in trains]
+def mlr_fit_many(trains: Sequence[Dataset], select: bool = True) -> list[LinearDiscriminantModel]:
+    """mlr_fit of each train; with select, the (train, class) designs of one shape are
+    fitted as stacks whose basis holds at most _STACK_CELLS cells.  A design whose
+    column sums of squares overflow is refused before any walk."""
+    models = [[] for _ in trains]
     groups = {}  # design shape -> [(train index, class symbol, x, 0/1 target)]
     for i, train in enumerate(trains):
         idx, x = _fit_matrix(train, "empty training set")
@@ -245,15 +251,17 @@ def mlr_fit_many(trains: Sequence[Dataset],
         size = max(1, _STACK_CELLS // (n * (d + 1)))
         for part in (group[at:at + size] for at in range(0, len(group), size)):
             xs, ys = [design[2] for design in part], [design[3] for design in part]
-            fits = _fit_forward(xs, ys, selection) if selection.enabled else map(_fit_full, xs, ys)
+            fits = _fit_forward(xs, ys) if select else map(_fit_full, xs, ys)
             for (i, cls, _, _), (intercept, sel, coefs, dropped) in zip(part, fits):
                 models[i].append(ClassEquation(cls, sel, intercept, coefs, dropped))
     return [LinearDiscriminantModel(tuple(equations)) for equations in models]
 
 
-def mlr_fit(train: Dataset, selection: SelectionParams | None = None) -> LinearDiscriminantModel:
-    """One 0/1-target least-squares equation per class, intercept included."""
-    return mlr_fit_many([train], selection)[0]
+def mlr_fit(train: Dataset, select: bool = True) -> LinearDiscriminantModel:
+    """One 0/1-target least-squares equation per class, intercept included: on the
+    columns forward selection admits, or with select off on those that pivoted
+    Gram-Schmidt keeps."""
+    return mlr_fit_many([train], select)[0]
 
 
 def mlr_predict_dataset(model: LinearDiscriminantModel, dataset: Dataset) -> np.ndarray:

@@ -583,12 +583,13 @@ _JSON_SCALARS = (str, int, float, bool, type(None))
 SUM_TOLERANCE = 1e-12
 
 
-def _json_get(obj, key: str, kind: type | tuple = _JSON_SCALARS, items: tuple = (dict,)):
-    """obj[key] of a JSON object, a kind (if a list, of items); else a ValueError naming it."""
+def _json_get(obj, key: str, kind: tuple = _JSON_SCALARS, items: tuple = (dict,)):
+    """obj[key] of a JSON object, of a JSON type in kind (a bool is no int; a list's
+    entries of items); else a ValueError naming it."""
     if not isinstance(obj, dict) or key not in obj:
         raise ValueError(f"missing key {key!r} in {json.dumps(obj)[:40]}")
     value = obj[key]
-    if not isinstance(value, kind) or isinstance(value, list) and not all(
+    if type(value) not in kind or isinstance(value, list) and not all(
             isinstance(v, items) for v in value):
         raise ValueError(f"wrong JSON type for {key!r}: {json.dumps(value)[:40]}")
     return value
@@ -650,18 +651,23 @@ class JointDistribution:
     @classmethod
     def from_json(cls, text: str) -> "JointDistribution":
         """Read the layout ``to_json`` writes; a document of another shape is
-        a ValueError that names the first fault."""
+        a ValueError that names the first fault.  Names and a present "class" are
+        strings, and that class names a variable."""
         doc = json.loads(text)
-        variables = _json_get(doc, "variables", list)
-        names = tuple(_json_get(v, "name") for v in variables)
-        alphabets = tuple(tuple(_json_get(v, "values", list, _JSON_SCALARS)) for v in variables)
+        variables = _json_get(doc, "variables", (list,))
+        names = tuple(_json_get(v, "name", (str,)) for v in variables)
+        alphabets = tuple(tuple(_json_get(v, "values", (list,), _JSON_SCALARS)) for v in variables)
         probs = {}
-        for e in _json_get(doc, "probabilities", list):
-            t = tuple(_json_get(e, "tuple", list, _JSON_SCALARS))
+        for e in _json_get(doc, "probabilities", (list,)):
+            t = tuple(_json_get(e, "tuple", (list,), _JSON_SCALARS))
             if t in probs:
                 raise ValueError(f"repeated tuple {json.dumps(list(t))}")
             probs[t] = float(_json_get(e, "prob", (int, float)))
-        return cls(names, alphabets, probs, _json_get(doc, "class") if "class" in doc else "")
+        if "class" not in doc:
+            return cls(names, alphabets, probs)
+        if not (class_var := _json_get(doc, "class", (str,))):  # "" would mean the default
+            raise ValueError("unknown class variable ''")
+        return cls(names, alphabets, probs, class_var)
 
     def to_json(self) -> str:
         """The JSON layout ``from_json`` reads.  Its "class" key names the class
@@ -726,6 +732,11 @@ def sample_from(dist: JointDistribution, n: int, seed: int) -> Dataset:
     return dist.support.subset(picks)
 
 
+#: the disjoint context ranges of the planted train and test sets
+PLANTED_TRAIN_CONTEXT = (0.0, 1.0)
+PLANTED_TEST_CONTEXT = (2.0, 3.0)
+
+
 @dataclass(frozen=True)
 class PlantedContextParams:
     """Generator parameters for the synthetic context-shift benchmark.
@@ -742,8 +753,6 @@ class PlantedContextParams:
     n_test: int = 200
     shift: float = 5.0
     noise: float = 0.1
-    train_context: tuple[float, float] = (0.0, 1.0)
-    test_context: tuple[float, float] = (2.0, 3.0)
 
     def __post_init__(self):
         if self.n_classes < 2 or self.n_primary < 1:
@@ -752,9 +761,6 @@ class PlantedContextParams:
             raise ValueError("too few rows requested")
         if not (0 <= self.shift < math.inf and 0 <= self.noise < math.inf):
             raise ValueError("shift and noise must be finite and nonnegative")
-        for lo, hi in (self.train_context, self.test_context):
-            if not lo < hi:
-                raise ValueError("context ranges must be non-degenerate (lo < hi)")
 
 
 def planted_context_schema(params: PlantedContextParams) -> FeatureSchema:
@@ -792,7 +798,7 @@ def plant_context_dataset(
     g2rad = np.sqrt(-2.0 * np.array(list(map(math.log, (1.0 - u[at + 1]).tolist()))))
     gauss = (np.column_stack([list(map(math.cos, x2pi)), list(map(math.sin, x2pi))])
              * g2rad[:, None]).ravel()[: n * d].reshape(n, d)
-    lo, hi = np.repeat([params.train_context, params.test_context],
+    lo, hi = np.repeat([PLANTED_TRAIN_CONTEXT, PLANTED_TEST_CONTEXT],
                        [params.n_train, params.n_test], axis=0).T
     cls = np.concatenate([np.arange(params.n_train), np.arange(params.n_test)]) % params.n_classes
     with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned

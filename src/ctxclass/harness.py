@@ -215,11 +215,10 @@ NORMALIZER_MENU = (
 def run_normalization_comparison(
     train: Dataset,
     test: Dataset,
-    classifiers: Sequence[str] = CLASSIFIERS,
     baseline: Dataset | None = None,
 ) -> ExperimentReport:
-    """One cell per (classifier, normalizer of NORMALIZER_MENU) on a labeled
-    pair with context.
+    """One cell per (classifier of CLASSIFIERS, normalizer of NORMALIZER_MENU) on
+    a labeled pair with context.
 
     Each normalizer is fitted on the training split, or, for "baseline",
     "contextual-nn" and "contextual-linear", on ``baseline``, the reference
@@ -241,12 +240,12 @@ def run_normalization_comparison(
     correct = {}
     for config in configs:
         tr, te = run_pipeline(config, train, test)
-        for classifier in classifiers:
+        for classifier in CLASSIFIERS:
             correct[classifier, config.normalize] = evaluate(classifier, tr, te)
         del tr, te  # one normalized pair alive at a time
     cells = tuple(CellResult((c, n), correct[c, n], test.n_rows)
-                  for c in classifiers for n in NORMALIZER_MENU)
-    return ExperimentReport("normalization-comparison", "+".join(classifiers), cells)
+                  for c in CLASSIFIERS for n in NORMALIZER_MENU)
+    return ExperimentReport("normalization-comparison", "+".join(CLASSIFIERS), cells)
 
 
 def synergy(report: ExperimentReport) -> tuple[int, int]:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from ctxclass import data, harness, taxonomy
-from ctxclass.classify import SelectionParams, mlr_fit, mlr_predict_dataset, similarity
+from ctxclass.classify import mlr_fit, mlr_predict_dataset, similarity
 from ctxclass.data import MISSING, Dataset, Feature, FeatureRole, FeatureSchema
 from ctxclass.preprocess import (
     ContextKey,
@@ -111,10 +111,8 @@ class TestCriterion6PlantedContext:
         baseline = train.subset(
             [i for i, c in enumerate(train.class_labels()) if c == "c0"]
         )
-        report = harness.run_normalization_comparison(
-            train, test, classifiers=("nn",), baseline=baseline
-        )
-        return {c.combo[1]: c.percent for c in report.cells}
+        report = harness.run_normalization_comparison(train, test, baseline=baseline)
+        return {c.combo[1]: c.percent for c in report.cells if c.combo[0] == "nn"}
 
     def test_contextual_normalization_dominates(self):
         pct = self._percents(data.PlantedContextParams())
@@ -177,23 +175,23 @@ class TestCriterion7Properties:
 
     def test_d_full_fit_affine_invariance(self):
         for ds, cols, labels, d, rng in self._random_toys(73):
-            base = mlr_predict_dataset(mlr_fit(ds, SelectionParams(enabled=False)), ds)
+            base = mlr_predict_dataset(mlr_fit(ds, select=False), ds)
             alphas = [rng.choice([1, -1]) * rng.uniform(0.2, 5) for _ in range(d)]
             betas = [rng.uniform(-10, 10) for _ in range(d)]
             mapped = numeric_dataset(
                 [[alphas[j] * v + betas[j] for v in cols[j]] for j in range(d)], labels
             )
-            model2 = mlr_fit(mapped, SelectionParams(enabled=False))
+            model2 = mlr_fit(mapped, select=False)
             assert np.array_equal(mlr_predict_dataset(model2, mapped), base)
 
     def test_e_weights_leave_full_fit_unchanged(self):
         for ds, cols, labels, d, rng in self._random_toys(74):
-            base = mlr_predict_dataset(mlr_fit(ds, SelectionParams(enabled=False)), ds)
+            base = mlr_predict_dataset(mlr_fit(ds, select=False), ds)
             w = tuple(rng.uniform(0.1, 9) for _ in range(d))
             weighted = apply_weights(
                 WeightVector(ds.schema.primary_indices, w, w, (1.0,) * d), ds
             )
-            model_w = mlr_fit(weighted, SelectionParams(enabled=False))
+            model_w = mlr_fit(weighted, select=False)
             assert np.array_equal(mlr_predict_dataset(model_w, weighted), base)
 
     def test_f_toy_weight_value(self):

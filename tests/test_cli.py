@@ -147,7 +147,14 @@ class TestTaxonomyCommand:
         ("probabilities", "prob", '"half"', 'wrong JSON type for \'prob\': "half"'),
         ("probabilities", "tuple", '[["0"], "0", "0"]',
          'wrong JSON type for \'tuple\': [["0"], "0", "0"]'),
-    ], ids=["no-values", "null-prob", "text-prob", "nested-symbol"])
+        ("variables", "name", "null", "wrong JSON type for 'name': null"),
+        ("variables", "name", "true", "wrong JSON type for 'name': true"),
+        ("variables", "name", "1", "wrong JSON type for 'name': 1"),
+        ("variables", "name", "1.5", "wrong JSON type for 'name': 1.5"),
+        ("probabilities", "prob", "true", "wrong JSON type for 'prob': true"),
+        ("probabilities", "prob", "false", "wrong JSON type for 'prob': false"),
+    ], ids=["no-values", "null-prob", "text-prob", "nested-symbol", "null-name", "bool-name",
+            "int-name", "float-name", "true-prob", "false-prob"])
     def test_spec_entry_of_the_wrong_shape_is_load_error(self, tmp_path, entry, key, value,
                                                          message, capsys):
         doc = json.loads(worked_spec().to_json())
@@ -156,6 +163,23 @@ class TestTaxonomyCommand:
             del target[key]
         else:
             target[key] = json.loads(value)
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(doc))
+        assert cli.main(["taxonomy", "--spec", str(p)]) == 2
+        assert capsys.readouterr() == ("", f"taxonomy: cannot load {p}: {message}\n")
+
+    @pytest.mark.parametrize("value, message", [
+        ('""', "unknown class variable ''"),
+        ("null", "wrong JSON type for 'class': null"),
+        ("false", "wrong JSON type for 'class': false"),
+        ("0", "wrong JSON type for 'class': 0"),
+    ])
+    def test_spec_class_that_names_no_variable_is_load_error(self, tmp_path, value, message,
+                                                            capsys):
+        # without a "class" key the first variable is the class; a present one must name one
+        doc = json.loads(worked_spec().to_json())
+        assert "class" not in doc
+        doc["class"] = json.loads(value)
         p = tmp_path / "bad.json"
         p.write_text(json.dumps(doc))
         assert cli.main(["taxonomy", "--spec", str(p)]) == 2

@@ -565,8 +565,6 @@ class TestPlantedContext:
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             data.PlantedContextParams(n_classes=1)
-        with pytest.raises(ValueError):
-            data.PlantedContextParams(train_context=(1.0, 1.0))
 
     @pytest.mark.parametrize("field", ["shift", "noise"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
@@ -594,16 +592,15 @@ def plant_context_oracle(params, seed):
             rows.append([c, *feats, cls])
         return data._from_cells(schema, rows)
 
-    return make(params.n_train, params.train_context), make(params.n_test, params.test_context)
+    return (make(params.n_train, data.PLANTED_TRAIN_CONTEXT),
+            make(params.n_test, data.PLANTED_TEST_CONTEXT))
 
 
 @st.composite
 def planted_params(draw):
-    """Generator parameters over odd and even n_primary, 2-5 classes, zero
-    shift or noise, and context ranges that may start below zero."""
+    """Generator parameters over odd and even n_primary, 2-5 classes, and zero
+    shift or noise."""
     n_classes = draw(st.integers(2, 5))
-    lo = draw(st.sampled_from([0.0, -1.5, -3.0]) | st.floats(-10, 10))
-    train = (lo, lo + draw(st.sampled_from([1.0, 0.25]) | st.floats(1e-3, 10)))
     return data.PlantedContextParams(
         n_classes=n_classes,
         n_primary=draw(st.integers(1, 12)),
@@ -611,8 +608,6 @@ def planted_params(draw):
         n_test=draw(st.integers(1, 9)),
         shift=draw(st.sampled_from([0.0, 5.0]) | st.floats(0, 20)),
         noise=draw(st.sampled_from([0.0, 0.1]) | st.floats(0, 5)),
-        train_context=train,
-        test_context=(train[1] + 1.0, train[1] + 2.0),
     )
 
 

@@ -1424,6 +1424,33 @@ class TestPipeline:
                 run_pipeline(config, ds, ds.subset([]))
         assert str(raised.value) == "weighting turned finite cells of feature 'x1' non-finite"
 
+    def test_an_expansion_that_overflows_is_named(self):
+        # c's training range is 2e308: inf, so the scaled cells are not finite
+        schema = FeatureSchema((Feature("c", FeatureRole.CONTEXTUAL, "continuous"),
+                                Feature("x", FeatureRole.PRIMARY, "continuous"),
+                                Feature("cls", FeatureRole.CLASS, "discrete", ("a", "b"))))
+        ds = Dataset.build(schema, [(1e308, 1.0, "a"), (-1e308, 2.0, "b"), (0.0, 3.0, "a")])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as raised:
+                run_pipeline(PipelineConfig(expand=("c",)), ds, ds.subset([]))
+        assert str(raised.value) == "expansion turned finite cells of feature 'c' non-finite"
+
+    def test_a_group_statistic_that_overflows_is_named(self):
+        # group u's squared deviations of 1e160 overflow: its deviation is inf
+        schema = FeatureSchema((Feature("g", FeatureRole.CONTEXTUAL, "discrete", ("u", "v")),
+                                Feature("p", FeatureRole.PRIMARY, "continuous"),
+                                Feature("cls", FeatureRole.CLASS, "discrete", ("a", "b"))))
+        ds = Dataset.build(schema, [("u", 1e160, "a"), ("u", -1e160, "b"),
+                                    ("u", -1e160, "a"), ("v", 1.0, "b")])
+        config = PipelineConfig(normalize="contextual", context=ContextKey("g"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as raised:
+                run_pipeline(config, ds, ds.subset([]))
+        assert str(raised.value) == (
+            "contextual normalization fitted a non-finite statistic of feature 'p'")
+
     def test_missing_cells_that_stay_missing_are_not_refused(self):
         schema = FeatureSchema((Feature("x", FeatureRole.PRIMARY, "continuous"),
                                 Feature("g", FeatureRole.CONTEXTUAL, "discrete", ("u", "v")),
