@@ -395,6 +395,8 @@ class ContextKey:
     def __post_init__(self):
         if self.boundaries is not None:
             b = tuple(self.boundaries)
+            if np.isnan(b).any():  # NaN fails every comparison, so the order check passes it
+                raise ValueError("bin boundaries must not be NaN")
             if len(b) < 1 or any(b[i] >= b[i + 1] for i in range(len(b) - 1)):
                 raise ValueError("bin boundaries must be strictly increasing")
             object.__setattr__(self, "boundaries", b)
@@ -438,23 +440,53 @@ class GroupContextModel:
     def row_stats(self, dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
         """Per-row mean and deviation matrices (n_rows x features) of the
         context group of each row of dataset."""
-        number, labels = self.key.groups(dataset)
+        return self._row_stats(self.key.groups(dataset))
+
+    def _row_stats(self, groups: tuple) -> tuple[np.ndarray, np.ndarray]:
+        """row_stats of the rows whose groups are groups, as ContextKey.groups gives them."""
+        number, labels = groups
         table = [self.groups.get(label, self.fallback) for label in labels] + [self.fallback]
         # number -1 (a MISSING group) picks the fallback appended last
         stats = np.array(table, dtype=float).reshape(-1, 2, len(self.indices))[number]
         return stats[:, 0], stats[:, 1]
 
 
+def _grouping(key: ContextKey, train: Dataset, test: Dataset) -> tuple:
+    """ContextKey.groups of a pair's training and test rows and the training
+    rows' _cells: all the group fits and applies read, and kept by normalizing
+    and weighting, as these rewrite only primary columns."""
+    groups = key.groups(train)
+    return groups, key.groups(test), _cells(train, groups[0])
+
+
+def _cells(train: Dataset, group: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (group, class) cell of every training row, numbered by _first_occurrence."""
+    n_classes = len(train.schema.class_feature.alphabet)
+    return _first_occurrence(np.where(group >= 0, group * n_classes + train.class_codes(), np.nan))
+
+
+def _moments(train: Dataset, groups: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """The _group_moments of train's primary columns over its groups."""
+    return _group_moments(_require_numeric(train, train.schema.primary_indices),
+                          groups[0], len(groups[1]))
+
+
 def fit_contextual(train: Dataset, key: ContextKey) -> GroupContextModel:
     """Group statistics estimator: mean and population deviation of each
     primary feature within each context group."""
+    return _fit_grouped(train, key, key.groups(train))
+
+
+def _fit_grouped(train: Dataset, key: ContextKey, groups: tuple, moments=None
+                 ) -> GroupContextModel:
+    """fit_contextual over train's groups, with their _moments when given."""
     idx, m = _fit_matrix(train, "cannot fit a context model on an empty set")
-    group, labels = key.groups(train)
+    group, labels = groups
     if not labels:
         raise ValueError(f"context feature {key.feature!r} has no resolvable values")
-    mean, std = _group_moments(m, group, len(labels))
-    groups = {label: (tuple(mu), tuple(sigma)) for label, mu, sigma in zip(labels, mean, std)}
-    return GroupContextModel(idx, key, groups, _mean_std(m))
+    mean, std = _group_moments(m, group, len(labels)) if moments is None else moments
+    stats = {label: (tuple(mu), tuple(sigma)) for label, mu, sigma in zip(labels, mean, std)}
+    return GroupContextModel(idx, key, stats, _mean_std(m))
 
 
 @dataclass(frozen=True)
@@ -526,8 +558,12 @@ def fit_context_nn(baseline: Dataset, key: ContextKey) -> NearestContextModel:
 def apply_contextual(model, dataset: Dataset) -> Dataset:
     """Standardize every primary feature by its context statistics:
     (x - mu(context)) / max(sigma(context), floor)."""
-    x = _require_numeric(dataset, model.indices)
-    mu, sigma = model.row_stats(dataset)
+    return _standardized(model, dataset, model.row_stats(dataset))
+
+
+def _standardized(model, dataset: Dataset, stats: tuple) -> Dataset:
+    """apply_contextual by the per-row mean and deviation matrices stats."""
+    x, (mu, sigma) = _require_numeric(dataset, model.indices), stats
     return dataset.replace_columns(model.indices, (x - mu) / np.maximum(sigma, SIGMA_FLOOR))
 
 
@@ -550,14 +586,19 @@ def compute_weights(train: Dataset, key: ContextKey) -> WeightVector:
     over (group, class) cells, the in-cell deviation.  Empty cells are
     skipped and the average renormalized by the non-empty count.
     """
+    groups = key.groups(train)
+    return _weights(train, key, groups, _cells(train, groups[0]))
+
+
+def _weights(train: Dataset, key: ContextKey, groups: tuple, cells: tuple, moments=None
+             ) -> WeightVector:
+    """compute_weights over train's groups and _cells, with the _moments of its
+    groups when given."""
     idx, m = _fit_matrix(train, "no labeled rows")
-    group, labels = key.groups(train)
+    (group, labels), (cell, cells) = groups, cells
     if not labels:
         raise ValueError(f"context feature {key.feature!r} has no resolvable values")
-    classes = train.class_codes()
-    n_classes = len(train.schema.class_feature.alphabet)
-    cell, cells = _first_occurrence(np.where(group >= 0, group * n_classes + classes, np.nan))
-    inter = _group_moments(m, group, len(labels))[1].mean(axis=0)
+    inter = (_group_moments(m, group, len(labels)) if moments is None else moments)[1].mean(axis=0)
     intra = _group_moments(m, cell, len(cells))[1].mean(axis=0)
     weights = inter / np.maximum(intra, SIGMA_FLOOR)
     return WeightVector(idx, tuple(weights), tuple(inter), tuple(intra))
@@ -691,6 +732,7 @@ def impute_missing(train: Dataset, target: Dataset) -> Dataset:
 NORMALIZERS = ("none", "minmax", "zscore", "percentile", "baseline", "contextual",
                "contextual-transductive", "contextual-nn", "contextual-linear")
 _BASELINE_FITTED = ("baseline", "contextual-nn", "contextual-linear")
+_GROUP_FITTED = ("contextual", "contextual-transductive")
 
 
 @dataclass(frozen=True)
@@ -724,38 +766,42 @@ class PipelineConfig:
         object.__setattr__(self, "expand", tuple(self.expand))
 
 
-def _normalizer(config: PipelineConfig, train: Dataset, test: Dataset):
-    """config.normalize as its apply and its models: one fitted on its fit set
-    for both splits, or, for "contextual-transductive", one fitted on each
-    split itself.  Each fit is named here, not in a table built at import, so a
-    patched module attribute (a test double, the benchmark's tracer) sees its call."""
+def _normalizer(config: PipelineConfig, train: Dataset, test: Dataset, grouping, moments):
+    """config.normalize as its applies to train and to test and its models: one
+    fitted on its fit set for both splits, or, for "contextual-transductive",
+    one fitted on each split by the pair's _grouping.  Each other fit is named
+    here, not in a table built at import, so a patched module attribute (a test
+    double, the benchmark's tracer) sees its call."""
     name, key, fit_set = config.normalize, config.context, train
-    if name == "contextual-transductive":
-        return apply_contextual, (fit_contextual(train, key), fit_contextual(test, key))
+    if name in _GROUP_FITTED:
+        groups, test_groups, _ = grouping
+        models = (_fit_grouped(train, key, groups, moments),)
+        if name == "contextual-transductive":
+            models += (_fit_grouped(test, key, test_groups),)
+        return tuple(lambda model, ds, g=g: _standardized(model, ds, model._row_stats(g))
+                     for g in (groups, test_groups)), models
     if name in _BASELINE_FITTED:
         fit_set = encode_numeric(config.baseline)
         if config.impute:
             fit_set = impute_missing(fit_set, fit_set)
     if name == "minmax":
-        return apply_minmax, (fit_minmax(fit_set),)
+        return (apply_minmax,), (fit_minmax(fit_set),)
     if name == "percentile":
-        return apply_percentile, (fit_percentile(fit_set),)
+        return (apply_percentile,), (fit_percentile(fit_set),)
     if name in ("zscore", "baseline"):
-        return apply_zscore, (fit_zscore(fit_set),)
-    if name == "contextual":
-        return apply_contextual, (fit_contextual(fit_set, key),)
+        return (apply_zscore,), (fit_zscore(fit_set),)
     if name == "contextual-nn":
-        return apply_contextual, (fit_context_nn(fit_set, key),)
-    return apply_contextual, (fit_context_linear(fit_set, key),)
+        return (apply_contextual,), (fit_context_nn(fit_set, key),)
+    return (apply_contextual,), (fit_context_linear(fit_set, key),)
 
 
-def _applied(stage: str, apply, models: tuple, train: Dataset, test: Dataset
+def _applied(stage: str, applies: tuple, models: tuple, train: Dataset, test: Dataset
              ) -> tuple[Dataset, Dataset]:
-    """apply(models[0], train), apply(models[-1], test).  A cell that apply
-    turns from finite into infinite or NaN, then a statistic fitted in a model
+    """applies[0](models[0], train), applies[-1](models[-1], test).  A cell that
+    they turn from finite into infinite or NaN, then a statistic fitted in a model
     that is not finite (a deviation that overflows to inf makes every z-score
     0), is a ValueError naming the stage and the first such feature."""
-    pair = apply(models[0], train), apply(models[-1], test)
+    pair = applies[0](models[0], train), applies[-1](models[-1], test)
     for before, after in zip((train, test), pair):
         if after is before or -np.inf < after.values.sum() < np.inf:  # every cell is finite
             continue
@@ -797,16 +843,28 @@ def run_pipeline(
         train, test = Dataset(train.schema, filled[:n]), Dataset(test.schema, filled[n:])
     train, test = encode_numeric(train), encode_numeric(test)
 
-    if config.normalize != "none":
-        apply, models = _normalizer(config, train, test)
-        train, test = _applied(f"{config.normalize} normalization", apply, models, train, test)
-
-    if config.weight:
-        w = compute_weights(train, config.context)
-        train, test = _applied("weighting", apply_weights, (w,), train, test)
+    grouped = config.weight or config.normalize in _GROUP_FITTED
+    grouping = _grouping(config.context, train, test) if grouped else None  # both stages read it
+    train, test = _context_stages(config, train, test, grouping)
 
     if config.expand:
         model = fit_expansion(train, config.expand)
-        train, test = _applied("expansion", apply_expansion, (model,), train, test)
+        train, test = _applied("expansion", (apply_expansion,), (model,), train, test)
 
+    return train, test
+
+
+def _context_stages(config: PipelineConfig, train: Dataset, test: Dataset, grouping,
+                    moments=None) -> tuple[Dataset, Dataset]:
+    """run_pipeline's normalization and weighting of an encoded pair, by the
+    _grouping of the pair or of the pair it was made from, and, when given,
+    the _moments of train's groups."""
+    if config.normalize != "none":
+        applies, models = _normalizer(config, train, test, grouping, moments)
+        train, test = _applied(f"{config.normalize} normalization", applies, models, train, test)
+        moments = None  # the normalized rows have moments of their own
+
+    if config.weight:
+        w = _weights(train, config.context, grouping[0], grouping[2], moments)
+        train, test = _applied("weighting", (apply_weights,), (w,), train, test)
     return train, test

@@ -340,21 +340,49 @@ class TestGridMatchesPerComboPipeline:
         assert hep_report.per_split == tuple(records)
 
 
-def test_grid_runs_each_shared_stage_once_per_prefix(synthetic_hepatitis, monkeypatch):
-    calls = {"impute_missing": 0, "fit_contextual": 0, "compute_weights": 0, "fit_expansion": 0}
-    for name in calls:
-        real = getattr(preprocess, name)
+def count_calls(monkeypatch, names):
+    """Count the calls of each named preprocess function (a dotted name: a
+    method); the grid's stages reach the group fits through private cores."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        owner, attr = (preprocess.ContextKey, "groups") if name == "ContextKey.groups" \
+            else (preprocess, name)
+        real = getattr(owner, attr)
 
         def counting(*args, _name=name, _real=real, **kwargs):
             calls[_name] += 1
             return _real(*args, **kwargs)
 
-        monkeypatch.setattr(preprocess, name, counting)
+        monkeypatch.setattr(owner, attr, counting)
+    return calls
+
+
+GRID_COUNTED = ("impute_missing", "_fit_grouped", "_weights", "fit_expansion",
+                "ContextKey.groups", "_cells", "_first_occurrence", "_group_moments")
+
+
+def test_grid_runs_each_shared_stage_once_per_prefix(synthetic_hepatitis, monkeypatch):
+    calls = count_calls(monkeypatch, GRID_COUNTED)
     run_hepatitis_grid(synthetic_hepatitis, n_splits=3)
     # per split: impute train and test in one ranking, one normalization, two
-    # weightings, one expansion
-    assert calls == {"impute_missing": 3, "fit_contextual": 3, "compute_weights": 6,
-                     "fit_expansion": 3}
+    # weightings, one expansion; one grouping of the training and of the test
+    # rows, one (group, class) numbering, and four group-moment fits: the
+    # training rows' (shared by the normalization and the root weighting), the
+    # root weighting's cells, and the normalized weighting's groups and cells
+    assert calls == {"impute_missing": 3, "_fit_grouped": 3, "_weights": 6,
+                     "fit_expansion": 3, "ContextKey.groups": 6, "_cells": 3,
+                     "_first_occurrence": 9, "_group_moments": 12}
+
+
+def test_vowel_grid_derives_one_grouping(synthetic_vowel_pair, monkeypatch):
+    calls = count_calls(monkeypatch, GRID_COUNTED)
+    run_vowel_grid(*synthetic_vowel_pair, "nn")
+    # no imputation; each split fitted on its own rows (the test split's fit
+    # reads its own group moments), two weightings, one expansion; one
+    # grouping of each split and one (group, class) numbering
+    assert calls == {"impute_missing": 0, "_fit_grouped": 2, "_weights": 2,
+                     "fit_expansion": 1, "ContextKey.groups": 2, "_cells": 1,
+                     "_first_occurrence": 3, "_group_moments": 5}
 
 
 def test_comparison_reaches_each_fit_through_its_module_attribute(planted, monkeypatch):
@@ -377,13 +405,13 @@ def test_comparison_reaches_each_fit_through_its_module_attribute(planted, monke
 
 def test_transductive_normalization_fits_each_split_through_the_module_attribute(
         synthetic_vowel_pair, monkeypatch):
-    fitted, real = [], preprocess.fit_contextual
+    fitted, real = [], preprocess._fit_grouped
 
-    def counting(fit_set, key):
+    def counting(fit_set, key, groups, moments=None):
         fitted.append((fit_set, key))
-        return real(fit_set, key)
+        return real(fit_set, key, groups, moments)
 
-    monkeypatch.setattr(preprocess, "fit_contextual", counting)
+    monkeypatch.setattr(preprocess, "_fit_grouped", counting)
     train, test = synthetic_vowel_pair
     run_vowel_grid(train, test, "nn")
     # one normalization in the grid: each split fitted on its own rows

@@ -1591,6 +1591,11 @@ _UNRESOLVED = Dataset(FeatureSchema((
 @pytest.mark.parametrize("call, message", [
     pytest.param(lambda: ContextKey("c", (1.0, 1.0)), "bin boundaries must be strictly increasing",
                  id="boundaries-not-increasing"),
+    # NaN fails every comparison: (NaN, 1.0) would bin 0.5 first and 1.5 last, none between
+    pytest.param(lambda: ContextKey("c", (np.nan, 1.0)), "bin boundaries must not be NaN",
+                 id="boundaries-nan-first"),
+    pytest.param(lambda: ContextKey("c", (np.nan,)), "bin boundaries must not be NaN",
+                 id="boundaries-lone-nan"),
     pytest.param(lambda: fit_contextual(_UNRESOLVED, ContextKey("g")),
                  "context feature 'g' has no resolvable values", id="fit-contextual-all-missing"),
     pytest.param(lambda: compute_weights(_UNRESOLVED, ContextKey("g")),
