@@ -17,8 +17,7 @@ from typing import Sequence
 from ._dist import student_t_two_sided
 from .classify import mlr_fit_many, mlr_predict_dataset, nn_fit, nn_predict_dataset
 from .data import Dataset, Feature, FeatureRole, FeatureSchema, schema_to_json, split_random
-from .preprocess import (ContextKey, PipelineConfig, _context_stages, _grouping, _moments,
-                         column_bins, run_pipeline)
+from .preprocess import ContextKey, PipelineConfig, _context_grid, column_bins, run_pipeline
 
 CLASSIFIERS = ("nn", "mlr")
 
@@ -110,37 +109,22 @@ def run_strategy_grid(
 
     Each pipeline stage runs once per distinct prefix of the fixed order
     impute+encode -> normalize -> weight -> expand: the root pair is imputed
-    (both splits in one ranking) and encoded once, then normalization and
-    weighting run on every pair of the level before them when their flag is
-    on and pass the pair through when it is off (1 normalization, 2
-    weightings).  They rewrite only primary columns, so they all read the root
-    pair's one grouping (context groups and (group, class) cells), and the
-    normalization fit and the root weighting share its training group moments.
-    The expanded feature is contextual, so the one expansion of the root pair
-    gives every expanded leaf its column and schema.  Every stage reads only
-    the output of the stage before it and encoding already-encoded data
-    changes nothing, so each leaf equals the full per-combo run_pipeline output.
+    (both splits in one ranking) and encoded once, then one _context_grid call
+    runs normalization, and weighting with and without it (1 normalization,
+    2 weightings), all by the root pair's one context grouping.  They rewrite
+    only primary columns, and the expanded feature is contextual, so the one
+    expansion of the root pair gives every expanded leaf its column and
+    schema.  Every stage reads only the output of the stage before it and
+    encoding already-encoded data changes nothing, so each leaf equals the
+    full per-combo run_pipeline output.
     The normalizer is ``normalize``: "contextual" fits group statistics on
     the training split, "contextual-transductive" on each split's own rows.
     One evaluate_many call scores the 8 leaves, so their mlr fits run as stacks.
     """
-    stages = (
-        PipelineConfig(normalize=normalize, context=context),
-        PipelineConfig(weight=True, context=context),
-    )
     root = run_pipeline(PipelineConfig(impute=impute), train, test)
-    grouping = _grouping(context, *root)
-    moments = _moments(root[0], grouping[0])
     # leaf pairs keyed by the pipeline-order flags (normalize, weight, expand)
-    leaves = {(): root}
-    for stage in stages:
-        leaves = {
-            flags + (on,): _context_stages(stage, *pair, grouping, moments if pair is root else None)
-            if on else pair
-            for flags, pair in leaves.items()
-            for on in (False, True)
-        }
-    expanded = run_pipeline(PipelineConfig(expand=(expand_feature,)), *leaves[False, False])
+    leaves = _context_grid(PipelineConfig(normalize=normalize, weight=True, context=context), *root)
+    expanded = run_pipeline(PipelineConfig(expand=(expand_feature,)), *root)
     at = [train.schema.index_of(expand_feature)]
     leaves = {
         flags + (on,): tuple(ds.replace_columns(at, e.values[:, at], e.schema)

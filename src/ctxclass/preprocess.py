@@ -453,8 +453,11 @@ class GroupContextModel:
 
 def _grouping(key: ContextKey, train: Dataset, test: Dataset) -> tuple:
     """ContextKey.groups of a pair's training and test rows and the training
-    rows' _cells: all the group fits and applies read, and kept by normalizing
-    and weighting, as these rewrite only primary columns."""
+    rows' _cells: all the group fits and applies read.  Normalizing and
+    weighting rewrite only primary columns, so the pairs they make keep it;
+    a key on any other feature is refused."""
+    if train.schema.features[train.schema.index_of(key.feature)].role is not FeatureRole.CONTEXTUAL:
+        raise ValueError(f"{key.feature!r} is not a contextual feature")
     groups = key.groups(train)
     return groups, key.groups(test), _cells(train, groups[0])
 
@@ -474,18 +477,18 @@ def _moments(train: Dataset, groups: tuple) -> tuple[np.ndarray, np.ndarray]:
 def fit_contextual(train: Dataset, key: ContextKey) -> GroupContextModel:
     """Group statistics estimator: mean and population deviation of each
     primary feature within each context group."""
-    return _fit_grouped(train, key, key.groups(train))
+    groups = key.groups(train)
+    return _fit_grouped(train, key, groups, _moments(train, groups))
 
 
-def _fit_grouped(train: Dataset, key: ContextKey, groups: tuple, moments=None
+def _fit_grouped(train: Dataset, key: ContextKey, groups: tuple, moments: tuple
                  ) -> GroupContextModel:
-    """fit_contextual over train's groups, with their _moments when given."""
+    """fit_contextual over train's groups and their _moments."""
     idx, m = _fit_matrix(train, "cannot fit a context model on an empty set")
-    group, labels = groups
+    labels = groups[1]
     if not labels:
         raise ValueError(f"context feature {key.feature!r} has no resolvable values")
-    mean, std = _group_moments(m, group, len(labels)) if moments is None else moments
-    stats = {label: (tuple(mu), tuple(sigma)) for label, mu, sigma in zip(labels, mean, std)}
+    stats = {label: (tuple(mu), tuple(sigma)) for label, mu, sigma in zip(labels, *moments)}
     return GroupContextModel(idx, key, stats, _mean_std(m))
 
 
@@ -587,19 +590,17 @@ def compute_weights(train: Dataset, key: ContextKey) -> WeightVector:
     skipped and the average renormalized by the non-empty count.
     """
     groups = key.groups(train)
-    return _weights(train, key, groups, _cells(train, groups[0]))
+    return _weights(train, key, groups, _cells(train, groups[0]), _moments(train, groups))
 
 
-def _weights(train: Dataset, key: ContextKey, groups: tuple, cells: tuple, moments=None
+def _weights(train: Dataset, key: ContextKey, groups: tuple, cells: tuple, moments: tuple
              ) -> WeightVector:
-    """compute_weights over train's groups and _cells, with the _moments of its
-    groups when given."""
+    """compute_weights over train's groups, their _cells and their _moments."""
     idx, m = _fit_matrix(train, "no labeled rows")
-    (group, labels), (cell, cells) = groups, cells
-    if not labels:
+    if not groups[1]:
         raise ValueError(f"context feature {key.feature!r} has no resolvable values")
-    inter = (_group_moments(m, group, len(labels)) if moments is None else moments)[1].mean(axis=0)
-    intra = _group_moments(m, cell, len(cells))[1].mean(axis=0)
+    inter = moments[1].mean(axis=0)
+    intra = _group_moments(m, cells[0], len(cells[1]))[1].mean(axis=0)
     weights = inter / np.maximum(intra, SIGMA_FLOOR)
     return WeightVector(idx, tuple(weights), tuple(inter), tuple(intra))
 
@@ -767,41 +768,44 @@ class PipelineConfig:
 
 
 def _normalizer(config: PipelineConfig, train: Dataset, test: Dataset, grouping, moments):
-    """config.normalize as its applies to train and to test and its models: one
-    fitted on its fit set for both splits, or, for "contextual-transductive",
-    one fitted on each split by the pair's _grouping.  Each other fit is named
-    here, not in a table built at import, so a patched module attribute (a test
-    double, the benchmark's tracer) sees its call."""
+    """config.normalize as its apply and its models: one fitted on its fit set
+    for both splits, or, for "contextual-transductive", one fitted on each
+    split itself.  The group fits and applies run through private cores on the
+    pair's _grouping and the training rows' group moments; each other fit is
+    named here, not in a table built at import, so a patched module attribute
+    (a test double, the benchmark's tracer) sees its call."""
     name, key, fit_set = config.normalize, config.context, train
     if name in _GROUP_FITTED:
         groups, test_groups, _ = grouping
         models = (_fit_grouped(train, key, groups, moments),)
         if name == "contextual-transductive":
-            models += (_fit_grouped(test, key, test_groups),)
-        return tuple(lambda model, ds, g=g: _standardized(model, ds, model._row_stats(g))
-                     for g in (groups, test_groups)), models
+            models += (_fit_grouped(test, key, test_groups, _moments(test, test_groups)),)
+
+        def apply(model, ds):  # each split by its own groups
+            return _standardized(model, ds, model._row_stats(test_groups if ds is test else groups))
+        return apply, models
     if name in _BASELINE_FITTED:
         fit_set = encode_numeric(config.baseline)
         if config.impute:
             fit_set = impute_missing(fit_set, fit_set)
     if name == "minmax":
-        return (apply_minmax,), (fit_minmax(fit_set),)
+        return apply_minmax, (fit_minmax(fit_set),)
     if name == "percentile":
-        return (apply_percentile,), (fit_percentile(fit_set),)
+        return apply_percentile, (fit_percentile(fit_set),)
     if name in ("zscore", "baseline"):
-        return (apply_zscore,), (fit_zscore(fit_set),)
+        return apply_zscore, (fit_zscore(fit_set),)
     if name == "contextual-nn":
-        return (apply_contextual,), (fit_context_nn(fit_set, key),)
-    return (apply_contextual,), (fit_context_linear(fit_set, key),)
+        return apply_contextual, (fit_context_nn(fit_set, key),)
+    return apply_contextual, (fit_context_linear(fit_set, key),)
 
 
-def _applied(stage: str, applies: tuple, models: tuple, train: Dataset, test: Dataset
+def _applied(stage: str, apply, models: tuple, train: Dataset, test: Dataset
              ) -> tuple[Dataset, Dataset]:
-    """applies[0](models[0], train), applies[-1](models[-1], test).  A cell that
-    they turn from finite into infinite or NaN, then a statistic fitted in a model
+    """apply(models[0], train), apply(models[-1], test).  A cell that apply
+    turns from finite into infinite or NaN, then a statistic fitted in a model
     that is not finite (a deviation that overflows to inf makes every z-score
     0), is a ValueError naming the stage and the first such feature."""
-    pair = applies[0](models[0], train), applies[-1](models[-1], test)
+    pair = apply(models[0], train), apply(models[-1], test)
     for before, after in zip((train, test), pair):
         if after is before or -np.inf < after.values.sum() < np.inf:  # every cell is finite
             continue
@@ -845,26 +849,45 @@ def run_pipeline(
 
     grouped = config.weight or config.normalize in _GROUP_FITTED
     grouping = _grouping(config.context, train, test) if grouped else None  # both stages read it
-    train, test = _context_stages(config, train, test, grouping)
+    if config.normalize != "none":
+        moments = _moments(train, grouping[0]) if config.normalize in _GROUP_FITTED else None
+        train, test = _normalized(config, train, test, grouping, moments)
+
+    if config.weight:
+        train, test = _weighted(config.context, train, test, grouping, _moments(train, grouping[0]))
 
     if config.expand:
         model = fit_expansion(train, config.expand)
-        train, test = _applied("expansion", (apply_expansion,), (model,), train, test)
+        train, test = _applied("expansion", apply_expansion, (model,), train, test)
 
     return train, test
 
 
-def _context_stages(config: PipelineConfig, train: Dataset, test: Dataset, grouping,
-                    moments=None) -> tuple[Dataset, Dataset]:
-    """run_pipeline's normalization and weighting of an encoded pair, by the
-    _grouping of the pair or of the pair it was made from, and, when given,
-    the _moments of train's groups."""
-    if config.normalize != "none":
-        applies, models = _normalizer(config, train, test, grouping, moments)
-        train, test = _applied(f"{config.normalize} normalization", applies, models, train, test)
-        moments = None  # the normalized rows have moments of their own
+def _normalized(config: PipelineConfig, train: Dataset, test: Dataset, grouping, moments
+                ) -> tuple[Dataset, Dataset]:
+    """run_pipeline's normalization; a group fit reads grouping and moments."""
+    apply, models = _normalizer(config, train, test, grouping, moments)
+    return _applied(f"{config.normalize} normalization", apply, models, train, test)
 
-    if config.weight:
-        w = _weights(train, config.context, grouping[0], grouping[2], moments)
-        train, test = _applied("weighting", (apply_weights,), (w,), train, test)
-    return train, test
+
+def _weighted(key: ContextKey, train: Dataset, test: Dataset, grouping: tuple, moments: tuple
+              ) -> tuple[Dataset, Dataset]:
+    """run_pipeline's weighting by a pair's _grouping and train's _moments."""
+    w = _weights(train, key, grouping[0], grouping[2], moments)
+    return _applied("weighting", apply_weights, (w,), train, test)
+
+
+@np.errstate(all="ignore")  # an overflow is refused by _applied, not warned
+def _context_grid(config: PipelineConfig, train: Dataset, test: Dataset) -> dict:
+    """run_pipeline's normalization and weighting of an encoded pair, each off
+    and on: the four pairs keyed by their (normalize, weight) flags.  Both
+    stages rewrite only primary columns, so every fit reads the pair's one
+    _grouping, and the normalization fit and the weighting of the pair itself
+    share its training rows' group _moments."""
+    grouping = _grouping(config.context, train, test)
+    moments = _moments(train, grouping[0])
+    normalized = _normalized(config, train, test, grouping, moments)
+    return {(False, False): (train, test), (True, False): normalized,
+            (False, True): _weighted(config.context, train, test, grouping, moments),
+            (True, True): _weighted(config.context, *normalized, grouping,
+                                    _moments(normalized[0], grouping[0]))}

@@ -403,11 +403,12 @@ def test_comparison_reaches_each_fit_through_its_module_attribute(planted, monke
     assert calls == {"fit_context_nn": 1, "fit_context_linear": 1, "fit_zscore": 2}
 
 
-def test_transductive_normalization_fits_each_split_through_the_module_attribute(
+def test_transductive_normalization_fits_each_split_on_its_own_rows(
         synthetic_vowel_pair, monkeypatch):
+    # the grid reaches the group fit through its private core, not fit_contextual
     fitted, real = [], preprocess._fit_grouped
 
-    def counting(fit_set, key, groups, moments=None):
+    def counting(fit_set, key, groups, moments):
         fitted.append((fit_set, key))
         return real(fit_set, key, groups, moments)
 

@@ -1604,6 +1604,11 @@ _UNRESOLVED = Dataset(FeatureSchema((
                  id="expand-a-primary-feature"),
     pytest.param(lambda: fit_expansion(_UNRESOLVED, ["c"]),
                  "contextual feature 'c' is entirely MISSING", id="expand-all-missing"),
+    # normalizing rewrites a primary column, so weighting would group by other values
+    pytest.param(lambda: run_pipeline(PipelineConfig(normalize="zscore", weight=True,
+                                                     context=ContextKey("x")),
+                                      _UNRESOLVED, _UNRESOLVED),
+                 "'x' is not a contextual feature", id="pipeline-context-a-primary-feature"),
 ])
 def test_refusals_name_their_cause(call, message):
     with pytest.raises(ValueError) as raised:
