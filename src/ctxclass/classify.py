@@ -269,10 +269,18 @@ def mlr_predict_dataset(model: LinearDiscriminantModel, dataset: Dataset) -> np.
     the largest value; the lowest class index wins ties, so a repeated symbol's
     equation, equal to its first one, never wins over it."""
     queries = _require_numeric(dataset, dataset.schema.primary_indices)
-    scores = np.empty((queries.shape[0], len(model.equations)))
+    return _scores(model, queries).argmax(axis=0)  # first maximum = lowest class index
+
+
+def _scores(model: LinearDiscriminantModel, queries: np.ndarray) -> np.ndarray:
+    """Each equation's value at each query row, a row per equation.  Its terms, the
+    intercept and then coef * column in selection order, are added in that order
+    (add.accumulate), so each score is bit for bit the term-by-term sum."""
+    scores = np.empty((len(model.equations), len(queries)))
     for k, eq in enumerate(model.equations):
-        scores[:, k] = eq.intercept
-        for c, i in zip(eq.coefs, eq.selected):
-            scores[:, k] += c * queries[:, i]
-    return scores.argmax(axis=1)  # first maximum = lowest class index
+        terms = np.empty((len(eq.selected) + 1, len(queries)))
+        terms[0] = eq.intercept
+        np.multiply(np.array(eq.coefs)[:, None], queries.T[list(eq.selected)], out=terms[1:])
+        scores[k] = np.add.accumulate(terms, axis=0)[-1]
+    return scores
 

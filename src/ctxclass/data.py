@@ -10,6 +10,8 @@ or where it refuses a token the routine that defines a cell and names its
 fault.  The writer (a block of rows at a time), transforms and the
 planted-context generator (one draw of its random stream) work a column at
 a time; rows of symbols, floats and MISSING are views derived on demand.
+A frozen FeatureSchema derives the facts the transforms read of it (role
+indices, discrete columns, code scales, the encoded schema) once.
 
 A JointDistribution is an explicit table of tuple probabilities over
 discrete variables, one of them the class.  One checked walk at construction
@@ -119,13 +121,14 @@ class Feature:
 
 @dataclass(frozen=True)
 class FeatureSchema:
-    """Ordered feature descriptions; exactly one feature has the class role."""
+    """Ordered feature descriptions; exactly one feature has the class role.
+    The facts derived from them are computed once per object, as Feature.codes
+    is, and are not compared, hashed or pickled."""
 
     features: tuple[Feature, ...]
 
     def __post_init__(self):
-        names = [f.name for f in self.features]
-        if len(set(names)) != len(names):
+        if len(set(self.names)) != len(self.names):
             raise ValueError("feature names must be unique")
         n_class = sum(1 for f in self.features if f.role is FeatureRole.CLASS)
         if n_class != 1:
@@ -133,13 +136,16 @@ class FeatureSchema:
         if self.class_feature.kind != "discrete":
             raise ValueError(f"class feature {self.class_feature.name!r} must be discrete")
 
+    def __getstate__(self):
+        return {"features": self.features}
+
     def __len__(self):
         return len(self.features)
 
     def __iter__(self):
         return iter(self.features)
 
-    @property
+    @cached_property
     def names(self) -> tuple[str, ...]:
         return tuple(f.name for f in self.features)
 
@@ -149,7 +155,7 @@ class FeatureSchema:
                 return i
         raise KeyError(f"no feature named {name!r}")
 
-    @property
+    @cached_property
     def class_index(self) -> int:
         return next(i for i, f in enumerate(self.features) if f.role is FeatureRole.CLASS)
 
@@ -157,13 +163,35 @@ class FeatureSchema:
     def class_feature(self) -> Feature:
         return self.features[self.class_index]
 
-    @property
+    @cached_property
     def primary_indices(self) -> tuple[int, ...]:
         return tuple(i for i, f in enumerate(self.features) if f.role is FeatureRole.PRIMARY)
 
-    @property
+    @cached_property
     def contextual_indices(self) -> tuple[int, ...]:
         return tuple(i for i, f in enumerate(self.features) if f.role is FeatureRole.CONTEXTUAL)
+
+    @cached_property
+    def discrete(self) -> frozenset[int]:
+        """The indices of the discrete features."""
+        return frozenset(i for i, f in enumerate(self.features) if f.kind == "discrete")
+
+    @cached_property
+    def code_scales(self) -> np.ndarray:
+        """Read-only: k - 1 for a discrete feature of k > 1 symbols, else 1."""
+        scales = np.array([max(len(f.alphabet or ()) - 1, 1) for f in self.features], dtype=float)
+        scales.flags.writeable = False
+        return scales
+
+    @cached_property
+    def encoded(self) -> tuple[FeatureSchema, tuple[int, ...]]:
+        """This schema with its discrete primary features made continuous (itself
+        if it has none), and their indices."""
+        targets = tuple(i for i in self.primary_indices if i in self.discrete)
+        if not targets:
+            return self, targets
+        return FeatureSchema(tuple(Feature(f.name, f.role, "continuous") if i in targets else f
+                                   for i, f in enumerate(self.features))), targets
 
     def check_row(self, row: Sequence, where: str = "") -> None:
         if len(row) != len(self.features):

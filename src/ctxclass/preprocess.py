@@ -24,7 +24,7 @@ its feature's raw values.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -41,16 +41,18 @@ _NN_BLOCK_CELLS = 1 << 17  # most terms a kernel block writes: 1 MB, to stay in 
 def _require_numeric(dataset: Dataset, indices: Sequence[int]) -> np.ndarray:
     """The listed columns as a C-ordered n_rows x len(indices) matrix (sums
     round by their order), once each is numeric: a MISSING cell, then a
-    discrete column with rows, is an error that names its feature."""
+    discrete column with rows, is an error that names its feature.  One
+    reduction finds whether there is a fault; the walk names the first."""
     m = dataset.values.take(indices, axis=1)
-    missing = np.isnan(m).any(axis=0)
-    for j, i in enumerate(indices):
-        feature = dataset.schema.features[i]
-        problem = ("has MISSING cells; impute first" if missing[j]
-                   else "is symbolic; encode_numeric first"
-                   if feature.kind == "discrete" and len(m) else None)
-        if problem:
-            raise ValueError(f"feature {feature.name!r} {problem}")
+    if np.isnan(m.min(initial=0.0)) or len(m) and not dataset.schema.discrete.isdisjoint(indices):
+        missing = np.isnan(m).any(axis=0)
+        for j, i in enumerate(indices):
+            feature = dataset.schema.features[i]
+            problem = ("has MISSING cells; impute first" if missing[j]
+                       else "is symbolic; encode_numeric first"
+                       if feature.kind == "discrete" and len(m) else None)
+            if problem:
+                raise ValueError(f"feature {feature.name!r} {problem}")
     return m
 
 
@@ -242,9 +244,7 @@ def _nearest_rows(queries: np.ndarray, reference: np.ndarray,
 def _encoded_columns(dataset: Dataset, indices: Sequence[int]) -> np.ndarray:
     """The listed columns with each discrete symbol's alphabet index scaled
     into [0, 1]: code / (k - 1) for an alphabet of k > 1 symbols, else 0."""
-    features = [dataset.schema.features[i] for i in indices]
-    scale = [max(len(f.alphabet) - 1, 1) if f.kind == "discrete" else 1 for f in features]
-    return dataset.values.take(indices, axis=1) / scale
+    return dataset.values.take(indices, axis=1) / dataset.schema.code_scales.take(indices)
 
 
 def encode_numeric(dataset: Dataset) -> Dataset:
@@ -253,14 +253,9 @@ def encode_numeric(dataset: Dataset) -> Dataset:
     Binary features become 0/1.  Contextual and class features are left
     symbolic; MISSING cells pass through.
     """
-    targets = [i for i, f in enumerate(dataset.schema)
-               if f.role is FeatureRole.PRIMARY and f.kind == "discrete"]
+    schema, targets = dataset.schema.encoded
     if not targets:
         return dataset
-    schema = FeatureSchema(tuple(
-        replace(f, kind="continuous", alphabet=None) if i in targets else f
-        for i, f in enumerate(dataset.schema)
-    ))
     return dataset.replace_columns(targets, _encoded_columns(dataset, targets), schema)
 
 
@@ -689,7 +684,7 @@ def impute_missing(train: Dataset, target: Dataset) -> Dataset:
     if target.missing_count() == 0:
         return target
 
-    lo, hi = np.nanmin(train_raw, axis=0), np.nanmax(train_raw, axis=0)
+    lo, hi = np.fmin.reduce(train_raw, axis=0), np.fmax.reduce(train_raw, axis=0)
     cols = np.asarray(indices)
     values = target.values.copy()
     incomplete = np.flatnonzero(np.isnan(values).any(axis=1))

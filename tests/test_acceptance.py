@@ -29,6 +29,8 @@ from ctxclass.preprocess import (
 
 from test_preprocess import numeric_dataset
 
+pytestmark = [pytest.mark.simd_off, pytest.mark.katmai]
+
 #: reference per-cell percents for the vowel grid with the nearest neighbor,
 #: in standard combo order
 VOWEL_TABLE = dict(zip(harness.STRATEGY_COMBOS, (56, 58, 55, 59, 58, 64, 59, 66)))

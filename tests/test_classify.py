@@ -29,6 +29,8 @@ from ctxclass.preprocess import (
 
 from test_preprocess import numeric_dataset
 
+pytestmark = pytest.mark.simd_off
+
 
 def predict_row(predict, model, schema, row):
     """The class that predict (nn_predict_dataset or mlr_predict_dataset)
@@ -696,6 +698,7 @@ def hepatitis_leaf_trains(dataset):
             for normalize, expand, weight in STRATEGY_COMBOS]
 
 
+@pytest.mark.katmai
 class TestStackedForwardSelection:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(stack=design_stacks(), f_enter=st.sampled_from([0.0, 4.0, 1e9]))
@@ -786,6 +789,52 @@ class TestStackedForwardSelection:
             assert repr(mlr_fit_many(trains)) == want
         assert repr(mlr_fit_many(trains, select=False)) == repr(
             [mlr_fit(t, select=False) for t in trains])
+
+
+def loop_scores(model, queries):
+    """Each equation's value at each query row, a term at a time: the loop the
+    scorer ran before it added an equation's terms in one pass, kept as its oracle."""
+    scores = np.empty((queries.shape[0], len(model.equations)))
+    for k, eq in enumerate(model.equations):
+        scores[:, k] = eq.intercept
+        for c, i in zip(eq.coefs, eq.selected):
+            scores[:, k] += c * queries[:, i]
+    return scores.T
+
+
+_SCORE_CELLS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.1, 3.0]) | st.floats(-1e6, 1e6)
+
+
+@st.composite
+def scored_models(draw):
+    """A query matrix of 1-6 rows and 1-4 columns, and 1-4 equations of any length
+    up to the column count (none selected included) over any of its columns,
+    intercepts and coefficients zeros of both signs included; repeated labels allowed."""
+    rows, d = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    queries = np.array(draw(st.lists(st.lists(_SCORE_CELLS, min_size=d, max_size=d),
+                                     min_size=rows, max_size=rows)))
+    equations = []
+    for _ in range(draw(st.integers(1, 4))):
+        selected = tuple(draw(st.lists(st.integers(0, d - 1), max_size=d, unique=True)))
+        coefs = tuple(draw(st.lists(_SCORE_CELLS, min_size=len(selected), max_size=len(selected))))
+        equations.append(classify.ClassEquation(draw(st.sampled_from("ab")), selected,
+                                                draw(_SCORE_CELLS), coefs))
+    return classify.LinearDiscriminantModel(tuple(equations)), queries
+
+
+class TestScoresMatchTheTermLoop:
+    @settings(max_examples=500, deadline=None)
+    @given(case=scored_models())
+    # one row; no selected column, so a -0.0 score that a padded +0.0 term would
+    # turn into +0.0; equations of different lengths; a repeated class symbol
+    @example(case=(classify.LinearDiscriminantModel((
+        classify.ClassEquation("a", (), -0.0, ()),
+        classify.ClassEquation("a", (1, 0), -0.0, (-2.0, 0.5)),
+        classify.ClassEquation("b", (0,), 1.0, (-0.0,)))), np.array([[0.0, 0.0]])))
+    def test_bit_equal(self, case):
+        model, queries = case
+        got, want = classify._scores(model, queries), loop_scores(model, queries)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_empty_training_set_is_refused():

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import pickle
 import random
 import re
 import threading
@@ -611,6 +612,7 @@ def planted_params(draw):
     )
 
 
+@pytest.mark.simd_off
 class TestPlantedContextMatchesTheRowLoop:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(params=planted_params(), seed=st.integers(0, 2**32))
@@ -629,6 +631,90 @@ def _encoded(train, test):
 
     cfg = preprocess.PipelineConfig()
     return preprocess.run_pipeline(cfg, train, test)
+
+
+# ---------------------------------------------------------------------------
+# A schema's cached facts against a fresh walk over its features
+
+def schema_facts_oracle(schema):
+    """Every cached fact of a schema, derived anew from its features."""
+    feats, role = schema.features, lambda r: tuple(i for i, f in enumerate(feats) if f.role is r)
+    targets = tuple(i for i, f in enumerate(feats)
+                    if f.role is FeatureRole.PRIMARY and f.kind == "discrete")
+    encoded = data.FeatureSchema(tuple(
+        data.Feature(f.name, f.role, "continuous") if i in targets else f
+        for i, f in enumerate(feats)))
+    return {"names": tuple(f.name for f in feats), "class_index": role(FeatureRole.CLASS)[0],
+            "primary_indices": role(FeatureRole.PRIMARY),
+            "contextual_indices": role(FeatureRole.CONTEXTUAL),
+            "discrete": frozenset(i for i, f in enumerate(feats) if f.kind == "discrete"),
+            "code_scales": [max(len(f.alphabet) - 1, 1) if f.kind == "discrete" else 1
+                            for f in feats],
+            "encoded": (encoded, targets)}
+
+
+def schema_facts(schema):
+    facts = {name: getattr(schema, name) for name in schema_facts_oracle(schema)}
+    return facts | {"code_scales": facts["code_scales"].tolist()}
+
+
+@st.composite
+def schemas(draw):
+    """1-6 features of any role, kind and alphabet size; one class, anywhere."""
+    n = draw(st.integers(1, 6))
+    at = draw(st.integers(0, n - 1))
+    feats = []
+    for i in range(n):
+        role = FeatureRole.CLASS if i == at else draw(
+            st.sampled_from([FeatureRole.PRIMARY, FeatureRole.CONTEXTUAL]))
+        kind = "discrete" if i == at else draw(st.sampled_from(["discrete", "continuous"]))
+        alphabet = tuple("abcd"[:draw(st.integers(1, 4))]) if kind == "discrete" else None
+        feats.append(data.Feature(f"f{i}", role, kind, alphabet))
+    return data.FeatureSchema(tuple(feats))
+
+
+def _named_schemas():
+    return {"hepatitis": data.hepatitis_schema(),
+            "vowel": data._vowel_schema(["0", "1", "2"]),
+            "planted": data.planted_context_schema(data.PlantedContextParams()),
+            "joint": worked_spec().schema()}
+
+
+class TestSchemaFacts:
+    @pytest.mark.parametrize("name", list(_named_schemas()))
+    def test_each_fact_equals_a_fresh_walk(self, name):
+        schema = _named_schemas()[name]
+        assert schema_facts(schema) == schema_facts_oracle(schema)
+        assert schema_facts(schema.encoded[0]) == schema_facts_oracle(schema.encoded[0])
+
+    @settings(max_examples=200, deadline=None)
+    @given(schema=schemas())
+    def test_each_fact_of_a_drawn_schema_equals_a_fresh_walk(self, schema):
+        assert schema_facts(schema) == schema_facts_oracle(schema)
+
+    def test_a_schema_without_discrete_primaries_encodes_to_itself(self):
+        schema = data.planted_context_schema(data.PlantedContextParams())
+        assert schema.encoded == (schema, ())
+        encoded = data.hepatitis_schema().encoded[0]
+        assert encoded.encoded[0] is encoded
+
+    @pytest.mark.parametrize("name", list(_named_schemas()))
+    def test_reading_the_facts_leaves_equality_hash_and_pickle_alone(self, name):
+        schema, twin = _named_schemas()[name], _named_schemas()[name]
+        before = pickle.dumps(schema)
+        schema_facts(schema)
+        assert schema == twin and hash(schema) == hash(twin)
+        assert pickle.dumps(schema) == before
+        copy = pickle.loads(before)
+        assert copy == schema and hash(copy) == hash(schema)
+        assert schema_facts(copy) == schema_facts_oracle(schema)
+
+    def test_the_code_scales_refuse_a_write(self):
+        schema = data.hepatitis_schema()
+        for schema in (schema, pickle.loads(pickle.dumps(schema))):
+            with pytest.raises(ValueError, match="read-only"):
+                schema.code_scales[0] = 2.0
+        assert data.hepatitis_schema().code_scales[0] == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -790,6 +876,7 @@ def _outcome(load, *args):
         return f"LoadError: {exc}"
 
 
+@pytest.mark.simd_off
 class TestColumnLoadersMatchTheRowWalk:
     SETTINGS = settings(max_examples=200, deadline=None, derandomize=True,
                         suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -922,6 +1009,7 @@ BLOCK_EDGE_CASES = {
 }
 
 
+@pytest.mark.simd_off
 class TestBlockedLoadersMatchTheWholeFileReader:
     """Every loader streams its file and parses a block of _BLOCK_ROWS lines
     at a time; at any block size it gives what the whole-file reader and the

@@ -160,6 +160,8 @@ class TestVowelGrid:
         ("mlr", "942c4fbb8b3fee44202b9252ebc48a9f7649cef448a64d7d70488fb5eee02a06",
          "87f9e144816119d69fea5809dfadeb23db45da7c256766183d8f6ba09008eda5"),
     ])
+    @pytest.mark.simd_off
+    @pytest.mark.katmai
     def test_report_bytes_are_pinned(self, synthetic_vowel_pair, classifier, text_sha, csv_sha):
         # the benchmark digests cover neither this grid nor the transductive
         # normalizer, so its report bytes are pinned here
@@ -168,6 +170,8 @@ class TestVowelGrid:
         assert hashlib.sha256(emit_table(report, "csv").encode()).hexdigest() == csv_sha
 
 
+@pytest.mark.simd_off
+@pytest.mark.katmai
 class TestHepatitisGrid:
     def test_aggregation(self, hep_report):
         assert len(hep_report.cells) == 8
@@ -304,6 +308,8 @@ def hepatitis_age_context(train):
     return ContextKey("age", column_bins(train, train.schema.index_of("age"), 5))
 
 
+@pytest.mark.simd_off
+@pytest.mark.katmai
 class TestGridMatchesPerComboPipeline:
     @pytest.mark.parametrize("classifier", CLASSIFIERS)
     def test_hepatitis_split(self, synthetic_hepatitis, classifier, monkeypatch):
@@ -361,6 +367,7 @@ GRID_COUNTED = ("impute_missing", "_fit_grouped", "_weights", "fit_expansion",
                 "ContextKey.groups", "_cells", "_first_occurrence", "_group_moments")
 
 
+@pytest.mark.katmai
 def test_grid_runs_each_shared_stage_once_per_prefix(synthetic_hepatitis, monkeypatch):
     calls = count_calls(monkeypatch, GRID_COUNTED)
     run_hepatitis_grid(synthetic_hepatitis, n_splits=3)
@@ -374,6 +381,20 @@ def test_grid_runs_each_shared_stage_once_per_prefix(synthetic_hepatitis, monkey
                      "_first_occurrence": 9, "_group_moments": 12}
 
 
+def test_grid_builds_one_encoded_schema_for_the_run(hepatitis_file, monkeypatch):
+    dataset = data.load_hepatitis(hepatitis_file)  # a fresh schema: none of its facts derived
+    built = []
+    real = data.FeatureSchema.__post_init__
+    monkeypatch.setattr(data.FeatureSchema, "__post_init__",
+                        lambda schema: built.append(schema) or real(schema))
+    run_hepatitis_grid(dataset, n_splits=3)
+    # every split shares the loaded schema, so encoding builds one schema for
+    # the run; each split's expansion builds one for its training and test rows
+    assert len(built) == 7
+    assert built[0] is dataset.schema.encoded[0]
+
+
+@pytest.mark.katmai
 def test_vowel_grid_derives_one_grouping(synthetic_vowel_pair, monkeypatch):
     calls = count_calls(monkeypatch, GRID_COUNTED)
     run_vowel_grid(*synthetic_vowel_pair, "nn")

@@ -321,6 +321,7 @@ def nearest_rows_oracle(queries, reference, leave_one_out=False):
 KERNEL_WIDTHS = st.integers(0, 30) | st.sampled_from([64, 127, 128, 129, 136, 200, 255, 257, 300, 520])
 
 
+@pytest.mark.simd_off
 class TestColumnKernelMatchesTheTensorSum:
     @settings(max_examples=300, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -393,6 +394,7 @@ def computed_pairs(monkeypatch):
     return pairs
 
 
+@pytest.mark.simd_off
 class TestPrunedSearchMatchesTheOracle:
     @settings(max_examples=300, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -762,6 +764,7 @@ def grouped_matrices(draw):
     return np.stack(columns, axis=1), np.array([number.get(g, -1) for g in raw]), len(number)
 
 
+@pytest.mark.simd_off
 class TestGroupMomentsMatchTheMaskedMoments:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(case=grouped_matrices())
@@ -1340,6 +1343,7 @@ class TestImputationMatchesOracle:
         assert got == want
         assert got.rows == want.rows
 
+    @pytest.mark.simd_off
     @settings(max_examples=300, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(tables=imputation_tables())
@@ -1379,6 +1383,94 @@ class TestEncodeNumeric:
             synthetic_hepatitis.schema.index_of("sex")
         )
         assert out.class_labels() == synthetic_hepatitis.class_labels()
+
+    def test_encoded_data_is_returned_as_it_is(self, synthetic_hepatitis):
+        once = encode_numeric(synthetic_hepatitis)
+        assert encode_numeric(once) is once
+        # every split of one load shares its encoded schema
+        train, test = data.split_random(synthetic_hepatitis, 100, 3)
+        assert encode_numeric(train).schema is encode_numeric(test).schema is once.schema
+
+
+def require_numeric_oracle(dataset, indices):
+    """_require_numeric as a walk over the listed features, naming the first
+    faulty one: kept as the oracle of its one-reduction check."""
+    m = dataset.values.take(indices, axis=1)
+    missing = np.isnan(m).any(axis=0)
+    for j, i in enumerate(indices):
+        feature = dataset.schema.features[i]
+        problem = ("has MISSING cells; impute first" if missing[j]
+                   else "is symbolic; encode_numeric first"
+                   if feature.kind == "discrete" and len(m) else None)
+        if problem:
+            raise ValueError(f"feature {feature.name!r} {problem}")
+    return m
+
+
+def _numeric_outcome(check, dataset, indices):
+    try:
+        m = check(dataset, indices)
+    except ValueError as exc:
+        return "refused", str(exc)
+    return m.shape, m.flags.c_contiguous, m.tobytes()
+
+
+@st.composite
+def numeric_checks(draw):
+    """A dataset of 0-4 rows whose features (class last) have any role and kind,
+    cells from a pool with MISSING and infinities, and indices into it, repeats
+    and the class column allowed."""
+    n = draw(st.integers(1, 5))
+    feats = tuple(
+        Feature(f"f{i}", draw(st.sampled_from([FeatureRole.PRIMARY, FeatureRole.CONTEXTUAL])),
+                kind, ("a", "b", "c")[:draw(st.integers(1, 3))] if kind == "discrete" else None)
+        for i, kind in enumerate(draw(st.lists(st.sampled_from(["discrete", "continuous"]),
+                                               min_size=n, max_size=n))))
+    schema = FeatureSchema(feats + (Feature("cls", FeatureRole.CLASS, "discrete", ("y",)),))
+    rows = draw(st.integers(0, 4))
+    cells = draw(st.lists(st.sampled_from([0.0, -0.0, 1.0, 2.5, np.nan, np.inf, -np.inf]),
+                          min_size=rows * (n + 1), max_size=rows * (n + 1)))
+    indices = draw(st.lists(st.integers(0, n), max_size=n + 2))
+    return Dataset(schema, np.reshape(cells, (rows, n + 1))), indices
+
+
+class TestNumericCheck:
+    """_require_numeric's contract: the first faulty column in indices order is
+    named, MISSING before symbolic within a column, and a discrete column
+    passes only without rows."""
+
+    def dataset(self, rows):
+        schema = FeatureSchema((Feature("s", FeatureRole.PRIMARY, "discrete", ("a", "b")),
+                                Feature("x", FeatureRole.PRIMARY, "continuous"),
+                                Feature("cls", FeatureRole.CLASS, "discrete", ("y",))))
+        return Dataset(schema, np.reshape(rows, (-1, 3)))
+
+    def test_the_first_faulty_column_in_indices_order_is_named(self):
+        ds = self.dataset([[0.0, np.nan, 0.0]])
+        with pytest.raises(ValueError, match="^feature 'x' has MISSING cells; impute first$"):
+            preprocess._require_numeric(ds, [1, 0])
+        with pytest.raises(ValueError, match="^feature 's' is symbolic; encode_numeric first$"):
+            preprocess._require_numeric(ds, [0, 1])
+
+    def test_missing_is_named_before_symbolic(self):
+        ds = self.dataset([[np.nan, 1.0, 0.0], [1.0, 2.0, 0.0]])
+        with pytest.raises(ValueError, match="^feature 's' has MISSING cells; impute first$"):
+            preprocess._require_numeric(ds, [0])
+
+    def test_a_discrete_column_without_rows_passes(self):
+        m = preprocess._require_numeric(self.dataset(np.empty((0, 3))), [0, 2])
+        assert m.shape == (0, 2)
+
+    def test_no_columns_pass(self):
+        m = preprocess._require_numeric(self.dataset([[np.nan, np.nan, 0.0]]), [])
+        assert m.shape == (1, 0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=numeric_checks())
+    def test_matches_the_feature_walk(self, case):
+        dataset, indices = case
+        assert (_numeric_outcome(preprocess._require_numeric, dataset, indices)
+                == _numeric_outcome(require_numeric_oracle, dataset, indices))
 
 
 class TestPipeline:
